@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 convergence failure, 2 oracle violation,
 
 import csv
 import io
+import math
 import os
 import re
 import sys
@@ -285,8 +286,22 @@ def _lab_cells(rows):
 # the command line
 
 
-def _parse_list(text, conv):
-    return [conv(item) for item in text.split(",") if item.strip()]
+def _parse_list(text, conv, flag):
+    try:
+        values = [conv(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise click.UsageError(f"{flag} takes a comma-separated list, got {text!r}") from None
+    if not values:
+        raise click.UsageError(f"{flag} names no values")
+    return values
+
+
+def _parse_lambdas(text):
+    # B0 = lambda * I must be a finite positive multiple of the identity
+    lams = _parse_list(text, float, "--lambdas")
+    if not all(math.isfinite(lam) and lam > 0 for lam in lams):
+        raise click.UsageError(f"--lambdas must be finite and positive, got {text!r}")
+    return lams
 
 
 def _read_config_file(path):
@@ -400,9 +415,9 @@ def run(ctx, experiment, methods, lambdas, d, n, seed, fmt, out, workers, config
         raise click.UsageError("--experiment is required (flag or config file)")
     if workers is None:
         workers = os.cpu_count() or 1
-    lam_list = _parse_list(lambdas, float) if lambdas else list(LAMBDAS)
-    d_list = _parse_list(d, int) if d else None
-    n_list = _parse_list(n, int) if n else None
+    lam_list = _parse_lambdas(lambdas) if lambdas else list(LAMBDAS)
+    d_list = _parse_list(d, int, "--d") if d else None
+    n_list = _parse_list(n, int, "--n") if n else None
 
     start = time.perf_counter()
     exit_code = 0

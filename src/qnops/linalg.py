@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
+    "euclidean_norm",
     "weighted_inner",
     "solve_symmetric",
     "solve_general",
@@ -19,6 +20,17 @@ __all__ = [
 
 #: default relative tolerance for rank decisions in kernel_basis
 KERNEL_TOL = 1e-8
+
+
+def euclidean_norm(v):
+    """||v||_2 of a real vector (||v||_F of a matrix), bit for bit np.linalg.norm(v).
+
+    The same ravel, dot and sqrt that ``np.linalg.norm`` runs for ``ord=None``,
+    without its argument handling.  ``order="K"`` keeps its summation order for
+    strided views and Fortran-ordered matrices.
+    """
+    v = v.ravel(order="K")
+    return np.sqrt(v.dot(v))
 
 
 def weighted_inner(a, b, w=None):

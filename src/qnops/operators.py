@@ -15,10 +15,12 @@ Both carry explicit fallback signals (curvature failure, near-dependent
 projected step) so drivers can revert to the raw pair and log the event.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import euclidean_norm
 from .updates import SecantPair
 
 __all__ = [
@@ -147,6 +149,8 @@ def _beta_solve(G, rhs):
     m = G.shape[0]
     G = G / 2.0
     rhs = rhs / 2.0
+    if m == 1 and G[0, 0] != 0.0 and math.isfinite(G[0, 0]):
+        return rhs / G[0, 0]  # the quotient below, without the errstate context
     # The closed forms divide by the determinant; a singular system is
     # reported through non-finite entries, which the caller maps to the
     # same fallback as a LinAlgError from the LU path.
@@ -216,11 +220,11 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
         beta = _beta_solve(G, rhs)
     except np.linalg.LinAlgError:
         return SecantPair(s, y, "raw"), np.empty(0), "singular"
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         return SecantPair(s, y, "raw"), np.empty(0), "singular"
     st = s - S @ beta
     yt = y - Y @ beta
-    if np.linalg.norm(st) < discard_tol * np.linalg.norm(s):
+    if euclidean_norm(st) < discard_tol * euclidean_norm(s):
         return SecantPair(s, y, "raw"), beta, "discard"
     if family == "broyden" and st @ yt <= 0:
         return SecantPair(s, y, "raw"), beta, "curvature"

@@ -6,19 +6,28 @@ mode, (4) fallback handling, (5) matrix (or memory) update.  Traces
 record one entry per iteration plus the initial state, and every
 fallback is logged -- no pair is silently replaced.
 
-The drivers are single-threaded and allocation-light; runs with the same
-configuration are bitwise reproducible (fixed evaluation order, no
-parallel reductions).
+The drivers are single-threaded.  Each iteration allocates a handful of
+n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
+scratch buffer besides it; the records hold the iterates the loop made, not
+copies.  Runs with the same configuration are bitwise reproducible (fixed
+evaluation order, no parallel reductions).
+
+Every run ends in one status: ``converged``, ``max-iters``, ``breakdown``
+(a singular solve or an update that refuses its pair) or ``nonfinite`` (a
+NaN or infinite gradient or residual norm, which never counts as
+converged).
 """
 
+import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import angle_to_subspace
+from .linalg import angle_to_subspace, euclidean_norm
 from .operators import (
     DISCARD_TOL,
     OrthogonalHistory,
@@ -217,16 +226,27 @@ def _stop_threshold(stop, problem, x0, g0):
     if isinstance(stop, IterateError):
         if problem.x_star is None:
             raise ValueError("iterate-error stopping needs a known minimizer")
-        return stop.eps_rel * np.linalg.norm(x0 - problem.x_star)
+        return stop.eps_rel * euclidean_norm(x0 - problem.x_star)
     if isinstance(stop, GradNorm):
-        return stop.eps * np.linalg.norm(g0) if stop.relative else stop.eps
+        return stop.eps * euclidean_norm(g0) if stop.relative else stop.eps
     raise ValueError(f"stop rule {stop!r} not usable here")
 
 
-def _keep_going(stop, problem, x, g, threshold):
-    if isinstance(stop, IterateError):
-        return np.linalg.norm(x - problem.x_star) > threshold
-    return np.linalg.norm(g) > threshold
+def _terminal_status(gnorm, measure, threshold, k, max_iters):
+    """The status a run ends in at this iterate, or None to keep iterating.
+
+    ``gnorm`` is the gradient (residual) norm the driver holds for the
+    iterate and ``measure`` the quantity its stop rule compares with
+    ``threshold``.  A non-finite ``gnorm`` ends the run as ``nonfinite``, and
+    only ``measure <= threshold`` converges, so a NaN never does.
+    """
+    if not math.isfinite(gnorm):
+        return "nonfinite"
+    if measure <= threshold:
+        return "converged"
+    if k >= max_iters:
+        return "max-iters"
+    return None
 
 
 def line_search(problem, x, direction, rule):
@@ -249,37 +269,33 @@ def line_search(problem, x, direction, rule):
     return alpha / rule.shrink
 
 
-def _apply_update(rule, B, pair):
+def _update_rule(rule):
+    """The matrix update of a minimization ``rule`` as ``update(B, pair)``.
+
+    The update functions are looked up as module globals on every call, so
+    a function swapped in on this module (a tracer, a probe) is the one run.
+    """
     if isinstance(rule, Broyden):
         if rule.form == "inverse":
-            return bfgs_inverse_update(B, pair)
-        return broyden_update(B, pair, rule.theta)
+            return lambda B, pair: bfgs_inverse_update(B, pair)
+        theta = rule.theta
+        return lambda B, pair: broyden_update(B, pair, theta)
     if isinstance(rule, GeneralizedPSB):
+        minv2 = rule.minv2
         if rule.form == "inverse":
-            return gpsb_inverse_update(B, pair, rule.minv2)
-        return gpsb_update(B, pair, rule.minv2)
-    if isinstance(rule, BGM):
-        return bgm_update(B, pair)
+            return lambda B, pair: gpsb_inverse_update(B, pair, minv2)
+        return lambda B, pair: gpsb_update(B, pair, minv2)
     raise ValueError(f"unknown update rule {rule!r}")
 
 
-def _image_pair(rule, b_solve, s, y, alpha, g, gn, problem, xn, mode):
-    """Image-transformed pair (u, v), or the raw pair with the fallback reason."""
-    if isinstance(rule, GeneralizedPSB):
-        if rule.minv2 is None:
-            m2_apply = None
-        else:
-            minv2 = rule.minv2
-            m2_apply = lambda v: np.linalg.solve(minv2, v)  # noqa: E731
-        u = image_direction_gpsb(m2_apply, alpha, g, gn)
-    else:
-        u = image_direction_broyden(b_solve, s, y)
-    if np.linalg.norm(u) == 0.0:
+def _image_pair(u, s, y, problem, xn, mode):
+    """Image pair (u, v) for the image direction u, or the raw pair with the fallback reason."""
+    if euclidean_norm(u) == 0.0:
         return SecantPair(s, y, "raw"), "zero-image"
     if problem.hessian is not None:
         v = problem.hessian @ u  # exact directional difference for a quadratic
     else:
-        t = mode.t if mode.t_rule == "fixed" else np.linalg.norm(s) / np.linalg.norm(u)
+        t = mode.t if mode.t_rule == "fixed" else euclidean_norm(s) / euclidean_norm(u)
         v = secondary_secant(problem.gradient, xn, u, t)
     if u @ v > 0:
         return SecantPair(u, v, "image"), None
@@ -288,6 +304,10 @@ def _image_pair(rule, b_solve, s, y, alpha, g, gn, problem, xn, mode):
 
 # ---------------------------------------------------------------------------
 # drivers
+
+
+def _start(x0, problem):
+    return np.asarray(x0 if x0 is not None else problem.x0, dtype=float).copy()
 
 
 def minimize(problem, config):
@@ -300,92 +320,95 @@ def minimize(problem, config):
         raise ValueError("inverse form is only maintained for theta = 0")
     inverse = rule.form == "inverse"
     minv2 = rule.minv2 if isinstance(rule, GeneralizedPSB) else None
+    update = _update_rule(rule)
+    mode = config.mode
+    image = isinstance(mode, ImageTransform)
+    if image and minv2 is not None:
+        m2_apply = lambda v: np.linalg.solve(minv2, v)  # noqa: E731
+    else:
+        m2_apply = None
+    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
+    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
+    step_rule = config.step
+    max_iters = config.max_iters
 
-    x = np.asarray(config.x0 if config.x0 is not None else problem.x0, dtype=float).copy()
+    x = _start(config.x0, problem)
     n = x.size
     B = _b0_matrix(config.b0, n)
     if inverse:
         B = np.linalg.inv(B)
     g = problem.gradient(x)
     threshold = _stop_threshold(config.stop, problem, x, g)
+    x_star = problem.x_star if isinstance(config.stop, IterateError) else None
 
     ref = problem.hessian if (config.record_matrix_error or config.record_angles) else None
-    gs_hist = OrthogonalHistory(config.mode.d) if isinstance(config.mode, GramSchmidtWindow) else None
-    raw_hist = RawHistory(config.mode.d) if isinstance(config.mode, NormalEqWindow) else None
+    track_error = ref is not None and not inverse
+    record_angles = config.record_angles and track_error
 
     trace = IterationTrace()
-    trace.records.append(
-        StepRecord(
-            x=x.copy(),
-            grad_norm=np.linalg.norm(g),
-            matrix_error=None if ref is None or inverse else np.linalg.norm(B - ref, "fro"),
-        )
+    records = trace.records
+    gnorm = euclidean_norm(g)
+    records.append(
+        StepRecord(x, gnorm, matrix_error=euclidean_norm(B - ref) if track_error else None)
     )
 
     k = 0
-    while _keep_going(config.stop, problem, x, g, threshold):
-        if k >= config.max_iters:
-            trace.status = "max-iters"
-            return trace
+    while True:
+        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
+        status = _terminal_status(gnorm, measure, threshold, k, max_iters)
+        if status is not None:
+            break
         try:
             p = (-(B @ g)) if inverse else -np.linalg.solve(B, g)
         except np.linalg.LinAlgError:
-            trace.status = "breakdown"
-            return trace
-        alpha = line_search(problem, x, p, config.step)
+            status = "breakdown"
+            break
+        alpha = line_search(problem, x, p, step_rule)
         s = p if alpha == 1.0 else alpha * p
         xn = x + s
         gn = problem.gradient(xn)
+        gnorm = euclidean_norm(gn)
         y = gn - g
         pair = SecantPair(s, y)
 
         event = None
         angle = None
-        if config.record_angles and ref is not None and not inverse:
+        if record_angles:
             v = _near_kernel_direction(B - ref)
             angle = angle_to_subspace(s, v[:, None])
 
-        if isinstance(config.mode, ImageTransform):
-            Bk = B
-            b_solve = (lambda rhs: Bk @ rhs) if inverse else (lambda rhs: np.linalg.solve(Bk, rhs))
-            pair, event = _image_pair(rule, b_solve, s, y, alpha, g, gn, problem, xn, config.mode)
-        elif isinstance(config.mode, GramSchmidtWindow):
-            pair, fell = gram_schmidt_transform(
-                pair, gs_hist, family, minv2, classical=config.mode.classical
-            )
+        if image:
+            if family == "gpsb":
+                u = image_direction_gpsb(m2_apply, alpha, g, gn)
+            else:
+                Bk = B
+                b_solve = (lambda rhs: Bk @ rhs) if inverse else (lambda rhs: np.linalg.solve(Bk, rhs))
+                u = image_direction_broyden(b_solve, s, y)
+            pair, event = _image_pair(u, s, y, problem, xn, mode)
+        elif gs_hist is not None:
+            pair, fell = gram_schmidt_transform(pair, gs_hist, family, minv2, classical=mode.classical)
             if fell:
                 event = "gs-restart"
-        elif isinstance(config.mode, NormalEqWindow):
-            pair, _, reason = normal_eq_projection(
-                pair, raw_hist, family, config.mode.lam, config.mode.discard_tol, minv2
+        elif raw_hist is not None:
+            pair, _, event = normal_eq_projection(
+                pair, raw_hist, family, mode.lam, mode.discard_tol, minv2
             )
-            event = reason
             raw_hist.append(s, y)
 
         try:
-            B = _apply_update(rule, B, pair)
+            B = update(B, pair)
         except (CurvatureError, DegenerateUpdateError) as exc:
-            trace.records.append(
-                StepRecord(x=xn.copy(), grad_norm=np.linalg.norm(gn), step=s, pair=pair,
-                           event=f"update-breakdown: {exc}")
-            )
-            trace.status = "breakdown"
-            return trace
+            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
+            status = "breakdown"
+            break
 
         x, g = xn, gn
         k += 1
-        trace.records.append(
-            StepRecord(
-                x=x.copy(),
-                grad_norm=np.linalg.norm(g),
-                step=s,
-                pair=pair,
-                event=event,
-                matrix_error=None if ref is None or inverse else np.linalg.norm(B - ref, "fro"),
-                angle=angle,
-            )
+        records.append(
+            StepRecord(x, gnorm, s, pair, event,
+                       euclidean_norm(B - ref) if track_error else None, angle)
         )
-    trace.status = "converged"
+    trace.status = status
     return trace
 
 
@@ -400,78 +423,64 @@ def minimize_lbfgs(problem, config):
     if not np.isscalar(config.b0):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
     h0 = 1.0 / config.b0
-    N = config.memory
-    if isinstance(config.mode, (GramSchmidtWindow, NormalEqWindow)) and config.mode.d > N - 1:
+    mode = config.mode
+    if isinstance(mode, (GramSchmidtWindow, NormalEqWindow)) and mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
+    image = isinstance(mode, ImageTransform)
+    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
+    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
+    step_rule = config.step
+    max_iters = config.max_iters
 
-    x = np.asarray(config.x0 if config.x0 is not None else problem.x0, dtype=float).copy()
+    x = _start(config.x0, problem)
     g = problem.gradient(x)
     threshold = _stop_threshold(config.stop, problem, x, g)
+    x_star = problem.x_star if isinstance(config.stop, IterateError) else None
 
-    mem: List[SecantPair] = []
-    gs_hist = OrthogonalHistory(config.mode.d) if isinstance(config.mode, GramSchmidtWindow) else None
-    raw_hist = RawHistory(config.mode.d) if isinstance(config.mode, NormalEqWindow) else None
-
+    mem = deque(maxlen=config.memory)
     trace = IterationTrace()
-    trace.records.append(StepRecord(x=x.copy(), grad_norm=np.linalg.norm(g)))
+    records = trace.records
+    gnorm = euclidean_norm(g)
+    records.append(StepRecord(x, gnorm))
 
     k = 0
-    while _keep_going(config.stop, problem, x, g, threshold):
-        if k >= config.max_iters:
-            trace.status = "max-iters"
-            return trace
+    while True:
+        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
+        status = _terminal_status(gnorm, measure, threshold, k, max_iters)
+        if status is not None:
+            break
         p = -lbfgs_direction(mem, g, h0)
-        alpha = line_search(problem, x, p, config.step)
+        alpha = line_search(problem, x, p, step_rule)
         s = p if alpha == 1.0 else alpha * p
         xn = x + s
         gn = problem.gradient(xn)
+        gnorm = euclidean_norm(gn)
         y = gn - g
         pair = SecantPair(s, y)
 
         event = None
-        if isinstance(config.mode, ImageTransform):
+        if image:
             u = s - lbfgs_direction(mem, y, h0)
-            if np.linalg.norm(u) == 0.0:
-                event = "zero-image"
-            else:
-                if problem.hessian is not None:
-                    v = problem.hessian @ u
-                else:
-                    t = (
-                        config.mode.t
-                        if config.mode.t_rule == "fixed"
-                        else np.linalg.norm(s) / np.linalg.norm(u)
-                    )
-                    v = secondary_secant(problem.gradient, xn, u, t)
-                if u @ v > 0:
-                    pair = SecantPair(u, v, "image")
-                else:
-                    event = "curvature"
-        elif isinstance(config.mode, GramSchmidtWindow):
-            pair, fell = gram_schmidt_transform(pair, gs_hist, "broyden", classical=config.mode.classical)
+            pair, event = _image_pair(u, s, y, problem, xn, mode)
+        elif gs_hist is not None:
+            pair, fell = gram_schmidt_transform(pair, gs_hist, "broyden", classical=mode.classical)
             if fell:
                 event = "gs-restart"
-        elif isinstance(config.mode, NormalEqWindow):
-            pair, _, reason = normal_eq_projection(
-                pair, raw_hist, "broyden", config.mode.lam, config.mode.discard_tol
+        elif raw_hist is not None:
+            pair, _, event = normal_eq_projection(
+                pair, raw_hist, "broyden", mode.lam, mode.discard_tol
             )
-            event = reason
             raw_hist.append(s, y)
 
-        sy = pair.s @ pair.y
-        if sy > 0:
+        if pair.s @ pair.y > 0:
             mem.append(pair)
-            if len(mem) > N:
-                mem.pop(0)
         else:
             event = event or "skip-storage"
 
         x, g = xn, gn
         k += 1
-        trace.records.append(
-            StepRecord(x=x.copy(), grad_norm=np.linalg.norm(g), step=s, pair=pair, event=event)
-        )
-    trace.status = "converged"
+        records.append(StepRecord(x, gnorm, s, pair, event))
+    trace.status = status
     return trace
 
 
@@ -486,70 +495,86 @@ def solve_system(system, config):
 
     Unit steps; stopping on the absolute residual norm.  The BGM path
     updates on raw pairs; with a NormalEqWindow mode each pair is first
-    projected against the raw step window (family ``bgm``).
+    projected against the raw step window (family ``bgm``).  A zero step
+    ends the BGM run as ``breakdown``; a non-finite residual or matrix
+    ends any run as ``nonfinite``.
     """
     if not isinstance(config.stop, ResidualNorm):
         raise ValueError("solve_system stops on the residual norm")
     eps = config.stop.eps
-    x = np.asarray(config.x0 if config.x0 is not None else system.x0, dtype=float).copy()
+    max_iters = config.max_iters
+    x = _start(config.x0, system)
     n = x.size
     g = system.residual(x)
 
     trace = IterationTrace()
-    trace.records.append(StepRecord(x=x.copy(), grad_norm=np.linalg.norm(g)))
+    records = trace.records
+    gnorm = euclidean_norm(g)
+    records.append(StepRecord(x, gnorm))
 
     if config.rule is None:  # Newton with the analytic Jacobian
         if system.jacobian is None:
             raise ValueError("Newton mode needs an analytic Jacobian")
         k = 0
-        while np.linalg.norm(g) > eps:
-            if k >= config.max_iters:
-                trace.status = "max-iters"
-                return trace
+        while True:
+            status = _terminal_status(gnorm, gnorm, eps, k, max_iters)
+            if status is not None:
+                break
             try:
                 x = x - _qr_solve(system.jacobian(x), g)
             except np.linalg.LinAlgError:
-                trace.status = "breakdown"
-                return trace
+                status = "breakdown"
+                break
+            except ValueError:  # the triangular solve refuses non-finite factors
+                status = "nonfinite"
+                break
             g = system.residual(x)
+            gnorm = euclidean_norm(g)
             k += 1
-            trace.records.append(StepRecord(x=x.copy(), grad_norm=np.linalg.norm(g)))
-        trace.status = "converged"
+            records.append(StepRecord(x, gnorm))
+        trace.status = status
         return trace
 
     if not isinstance(config.rule, BGM):
         raise ValueError("solve_system supports Newton (rule None) and BGM rules")
     B = _b0_matrix(config.b0, n)
-    raw_hist = RawHistory(config.mode.d) if isinstance(config.mode, NormalEqWindow) else None
+    mode = config.mode
+    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
 
     k = 0
-    while np.linalg.norm(g) > eps:
-        if k >= config.max_iters:
-            trace.status = "max-iters"
-            return trace
+    while True:
+        status = _terminal_status(gnorm, gnorm, eps, k, max_iters)
+        if status is not None:
+            break
         try:
             s = -_qr_solve(B, g)
         except np.linalg.LinAlgError:
-            trace.status = "breakdown"
-            return trace
+            status = "breakdown"
+            break
+        except ValueError:  # the triangular solve refuses non-finite factors
+            status = "nonfinite"
+            break
         xn = x + s
         gn = system.residual(xn)
+        gnorm = euclidean_norm(gn)
         y = gn - g
         pair = SecantPair(s, y)
 
         event = None
         if raw_hist is not None:
-            pair, _, reason = normal_eq_projection(
-                pair, raw_hist, "bgm", config.mode.lam, config.mode.discard_tol
+            pair, _, event = normal_eq_projection(
+                pair, raw_hist, "bgm", mode.lam, mode.discard_tol
             )
-            event = reason
             raw_hist.append(s, y)
 
-        B = bgm_update(B, pair)
+        try:
+            B = bgm_update(B, pair)
+        except DegenerateUpdateError as exc:
+            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
+            status = "breakdown"
+            break
         x, g = xn, gn
         k += 1
-        trace.records.append(
-            StepRecord(x=x.copy(), grad_norm=np.linalg.norm(g), step=s, pair=pair, event=event)
-        )
-    trace.status = "converged"
+        records.append(StepRecord(x, gnorm, s, pair, event))
+    trace.status = status
     return trace

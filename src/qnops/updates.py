@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import euclidean_norm
+
 __all__ = [
     "SecantPair",
     "CurvatureError",
@@ -44,8 +46,29 @@ class DegenerateUpdateError(ArithmeticError):
 
 
 def _check_curvature(s, y, sy):
-    if sy <= CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+    if sy <= CURVATURE_TOL * euclidean_norm(s) * euclidean_norm(y):
         raise CurvatureError(f"s'y = {sy:.3e} fails the curvature condition")
+
+
+# The rank-one terms below are written into scratch buffers with a broadcast
+# multiply (the elementwise products np.outer computes) and scaled in place;
+# every sum keeps the association and operand order of the formula in the
+# docstring, so the result is bit for bit the one np.outer temporaries give.
+
+
+def _outer(a, b, out=None):
+    return np.multiply(a[:, None], b, out=out)
+
+
+def _sym_rank2(B, a, b, c, den):
+    # B + (a b' + b a') / den - (c / den**2) * b b'
+    T = _outer(a, b)
+    U = _outer(b, a)
+    T += U
+    T /= den
+    Bn = np.add(B, T, out=T)
+    np.multiply(c / den**2, _outer(b, b, out=U), out=U)
+    return np.subtract(Bn, U, out=Bn)
 
 
 def broyden_update(B, pair, theta):
@@ -59,12 +82,18 @@ def broyden_update(B, pair, theta):
     sBs = s @ Bs
     sy = s @ y
     _check_curvature(s, y, sy)
-    if abs(sBs) <= 1e-14 * (s @ s) * np.linalg.norm(B, "fro"):
+    if abs(sBs) <= 1e-14 * (s @ s) * euclidean_norm(B):
         raise DegenerateUpdateError("s'Bs is numerically zero")
-    Bn = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    T = _outer(Bs, Bs)
+    T /= sBs
+    Bn = np.subtract(B, T, out=T)
+    U = _outer(y, y)
+    U /= sy
+    Bn += U
     if theta != 0.0:
         w = np.sqrt(sBs) * (y / sy - Bs / sBs)
-        Bn = Bn + theta * np.outer(w, w)
+        np.multiply(theta, _outer(w, w, out=U), out=U)
+        Bn += U
     return Bn
 
 
@@ -75,11 +104,14 @@ def bfgs_inverse_update(H, pair):
     _check_curvature(s, y, sy)
     Hy = H @ y
     yHy = y @ Hy
-    return (
-        H
-        + ((sy + yHy) / sy**2) * np.outer(s, s)
-        - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
-    )
+    # H + ((sy + yHy) / sy**2) * s s' - (Hy s' + s Hy') / sy
+    U = _outer(Hy, s)
+    T = _outer(s, Hy)
+    U += T
+    U /= sy
+    np.multiply((sy + yHy) / sy**2, _outer(s, s, out=T), out=T)
+    Hn = np.add(H, T, out=T)
+    return np.subtract(Hn, U, out=Hn)
 
 
 def dfp_direct_update(B, pair):
@@ -92,7 +124,7 @@ def dfp_direct_update(B, pair):
     sy = s @ y
     _check_curvature(s, y, sy)
     r = y - B @ s
-    return B + (np.outer(r, y) + np.outer(y, r)) / sy - ((r @ s) / sy**2) * np.outer(y, y)
+    return _sym_rank2(B, r, y, r @ s, sy)
 
 
 def gpsb_update(B, pair, minv2=None):
@@ -112,7 +144,7 @@ def gpsb_update(B, pair, minv2=None):
     sms = s @ ms
     if sms <= 0:
         raise DegenerateUpdateError("s'M^-2 s must be positive")
-    return B + (np.outer(r, ms) + np.outer(ms, r)) / sms - ((r @ s) / sms**2) * np.outer(ms, ms)
+    return _sym_rank2(B, r, ms, r @ s, sms)
 
 
 def gpsb_inverse_update(H, pair, minv2=None):
@@ -126,7 +158,7 @@ def gpsb_inverse_update(H, pair, minv2=None):
     ymy = y @ my
     if ymy <= 0:
         raise DegenerateUpdateError("y'M^-2 y must be positive")
-    return H + (np.outer(r, my) + np.outer(my, r)) / ymy - ((r @ y) / ymy**2) * np.outer(my, my)
+    return _sym_rank2(H, r, my, r @ y, ymy)
 
 
 def bgm_update(B, pair):
@@ -138,7 +170,9 @@ def bgm_update(B, pair):
     ss = s @ s
     if ss == 0.0:
         raise DegenerateUpdateError("zero step")
-    return B + np.outer(y - B @ s, s) / ss
+    T = _outer(y - B @ s, s)
+    T /= ss
+    return np.add(B, T, out=T)
 
 
 def lbfgs_direction(history, g, h0_scale):
@@ -146,18 +180,20 @@ def lbfgs_direction(history, g, h0_scale):
 
     ``history`` is an ordered (oldest first) sequence of SecantPair with
     s'y > 0 (enforced at storage time by the drivers); the initial matrix
-    is h0_scale * I.
+    is h0_scale * I.  The scalars are Python floats (exact conversions of
+    the dot products) and q, r are updated in place.
     """
     q = g.copy()
+    rhos = []
     alphas = []
     for p in reversed(history):
-        rho = 1.0 / (p.s @ p.y)
-        a = rho * (p.s @ q)
+        rho = 1.0 / float(p.s @ p.y)
+        a = rho * float(p.s @ q)
+        rhos.append(rho)
         alphas.append(a)
-        q = q - a * p.y
+        q -= a * p.y
     r = h0_scale * q
-    for p, a in zip(history, reversed(alphas)):
-        rho = 1.0 / (p.s @ p.y)
-        b = rho * (p.y @ r)
-        r = r + (a - b) * p.s
+    for p, rho, a in zip(history, reversed(rhos), reversed(alphas)):
+        b = rho * float(p.y @ r)
+        r += (a - b) * p.s
     return r

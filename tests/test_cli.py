@@ -333,3 +333,24 @@ class TestVerifySubcommand:
         assert result.exit_code == 0
         assert "violations=0" in result.stdout
         assert "error-reduction/" in result.stdout
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lambdas,methods", [
+        ("0", "LBFGS(N=3)"),  # was a ZeroDivisionError traceback
+        ("nan", None),  # was a ValueError traceback
+        ("-5", "BFGS"),  # ran and exited 0
+    ])
+    def test_bad_lambda_is_usage_error(self, lambdas, methods, capsys):
+        argv = ["run", "--experiment", "table2", "--lambdas", lambdas, "--workers", "1"]
+        if methods is not None:
+            argv += ["--methods", methods]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "--lambdas must be finite and positive" in capsys.readouterr().err
+
+    def test_unparsable_list_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "table2", "--lambdas", "fifty", "--workers", "1"])
+        assert exc.value.code == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qnops.operators import (
     DISCARD_TOL,
@@ -307,3 +309,142 @@ class TestHistories:
 
     def test_default_discard_tolerance_value(self):
         assert DISCARD_TOL == 1e-8
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equivalence of normal_eq_projection with its first form
+#
+# The reference below keeps the np.all / np.linalg.norm tests and the errstate
+# context around every closed form; the projection must return the same bytes
+# and the same reason on every window size.
+
+
+def ref_beta_solve(G, rhs):
+    m = G.shape[0]
+    G = G / 2.0
+    rhs = rhs / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 1:
+            return rhs / G[0, 0]
+        if m == 2:
+            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+            return np.array(
+                [
+                    (rhs[0] * G[1, 1] - G[0, 1] * rhs[1]) / det,
+                    (G[0, 0] * rhs[1] - rhs[0] * G[1, 0]) / det,
+                ]
+            )
+        if m == 3:
+            d0 = np.linalg.det(G)
+            cols = [
+                np.column_stack([rhs if jj == j else G[:, jj] for jj in range(3)])
+                for j in range(3)
+            ]
+            return np.array([np.linalg.det(c) for c in cols]) / d0
+    return np.linalg.solve(G, rhs)
+
+
+def ref_normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, minv2=None):
+    s, y = pair.s, pair.y
+    m = len(raw)
+    if m == 0:
+        return SecantPair(s, y, pair.transformed), np.empty(0), None
+    s_cols, y_cols = raw.s_list, raw.y_list
+    if m == 3:
+        s_cols, y_cols = s_cols[::-1], y_cols[::-1]
+    S = np.column_stack(s_cols)
+    Y = np.column_stack(y_cols)
+    if family == "broyden":
+        G = S.T @ Y + Y.T @ S
+        rhs = S.T @ y + Y.T @ s
+    elif family == "gpsb":
+        MS = S if minv2 is None else minv2 @ S
+        G = S.T @ MS
+        rhs = MS.T @ s
+    else:
+        G = S.T @ S
+        rhs = S.T @ s
+    if lam:
+        G = G + lam * np.eye(m)
+    try:
+        beta = ref_beta_solve(G, rhs)
+    except np.linalg.LinAlgError:
+        return SecantPair(s, y, "raw"), np.empty(0), "singular"
+    if not np.all(np.isfinite(beta)):
+        return SecantPair(s, y, "raw"), np.empty(0), "singular"
+    st_ = s - S @ beta
+    yt = y - Y @ beta
+    if np.linalg.norm(st_) < discard_tol * np.linalg.norm(s):
+        return SecantPair(s, y, "raw"), beta, "discard"
+    if family == "broyden" and st_ @ yt <= 0:
+        return SecantPair(s, y, "raw"), beta, "curvature"
+    return SecantPair(st_, yt, "projected"), beta, None
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def projection_case(draw):
+    """A window of m = 0..4 raw pairs and a new pair, on a seeded SPD quadratic
+    or (for singular, discard and curvature paths) from raw hypothesis data."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+    elements = st.floats(-100.0, 100.0, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-3)
+    if draw(st.booleans()):
+        steps = rng.standard_normal((m + 1, n)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        steps = draw(hnp.arrays(np.float64, (m + 1, n), elements=elements))
+    raw = RawHistory(d=4)
+    for s in steps[:m]:
+        raw.append(s, A @ s)
+    s = steps[m]
+    y = A @ s if draw(st.booleans()) else draw(hnp.arrays(np.float64, n, elements=elements))
+    return SecantPair(s, y), raw, A
+
+
+class TestProjectionBitwiseEquivalence:
+    @given(case=projection_case(), family=st.sampled_from(["broyden", "gpsb", "bgm"]),
+           lam=st.sampled_from([0.0, 1e-3, 0.5]), spd_weight=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, case, family, lam, spd_weight):
+        pair, raw, A = case
+        minv2 = A if (family == "gpsb" and spd_weight) else None
+        with np.errstate(all="ignore"):  # overflow on extreme draws, in both forms
+            got = normal_eq_projection(pair, raw, family, lam, DISCARD_TOL, minv2)
+            want = ref_normal_eq_projection(pair, raw, family, lam, DISCARD_TOL, minv2)
+        (gp, gbeta, greason), (wp, wbeta, wreason) = got, want
+        assert greason == wreason
+        assert gp.transformed == wp.transformed
+        assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
+        assert _same_bytes(gbeta, wbeta)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_window_size_on_the_benchmark_quadratic(self, m):
+        # the n=50 diagonal quadratic of table 2 and 3, one window per size
+        problem = quadratic_weighted_50()
+        rng = np.random.default_rng(m)
+        raw = RawHistory(d=m)
+        for s in rng.standard_normal((m, 50)):
+            raw.append(s, problem.hessian @ s)
+        s = rng.standard_normal(50)
+        pair = SecantPair(s, problem.hessian @ s)
+        for family in ("broyden", "gpsb", "bgm"):
+            (gp, gbeta, greason) = normal_eq_projection(pair, raw, family)
+            (wp, wbeta, wreason) = ref_normal_eq_projection(pair, raw, family)
+            assert greason == wreason
+            assert greason is None
+            assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
+            assert _same_bytes(gbeta, wbeta)
+
+    def test_singular_pivot_still_reported(self):
+        # m = 1 with a zero pivot takes the errstate path and maps to "singular"
+        raw = RawHistory(d=1)
+        raw.append(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        pair = SecantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        _, beta, reason = normal_eq_projection(pair, raw, "broyden")
+        assert reason == "singular" and beta.size == 0

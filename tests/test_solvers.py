@@ -333,3 +333,59 @@ class TestImageModeMechanics:
         assert trace.status == "converged"
         final_err = trace.records[-1].matrix_error
         assert final_err <= 1e-7 * np.linalg.norm(p.hessian, "fro")
+
+
+def nan_after(problem, evaluations):
+    """The problem with a gradient that returns NaN from evaluation
+    ``evaluations + 1`` on."""
+    count = [0]
+    gradient = problem.gradient
+
+    def counted(x):
+        count[0] += 1
+        g = gradient(x)
+        return g if count[0] <= evaluations else np.full_like(g, np.nan)
+
+    problem.gradient = counted
+    return problem
+
+
+class TestTerminalStatuses:
+    @pytest.mark.parametrize("stop", [IterateError(1e-7), GradNorm(1e-7)])
+    def test_nan_gradient_is_nonfinite_not_converged(self, stop):
+        # the 4th evaluation (iteration 3 with unit steps) turns NaN
+        for driver, config in (
+            (minimize, SolverConfig(rule=Broyden(0.0), stop=stop, b0=50.0, max_iters=50)),
+            (minimize_lbfgs, SolverConfig(rule=None, stop=stop, b0=50.0, memory=3, max_iters=50)),
+        ):
+            trace = driver(nan_after(quadratic_weighted_50(), 3), config)
+            assert trace.status == "nonfinite"
+            assert trace.iterations == 3
+            assert np.isnan(trace.records[-1].grad_norm)
+
+    def test_nan_start_is_nonfinite(self):
+        p = nan_after(quadratic_weighted_50(), 0)
+        trace = minimize(p, SolverConfig(rule=Broyden(1.0), stop=GradNorm(1e-7), b0=50.0,
+                                         max_iters=50))
+        assert trace.status == "nonfinite"
+        assert trace.iterations == 0
+
+    @pytest.mark.parametrize("mode", [None, NormalEqWindow(d=1)])
+    def test_overflowing_bgm_step_is_nonfinite(self, mode):
+        # B0 = 1e-300 I: the first step overflows the residual
+        kw = {} if mode is None else {"mode": mode}
+        cfg = SolverConfig(rule=BGM(), stop=ResidualNorm(1e-7), b0=1e-300, max_iters=50, **kw)
+        with np.errstate(all="ignore"):
+            trace = solve_system(circle_cosine_system(), cfg)
+        assert trace.status == "nonfinite"
+        assert not np.isfinite(trace.records[-1].grad_norm)
+
+    @pytest.mark.parametrize("mode", [None, NormalEqWindow(d=1)])
+    def test_underflowing_bgm_step_is_breakdown(self, mode):
+        # B0 = 1e300 I: s's underflows to zero and bgm_update refuses it
+        kw = {} if mode is None else {"mode": mode}
+        cfg = SolverConfig(rule=BGM(), stop=ResidualNorm(1e-7), b0=1e300, max_iters=50, **kw)
+        trace = solve_system(circle_cosine_system(), cfg)
+        assert trace.status == "breakdown"
+        assert trace.records[-1].event == "update-breakdown: zero step"
+        assert trace.fallbacks == 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qnops.linalg import weighted_frobenius_error
+from qnops.linalg import euclidean_norm, weighted_frobenius_error
 from qnops.problems import random_spd_matrix
 from qnops.updates import (
+    CURVATURE_TOL,
     CurvatureError,
     DegenerateUpdateError,
     SecantPair,
@@ -312,3 +314,216 @@ class TestSecantPair:
     def test_tag_carries(self):
         p = SecantPair(np.ones(2), np.ones(2), "image")
         assert p.transformed == "image"
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equivalence with the np.outer / np.linalg.norm expressions
+#
+# The reference functions below are the update formulas as first written, with
+# np.outer temporaries and np.linalg.norm.  The fast forms must return the same
+# bytes (or raise the same exception) on every input.
+
+
+def _ref_check_curvature(s, y, sy):
+    if sy <= CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+        raise CurvatureError("curvature")
+
+
+def ref_broyden_update(B, pair, theta):
+    s, y = pair.s, pair.y
+    Bs = B @ s
+    sBs = s @ Bs
+    sy = s @ y
+    _ref_check_curvature(s, y, sy)
+    if abs(sBs) <= 1e-14 * (s @ s) * np.linalg.norm(B, "fro"):
+        raise DegenerateUpdateError("s'Bs")
+    Bn = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    if theta != 0.0:
+        w = np.sqrt(sBs) * (y / sy - Bs / sBs)
+        Bn = Bn + theta * np.outer(w, w)
+    return Bn
+
+
+def ref_bfgs_inverse_update(H, pair):
+    s, y = pair.s, pair.y
+    sy = s @ y
+    _ref_check_curvature(s, y, sy)
+    Hy = H @ y
+    yHy = y @ Hy
+    return (
+        H
+        + ((sy + yHy) / sy**2) * np.outer(s, s)
+        - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+    )
+
+
+def ref_dfp_direct_update(B, pair):
+    s, y = pair.s, pair.y
+    sy = s @ y
+    _ref_check_curvature(s, y, sy)
+    r = y - B @ s
+    return B + (np.outer(r, y) + np.outer(y, r)) / sy - ((r @ s) / sy**2) * np.outer(y, y)
+
+
+def ref_gpsb_update(B, pair, minv2=None):
+    s, y = pair.s, pair.y
+    r = y - B @ s
+    ms = s if minv2 is None else minv2 @ s
+    sms = s @ ms
+    if sms <= 0:
+        raise DegenerateUpdateError("s'M^-2 s")
+    return B + (np.outer(r, ms) + np.outer(ms, r)) / sms - ((r @ s) / sms**2) * np.outer(ms, ms)
+
+
+def ref_gpsb_inverse_update(H, pair, minv2=None):
+    s, y = pair.s, pair.y
+    r = s - H @ y
+    my = y if minv2 is None else minv2 @ y
+    ymy = y @ my
+    if ymy <= 0:
+        raise DegenerateUpdateError("y'M^-2 y")
+    return H + (np.outer(r, my) + np.outer(my, r)) / ymy - ((r @ y) / ymy**2) * np.outer(my, my)
+
+
+def ref_bgm_update(B, pair):
+    s, y = pair.s, pair.y
+    ss = s @ s
+    if ss == 0.0:
+        raise DegenerateUpdateError("zero step")
+    return B + np.outer(y - B @ s, s) / ss
+
+
+def ref_lbfgs_direction(history, g, h0_scale):
+    q = g.copy()
+    alphas = []
+    for p in reversed(history):
+        rho = 1.0 / (p.s @ p.y)
+        a = rho * (p.s @ q)
+        alphas.append(a)
+        q = q - a * p.y
+    r = h0_scale * q
+    for p, a in zip(history, reversed(alphas)):
+        rho = 1.0 / (p.s @ p.y)
+        b = rho * (p.y @ r)
+        r = r + (a - b) * p.s
+    return r
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_outcome(fn, ref, *args):
+    """Both return the same bytes, or both raise the same update exception."""
+    def outcome(f):
+        try:
+            with np.errstate(all="ignore"):  # degenerate draws overflow in both
+                return f(*args)
+        except (CurvatureError, DegenerateUpdateError) as exc:
+            return type(exc)
+
+    got, want = outcome(fn), outcome(ref)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_bitwise(got, want)
+
+
+finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def update_case(draw, max_n=8):
+    """(B, pair, A) with B a C- or Fortran-ordered matrix, a pair that is either
+    raw hypothesis data or y = A s for a seeded SPD A, and strided vectors."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+    if draw(st.booleans()):
+        B = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+    else:
+        B = draw(hnp.arrays(np.float64, (n, n), elements=finite))
+    if draw(st.booleans()):
+        B = np.asfortranarray(B)
+    s = draw(hnp.arrays(np.float64, 2 * n, elements=finite))[::2]
+    if draw(st.booleans()):
+        y = A @ s
+    else:
+        y = draw(hnp.arrays(np.float64, n, elements=finite))
+    return B, SecantPair(s, y), A
+
+
+class TestBitwiseEquivalence:
+    @given(hnp.arrays(np.float64, st.integers(0, 64),
+                      elements=st.floats(-1e150, 1e150, allow_nan=False)),
+           st.integers(1, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_norm_matches_numpy_on_vectors_and_strided_views(self, v, step, flip):
+        view = v[::step]
+        if flip:
+            view = view[::-1]
+        assert_bitwise(euclidean_norm(view), np.linalg.norm(view))
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=finite), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_norm_matches_frobenius_on_any_layout(self, B, fortran, transpose):
+        if fortran:
+            B = np.asfortranarray(B)
+        if transpose:
+            B = B.T
+        assert_bitwise(euclidean_norm(B), np.linalg.norm(B, "fro"))
+        assert_bitwise(euclidean_norm(B), np.linalg.norm(B))
+
+    def test_strided_views_need_the_ravel(self):
+        # a strided dot sums in another order than a contiguous one; the
+        # helper must agree with np.linalg.norm, not with v.dot(v)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.standard_normal(200)[::3]
+            assert_bitwise(euclidean_norm(v), np.linalg.norm(v))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @given(case=update_case())
+    @settings(max_examples=150, deadline=None)
+    def test_broyden(self, theta, case):
+        B, pair, _ = case
+        assert_same_outcome(broyden_update, ref_broyden_update, B, pair, theta)
+
+    @given(case=update_case())
+    @settings(max_examples=150, deadline=None)
+    def test_bfgs_inverse_and_dfp_direct(self, case):
+        B, pair, _ = case
+        assert_same_outcome(bfgs_inverse_update, ref_bfgs_inverse_update, B, pair)
+        assert_same_outcome(dfp_direct_update, ref_dfp_direct_update, B, pair)
+
+    @given(case=update_case(), spd_weight=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_gpsb_and_inverse(self, case, spd_weight):
+        B, pair, A = case
+        minv2 = A if spd_weight else None
+        assert_same_outcome(gpsb_update, ref_gpsb_update, B, pair, minv2)
+        assert_same_outcome(gpsb_inverse_update, ref_gpsb_inverse_update, B, pair, minv2)
+
+    @given(case=update_case())
+    @settings(max_examples=150, deadline=None)
+    def test_bgm(self, case):
+        B, pair, _ = case
+        assert_same_outcome(bgm_update, ref_bgm_update, B, pair)
+
+    @given(n=st.integers(1, 12), pairs=st.integers(0, 10), seed=st.integers(0, 2**32 - 1),
+           h0=st.sampled_from([1.0, 0.02, 2e-4, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_lbfgs_direction(self, n, pairs, seed, h0):
+        # the drivers store only pairs with s'y > 0, as the docstring requires
+        rng = np.random.default_rng(seed)
+        A = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+        steps = rng.standard_normal((pairs, n)) * 10.0 ** rng.integers(-3, 4)
+        history = [SecantPair(s, A @ s) for s in steps]
+        g = rng.standard_normal(n)
+        g0 = g.copy()
+        got = lbfgs_direction(history, g, h0)
+        assert_bitwise(got, ref_lbfgs_direction(history, g, h0))
+        assert_bitwise(g, g0)  # q is updated in place, g is not
