@@ -4,8 +4,6 @@ matrix-approximation laboratory and benchmark problems behind them."""
 from .linalg import (
     angle_to_subspace,
     kernel_basis,
-    solve_general,
-    solve_symmetric,
     weighted_frobenius_error,
     weighted_inner,
 )
@@ -77,8 +75,7 @@ from .lab import (
 )
 
 __all__ = [
-    "angle_to_subspace", "kernel_basis", "solve_general", "solve_symmetric",
-    "weighted_frobenius_error", "weighted_inner",
+    "angle_to_subspace", "kernel_basis", "weighted_frobenius_error", "weighted_inner",
     "CurvatureError", "DegenerateUpdateError", "SecantPair",
     "bfgs_inverse_update", "bgm_update", "broyden_update", "dfp_direct_update",
     "gpsb_inverse_update", "gpsb_update", "lbfgs_direction",

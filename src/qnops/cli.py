@@ -239,18 +239,14 @@ def _grid_cells(rows, lambdas):
     return headers, out
 
 
-def _grid_markdown(rows, lambdas):
-    # report-style pivot: one row per method, one column per lambda
-    headers = ["Method"] + [_fmt_lambda(lam) for lam in lambdas]
+def _pivot(rows, key, columns, fmt=str):
+    # report-style pivot: one row per method, one column per value of params[key]
+    headers = ["Method"] + [fmt(c) for c in columns]
     by_method = {}
-    order = []
     for r in rows:
-        if r.method not in by_method:
-            by_method[r.method] = {}
-            order.append(r.method)
         cell = str(r.iterations) if r.status == "converged" else r.status
-        by_method[r.method][r.params["lambda"]] = cell
-    out = [[m] + [by_method[m].get(lam, "") for lam in lambdas] for m in order]
+        by_method.setdefault(r.method, {})[r.params[key]] = cell
+    out = [[m] + [cells.get(c, "") for c in columns] for m, cells in by_method.items()]
     return headers, out
 
 
@@ -258,20 +254,6 @@ def _systems_cells(rows):
     headers = ["method", "problem", "iterations", "status", "fallbacks"]
     out = [[r.method, r.params["problem"], str(r.iterations), r.status,
             str(r.fallbacks)] for r in rows]
-    return headers, out
-
-
-def _systems_markdown(rows):
-    headers = ["Method"] + list(SYSTEM_PROBLEMS)
-    by_method = {}
-    order = []
-    for r in rows:
-        if r.method not in by_method:
-            by_method[r.method] = {}
-            order.append(r.method)
-        cell = str(r.iterations) if r.status == "converged" else r.status
-        by_method[r.method][r.params["problem"]] = cell
-    out = [[m] + [by_method[m].get(p, "") for p in SYSTEM_PROBLEMS] for m in order]
     return headers, out
 
 
@@ -431,7 +413,7 @@ def run(ctx, experiment, methods, lambdas, d, n, seed, fmt, out, workers, config
         rows = _run_pool(cells, _bench_cell, workers)
         if any(r.status != "converged" for r in rows):
             exit_code = 1
-        headers, body = (_grid_markdown(rows, lam_list) if fmt == "markdown"
+        headers, body = (_pivot(rows, "lambda", lam_list, _fmt_lambda) if fmt == "markdown"
                          else _grid_cells(rows, lam_list))
     elif experiment == "systems":
         labels = _filter_methods(list(SYSTEM_LABELS), methods)
@@ -439,7 +421,7 @@ def run(ctx, experiment, methods, lambdas, d, n, seed, fmt, out, workers, config
         rows = _run_pool(cells, _system_cell, workers)
         if any(r.status != "converged" for r in rows):
             exit_code = 1
-        headers, body = (_systems_markdown(rows) if fmt == "markdown"
+        headers, body = (_pivot(rows, "problem", SYSTEM_PROBLEMS) if fmt == "markdown"
                          else _systems_cells(rows))
     elif experiment == "example1":
         rows, angle_rows = run_example1()
@@ -471,7 +453,7 @@ def run(ctx, experiment, methods, lambdas, d, n, seed, fmt, out, workers, config
 
 @cli.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=500, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
 def verify(seed, trials):
     """Run every oracle suite and report one line per suite."""
     start = time.perf_counter()

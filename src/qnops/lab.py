@@ -313,7 +313,7 @@ def oracle_error_reduction(family, a, b, m, s):
 
     family ``gpsb``: ||PSB_M(B,A,s) - A||_{M,F}^2 <= ||B - A||_{M,F}^2
     - ||M(B-A)s||^2 / ||M^-1 s||^2 (m=None means M=I).  family ``bgm``:
-    the same form with Euclidean norms holds as an exact identity.
+    the same statement with Euclidean norms holds as an exact identity.
     Returns (lhs, rhs, holds).
     """
     s = np.asarray(s, dtype=float)

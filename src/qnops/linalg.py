@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: weighted inner products, solves, kernels, angles.
+"""Dense linear-algebra substrate: norms, weighted inner products, kernels, angles.
 
 Everything here operates on plain numpy arrays (square real matrices,
 1-D vectors).  A weight ``w`` of ``None`` means the Euclidean inner
@@ -6,13 +6,10 @@ product throughout.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "euclidean_norm",
     "weighted_inner",
-    "solve_symmetric",
-    "solve_general",
     "kernel_basis",
     "angle_to_subspace",
     "weighted_frobenius_error",
@@ -45,29 +42,6 @@ def weighted_inner(a, b, w=None):
     if w.shape != (a.size, a.size):
         raise ValueError(f"weight shape {w.shape} does not match vectors of size {a.size}")
     return a @ (w @ b)
-
-
-def solve_symmetric(B, rhs):
-    """Solve B x = rhs for symmetric (possibly indefinite) B.
-
-    Uses a symmetric-indefinite (Bunch-Kaufman) factorization, so
-    indefinite iterates are handled without assuming positive
-    definiteness.  Raises ``numpy.linalg.LinAlgError`` on singular input.
-    """
-    B = np.asarray(B, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    nrm = np.linalg.norm(B, "fro")
-    if nrm > 0 and np.linalg.norm(B - B.T, "fro") > 1e-10 * nrm:
-        raise ValueError("matrix is not symmetric within tolerance")
-    try:
-        return sla.solve(B, rhs, assume_a="sym")
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError(str(exc)) from exc
-
-
-def solve_general(B, rhs):
-    """Solve B x = rhs via a pivoted LU factorization (B need not be symmetric)."""
-    return np.linalg.solve(np.asarray(B, dtype=float), np.asarray(rhs, dtype=float))
 
 
 def kernel_basis(E, tol=KERNEL_TOL):

@@ -97,25 +97,21 @@ def secondary_secant(grad, x_next, u, t):
 
 def _gs_coefficient(family, minv2, s_cur, sj, yj):
     # projection coefficient of s_cur onto the stored direction, in the
-    # family's inner product; on quadratics the broyden form realizes
+    # family's inner product; on quadratics the broyden coefficient realizes
     # <.,.>_A through the stored y.
     if family == "broyden":
         return (s_cur @ yj) / (sj @ yj)
-    if family == "gpsb":
+    if family in ("gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
         mj = sj if minv2 is None else minv2 @ sj
         return (s_cur @ mj) / (sj @ mj)
-    if family == "bgm":
-        return (s_cur @ sj) / (sj @ sj)
     raise ValueError(f"unknown family {family!r}")
 
 
-def gram_schmidt_transform(pair, hist, family, minv2=None, classical=False):
+def gram_schmidt_transform(pair, hist, family, minv2=None):
     """Orthogonalize (s, y) against the windowed history by sequential projection.
 
-    Modified (sequential) Gram-Schmidt by default: each stored direction
-    is removed using the partially reduced vector, which is the
-    numerically stable variant.  ``classical=True`` computes every
-    coefficient from the original s instead (kept for A/B comparison).
+    Modified (sequential) Gram-Schmidt: each stored direction is removed
+    using the partially reduced vector, the numerically stable variant.
 
     For the broyden family a transformed pair failing s'y > 0 triggers a
     fallback: the raw pair is returned, the window is cleared and then
@@ -127,8 +123,7 @@ def gram_schmidt_transform(pair, hist, family, minv2=None, classical=False):
     st = s.copy()
     yt = y.copy()
     for sj, yj in hist.window:
-        ref = s if classical else st
-        c = _gs_coefficient(family, minv2, ref, sj, yj)
+        c = _gs_coefficient(family, minv2, st, sj, yj)
         st = st - c * sj
         yt = yt - c * yj
     if family == "broyden" and hist.window and st @ yt <= 0:
@@ -182,7 +177,7 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
 
         broyden: (S'Y + Y'S) beta = S'y + Y's   (symmetrized)
         gpsb:    (S'M^-2 S) beta = S'M^-2 s
-        bgm:     (S'S) beta = S's
+        bgm:     (S'S) beta = S's          (gpsb with M = I)
 
     and returns ``(SecantPair(s - S beta, y - Y beta), beta, reason)``
     where ``reason`` is None on success, ``"discard"`` when the projected
@@ -205,13 +200,10 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
     if family == "broyden":
         G = S.T @ Y + Y.T @ S
         rhs = S.T @ y + Y.T @ s
-    elif family == "gpsb":
+    elif family in ("gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
         MS = S if minv2 is None else minv2 @ S
         G = S.T @ MS
         rhs = MS.T @ s
-    elif family == "bgm":
-        G = S.T @ S
-        rhs = S.T @ s
     else:
         raise ValueError(f"unknown family {family!r}")
     if lam:

@@ -1,10 +1,14 @@
 """Iteration drivers: quasi-Newton minimization, L-BFGS, and nonlinear systems.
 
-Every driver runs the same per-iteration pipeline: (1) direction and
-step, (2) raw pair formation, (3) operator transform per the configured
-mode, (4) fallback handling, (5) matrix (or memory) update.  Traces
-record one entry per iteration plus the initial state, and every
-fallback is logged -- no pair is silently replaced.
+The three drivers share one loop, ``_iterate``: direction, step, raw pair,
+secant transform per the mode (none, image, Gram-Schmidt window,
+normal-equations window), model update, record.  A driver validates its
+configuration and builds the model that gives the loop directions, image
+directions and updates: a dense B_k solved by LU (``minimize``), the limited
+memory applied by the two-loop recursion, which refuses a pair with s'y <= 0
+(``minimize_lbfgs``), or a Jacobian solved by QR, BGM's B_k or the analytic
+one for Newton (``solve_system``).  Traces record the initial state and one
+entry per iteration, and log every fallback: no pair is silently replaced.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
@@ -25,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import angle_to_subspace, euclidean_norm
 from .operators import (
@@ -38,14 +41,13 @@ from .operators import (
     normal_eq_projection,
     secondary_secant,
 )
+from .problems import NonlinearSystem
 from .updates import (
     CurvatureError,
     DegenerateUpdateError,
     SecantPair,
-    bfgs_inverse_update,
     bgm_update,
     broyden_update,
-    gpsb_inverse_update,
     gpsb_update,
     lbfgs_direction,
 )
@@ -74,24 +76,34 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# configuration types
+# configuration types; a rule's ``update`` looks its formula up as a module
+# global on every call, so a function swapped in here (a tracer) is the one run
 
 
 @dataclass(frozen=True)
 class Broyden:
     theta: float = 0.0
-    form: str = "direct"  # direct | inverse (inverse only for theta == 0)
+    family = "broyden"
+
+    def update(self, B, pair):
+        return broyden_update(B, pair, self.theta)
 
 
 @dataclass(frozen=True)
 class GeneralizedPSB:
     minv2: Optional[np.ndarray] = None  # None means M = I (standard PSB)
-    form: str = "direct"
+    family = "gpsb"
+
+    def update(self, B, pair):
+        return gpsb_update(B, pair, self.minv2)
 
 
 @dataclass(frozen=True)
 class BGM:
-    pass
+    family = "bgm"
+
+    def update(self, B, pair):
+        return bgm_update(B, pair)
 
 
 @dataclass(frozen=True)
@@ -101,14 +113,12 @@ class NoTransform:
 
 @dataclass(frozen=True)
 class ImageTransform:
-    t_rule: str = "fixed"  # fixed | step_matched
     t: float = 1.0
 
 
 @dataclass(frozen=True)
 class GramSchmidtWindow:
     d: int
-    classical: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,6 +168,15 @@ class SolverConfig:
     record_angles: bool = False
     record_matrix_error: bool = False
 
+    def __post_init__(self):
+        # a matrix b0 is checked against the dimension by the driver
+        if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
+            raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
+        if self.memory < 1:
+            raise ValueError(f"memory must be at least 1, got {self.memory!r}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters!r}")
+
 
 @dataclass
 class StepRecord:
@@ -196,16 +215,6 @@ class IterationTrace:
 # helpers
 
 
-def _family_of(rule):
-    if isinstance(rule, Broyden):
-        return "broyden"
-    if isinstance(rule, GeneralizedPSB):
-        return "gpsb"
-    if isinstance(rule, BGM):
-        return "bgm"
-    raise ValueError(f"unknown update rule {rule!r}")
-
-
 def _b0_matrix(b0, n):
     if np.isscalar(b0):
         return b0 * np.eye(n)
@@ -229,6 +238,8 @@ def _stop_threshold(stop, problem, x0, g0):
         return stop.eps_rel * euclidean_norm(x0 - problem.x_star)
     if isinstance(stop, GradNorm):
         return stop.eps * euclidean_norm(g0) if stop.relative else stop.eps
+    if isinstance(stop, ResidualNorm) and isinstance(problem, NonlinearSystem):
+        return stop.eps
     raise ValueError(f"stop rule {stop!r} not usable here")
 
 
@@ -269,25 +280,6 @@ def line_search(problem, x, direction, rule):
     return alpha / rule.shrink
 
 
-def _update_rule(rule):
-    """The matrix update of a minimization ``rule`` as ``update(B, pair)``.
-
-    The update functions are looked up as module globals on every call, so
-    a function swapped in on this module (a tracer, a probe) is the one run.
-    """
-    if isinstance(rule, Broyden):
-        if rule.form == "inverse":
-            return lambda B, pair: bfgs_inverse_update(B, pair)
-        theta = rule.theta
-        return lambda B, pair: broyden_update(B, pair, theta)
-    if isinstance(rule, GeneralizedPSB):
-        minv2 = rule.minv2
-        if rule.form == "inverse":
-            return lambda B, pair: gpsb_inverse_update(B, pair, minv2)
-        return lambda B, pair: gpsb_update(B, pair, minv2)
-    raise ValueError(f"unknown update rule {rule!r}")
-
-
 def _image_pair(u, s, y, problem, xn, mode):
     """Image pair (u, v) for the image direction u, or the raw pair with the fallback reason."""
     if euclidean_norm(u) == 0.0:
@@ -295,15 +287,178 @@ def _image_pair(u, s, y, problem, xn, mode):
     if problem.hessian is not None:
         v = problem.hessian @ u  # exact directional difference for a quadratic
     else:
-        t = mode.t if mode.t_rule == "fixed" else euclidean_norm(s) / euclidean_norm(u)
-        v = secondary_secant(problem.gradient, xn, u, t)
+        v = secondary_secant(problem.gradient, xn, u, mode.t)
     if u @ v > 0:
         return SecantPair(u, v, "image"), None
     return SecantPair(s, y, "raw"), "curvature"
 
 
+def _qr_solve(B, rhs):
+    """B^-1 rhs by QR (stable across equivalent assembly orders of B) and row back-substitution.
+
+    Raises ``ValueError`` on a non-finite factor or right-hand side and
+    ``numpy.linalg.LinAlgError`` on a zero diagonal entry of R.
+    """
+    q, r = np.linalg.qr(B)
+    b = q.T @ rhs
+    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+        raise ValueError("QR factors must not contain infs or NaNs")
+    if not np.diag(r).all():
+        raise np.linalg.LinAlgError("singular matrix: zero diagonal in the QR factor")
+    x = np.empty(b.size)
+    for i in reversed(range(b.size)):
+        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
 # ---------------------------------------------------------------------------
-# drivers
+# models: what the loop asks for a direction, an image direction and an update
+
+
+class _DenseModel:
+    """A dense B_k solved by LU, updated by the rule of its family."""
+
+    def __init__(self, rule, B, problem, config):
+        self.rule, self.B = rule, B
+        self.family, self.minv2 = rule.family, getattr(rule, "minv2", None)
+        self.ref = problem.hessian if config.record_matrix_error or config.record_angles else None
+        self.track = self.ref is not None
+        self.angles = config.record_angles and self.track
+
+    def direction(self, x, g):
+        return -np.linalg.solve(self.B, g)
+
+    def image(self, s, y, alpha, g, gn):
+        if self.family == "gpsb":
+            minv2 = self.minv2
+            m2_apply = None if minv2 is None else (lambda v: np.linalg.solve(minv2, v))
+            return image_direction_gpsb(m2_apply, alpha, g, gn)
+        B = self.B
+        return image_direction_broyden(lambda rhs: np.linalg.solve(B, rhs), s, y)
+
+    def update(self, pair):
+        self.B = self.rule.update(self.B, pair)
+
+    def error(self):
+        return euclidean_norm(self.B - self.ref)
+
+    def angle(self, s):
+        if self.angles:
+            return angle_to_subspace(s, _near_kernel_direction(self.B - self.ref)[:, None])
+
+
+class _LimitedMemory:
+    """The last ``memory`` pairs, applied as H_k by the two-loop recursion."""
+
+    family, minv2, track = "broyden", None, False
+
+    def __init__(self, memory, h0):
+        self.mem = deque(maxlen=memory)
+        self.h0 = h0
+
+    def direction(self, x, g):
+        return -lbfgs_direction(self.mem, g, self.h0)
+
+    def image(self, s, y, alpha, g, gn):
+        return s - lbfgs_direction(self.mem, y, self.h0)
+
+    def update(self, pair):
+        if pair.s @ pair.y <= 0:
+            return "skip-storage"
+        self.mem.append(pair)
+
+
+class _Jacobian:
+    """A Jacobian solved by QR: BGM's B_k, or the analytic one for Newton (rule None)."""
+
+    family, minv2, track = "bgm", None, False
+
+    def __init__(self, rule, B, jacobian):
+        self.rule, self.B, self.jacobian = rule, B, jacobian
+
+    def direction(self, x, g):
+        return -_qr_solve(self.B if self.rule is not None else self.jacobian(x), g)
+
+    def update(self, pair):
+        if self.rule is not None:
+            self.B = self.rule.update(self.B, pair)
+
+
+# ---------------------------------------------------------------------------
+# the loop and its drivers
+
+
+def _iterate(problem, evaluate, config, model, x, g):
+    """Iterate from x (with g = evaluate(x)) to a terminal status; return the trace.
+
+    Per iteration: the model's direction, a step by ``line_search``, the raw
+    pair, its transform per ``config.mode``, the model's update, a record.  A
+    transform fallback or a pair the model refuses is the record's event; an
+    update that raises ends the run as ``breakdown`` (``update-breakdown``).
+    """
+    mode = config.mode
+    image = isinstance(mode, ImageTransform)
+    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
+    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
+    threshold = _stop_threshold(config.stop, problem, x, g)
+    x_star = problem.x_star if isinstance(config.stop, IterateError) else None
+    track = model.track
+
+    trace = IterationTrace()
+    records = trace.records
+    gnorm = euclidean_norm(g)
+    records.append(StepRecord(x, gnorm, matrix_error=model.error() if track else None))
+
+    k = 0
+    while True:
+        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
+        status = _terminal_status(gnorm, measure, threshold, k, config.max_iters)
+        if status is not None:
+            break
+        try:
+            p = model.direction(x, g)
+        except np.linalg.LinAlgError:
+            status = "breakdown"
+            break
+        except ValueError:  # the QR solve refuses non-finite factors
+            status = "nonfinite"
+            break
+        alpha = line_search(problem, x, p, config.step)
+        s = p if alpha == 1.0 else alpha * p
+        xn = x + s
+        gn = evaluate(xn)
+        gnorm = euclidean_norm(gn)
+        y = gn - g
+        pair = SecantPair(s, y)
+
+        event = None
+        angle = model.angle(s) if track else None
+        if image:
+            u = model.image(s, y, alpha, g, gn)
+            pair, event = _image_pair(u, s, y, problem, xn, mode)
+        elif gs_hist is not None:
+            pair, fell = gram_schmidt_transform(pair, gs_hist, model.family, model.minv2)
+            if fell:
+                event = "gs-restart"
+        elif raw_hist is not None:
+            pair, _, event = normal_eq_projection(
+                pair, raw_hist, model.family, mode.lam, mode.discard_tol, model.minv2
+            )
+            raw_hist.append(s, y)
+
+        try:
+            refused = model.update(pair)
+        except (CurvatureError, DegenerateUpdateError) as exc:
+            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
+            status = "breakdown"
+            break
+
+        x, g = xn, gn
+        k += 1
+        records.append(StepRecord(x, gnorm, s, pair, event or refused,
+                                  model.error() if track else None, angle))
+    trace.status = status
+    return trace
 
 
 def _start(x0, problem):
@@ -313,103 +468,11 @@ def _start(x0, problem):
 def minimize(problem, config):
     """Full-matrix quasi-Newton minimization with the configured transform mode."""
     rule = config.rule
-    if isinstance(rule, BGM):
-        raise ValueError("BGM is a nonlinear-system rule; use solve_system")
-    family = _family_of(rule)
-    if isinstance(rule, Broyden) and rule.form == "inverse" and rule.theta != 0.0:
-        raise ValueError("inverse form is only maintained for theta = 0")
-    inverse = rule.form == "inverse"
-    minv2 = rule.minv2 if isinstance(rule, GeneralizedPSB) else None
-    update = _update_rule(rule)
-    mode = config.mode
-    image = isinstance(mode, ImageTransform)
-    if image and minv2 is not None:
-        m2_apply = lambda v: np.linalg.solve(minv2, v)  # noqa: E731
-    else:
-        m2_apply = None
-    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
-    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
-    step_rule = config.step
-    max_iters = config.max_iters
-
+    if not isinstance(rule, (Broyden, GeneralizedPSB)):  # BGM runs in solve_system
+        raise ValueError(f"minimize takes a Broyden or GeneralizedPSB rule, not {rule!r}")
     x = _start(config.x0, problem)
-    n = x.size
-    B = _b0_matrix(config.b0, n)
-    if inverse:
-        B = np.linalg.inv(B)
-    g = problem.gradient(x)
-    threshold = _stop_threshold(config.stop, problem, x, g)
-    x_star = problem.x_star if isinstance(config.stop, IterateError) else None
-
-    ref = problem.hessian if (config.record_matrix_error or config.record_angles) else None
-    track_error = ref is not None and not inverse
-    record_angles = config.record_angles and track_error
-
-    trace = IterationTrace()
-    records = trace.records
-    gnorm = euclidean_norm(g)
-    records.append(
-        StepRecord(x, gnorm, matrix_error=euclidean_norm(B - ref) if track_error else None)
-    )
-
-    k = 0
-    while True:
-        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
-        status = _terminal_status(gnorm, measure, threshold, k, max_iters)
-        if status is not None:
-            break
-        try:
-            p = (-(B @ g)) if inverse else -np.linalg.solve(B, g)
-        except np.linalg.LinAlgError:
-            status = "breakdown"
-            break
-        alpha = line_search(problem, x, p, step_rule)
-        s = p if alpha == 1.0 else alpha * p
-        xn = x + s
-        gn = problem.gradient(xn)
-        gnorm = euclidean_norm(gn)
-        y = gn - g
-        pair = SecantPair(s, y)
-
-        event = None
-        angle = None
-        if record_angles:
-            v = _near_kernel_direction(B - ref)
-            angle = angle_to_subspace(s, v[:, None])
-
-        if image:
-            if family == "gpsb":
-                u = image_direction_gpsb(m2_apply, alpha, g, gn)
-            else:
-                Bk = B
-                b_solve = (lambda rhs: Bk @ rhs) if inverse else (lambda rhs: np.linalg.solve(Bk, rhs))
-                u = image_direction_broyden(b_solve, s, y)
-            pair, event = _image_pair(u, s, y, problem, xn, mode)
-        elif gs_hist is not None:
-            pair, fell = gram_schmidt_transform(pair, gs_hist, family, minv2, classical=mode.classical)
-            if fell:
-                event = "gs-restart"
-        elif raw_hist is not None:
-            pair, _, event = normal_eq_projection(
-                pair, raw_hist, family, mode.lam, mode.discard_tol, minv2
-            )
-            raw_hist.append(s, y)
-
-        try:
-            B = update(B, pair)
-        except (CurvatureError, DegenerateUpdateError) as exc:
-            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
-            status = "breakdown"
-            break
-
-        x, g = xn, gn
-        k += 1
-        records.append(
-            StepRecord(x, gnorm, s, pair, event,
-                       euclidean_norm(B - ref) if track_error else None, angle)
-        )
-    trace.status = status
-    return trace
+    model = _DenseModel(rule, _b0_matrix(config.b0, x.size), problem, config)
+    return _iterate(problem, problem.gradient, config, model, x, problem.gradient(x))
 
 
 def minimize_lbfgs(problem, config):
@@ -422,72 +485,12 @@ def minimize_lbfgs(problem, config):
     """
     if not np.isscalar(config.b0):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
-    h0 = 1.0 / config.b0
     mode = config.mode
     if isinstance(mode, (GramSchmidtWindow, NormalEqWindow)) and mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
-    image = isinstance(mode, ImageTransform)
-    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
-    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
-    step_rule = config.step
-    max_iters = config.max_iters
-
     x = _start(config.x0, problem)
-    g = problem.gradient(x)
-    threshold = _stop_threshold(config.stop, problem, x, g)
-    x_star = problem.x_star if isinstance(config.stop, IterateError) else None
-
-    mem = deque(maxlen=config.memory)
-    trace = IterationTrace()
-    records = trace.records
-    gnorm = euclidean_norm(g)
-    records.append(StepRecord(x, gnorm))
-
-    k = 0
-    while True:
-        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
-        status = _terminal_status(gnorm, measure, threshold, k, max_iters)
-        if status is not None:
-            break
-        p = -lbfgs_direction(mem, g, h0)
-        alpha = line_search(problem, x, p, step_rule)
-        s = p if alpha == 1.0 else alpha * p
-        xn = x + s
-        gn = problem.gradient(xn)
-        gnorm = euclidean_norm(gn)
-        y = gn - g
-        pair = SecantPair(s, y)
-
-        event = None
-        if image:
-            u = s - lbfgs_direction(mem, y, h0)
-            pair, event = _image_pair(u, s, y, problem, xn, mode)
-        elif gs_hist is not None:
-            pair, fell = gram_schmidt_transform(pair, gs_hist, "broyden", classical=mode.classical)
-            if fell:
-                event = "gs-restart"
-        elif raw_hist is not None:
-            pair, _, event = normal_eq_projection(
-                pair, raw_hist, "broyden", mode.lam, mode.discard_tol
-            )
-            raw_hist.append(s, y)
-
-        if pair.s @ pair.y > 0:
-            mem.append(pair)
-        else:
-            event = event or "skip-storage"
-
-        x, g = xn, gn
-        k += 1
-        records.append(StepRecord(x, gnorm, s, pair, event))
-    trace.status = status
-    return trace
-
-
-def _qr_solve(B, rhs):
-    # QR-factorized solve: stable across equivalent assembly orders of B
-    q, r = np.linalg.qr(B)
-    return sla.solve_triangular(r, q.T @ rhs)
+    model = _LimitedMemory(config.memory, 1.0 / config.b0)
+    return _iterate(problem, problem.gradient, config, model, x, problem.gradient(x))
 
 
 def solve_system(system, config):
@@ -495,86 +498,20 @@ def solve_system(system, config):
 
     Unit steps; stopping on the absolute residual norm.  The BGM path
     updates on raw pairs; with a NormalEqWindow mode each pair is first
-    projected against the raw step window (family ``bgm``).  A zero step
-    ends the BGM run as ``breakdown``; a non-finite residual or matrix
-    ends any run as ``nonfinite``.
+    projected against the raw step window (family ``bgm``).  Newton takes
+    no transform.  A zero step ends the BGM run as ``breakdown``; a
+    non-finite residual or matrix ends any run as ``nonfinite``.
     """
-    if not isinstance(config.stop, ResidualNorm):
-        raise ValueError("solve_system stops on the residual norm")
-    eps = config.stop.eps
-    max_iters = config.max_iters
-    x = _start(config.x0, system)
-    n = x.size
-    g = system.residual(x)
-
-    trace = IterationTrace()
-    records = trace.records
-    gnorm = euclidean_norm(g)
-    records.append(StepRecord(x, gnorm))
-
-    if config.rule is None:  # Newton with the analytic Jacobian
-        if system.jacobian is None:
-            raise ValueError("Newton mode needs an analytic Jacobian")
-        k = 0
-        while True:
-            status = _terminal_status(gnorm, gnorm, eps, k, max_iters)
-            if status is not None:
-                break
-            try:
-                x = x - _qr_solve(system.jacobian(x), g)
-            except np.linalg.LinAlgError:
-                status = "breakdown"
-                break
-            except ValueError:  # the triangular solve refuses non-finite factors
-                status = "nonfinite"
-                break
-            g = system.residual(x)
-            gnorm = euclidean_norm(g)
-            k += 1
-            records.append(StepRecord(x, gnorm))
-        trace.status = status
-        return trace
-
-    if not isinstance(config.rule, BGM):
+    rule = config.rule
+    if not (isinstance(config.stop, ResidualNorm) and isinstance(config.step, Unit)):
+        raise ValueError("solve_system takes unit steps and stops on the residual norm")
+    if not (rule is None or isinstance(rule, BGM)):
         raise ValueError("solve_system supports Newton (rule None) and BGM rules")
-    B = _b0_matrix(config.b0, n)
-    mode = config.mode
-    raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
-
-    k = 0
-    while True:
-        status = _terminal_status(gnorm, gnorm, eps, k, max_iters)
-        if status is not None:
-            break
-        try:
-            s = -_qr_solve(B, g)
-        except np.linalg.LinAlgError:
-            status = "breakdown"
-            break
-        except ValueError:  # the triangular solve refuses non-finite factors
-            status = "nonfinite"
-            break
-        xn = x + s
-        gn = system.residual(xn)
-        gnorm = euclidean_norm(gn)
-        y = gn - g
-        pair = SecantPair(s, y)
-
-        event = None
-        if raw_hist is not None:
-            pair, _, event = normal_eq_projection(
-                pair, raw_hist, "bgm", mode.lam, mode.discard_tol
-            )
-            raw_hist.append(s, y)
-
-        try:
-            B = bgm_update(B, pair)
-        except DegenerateUpdateError as exc:
-            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
-            status = "breakdown"
-            break
-        x, g = xn, gn
-        k += 1
-        records.append(StepRecord(x, gnorm, s, pair, event))
-    trace.status = status
-    return trace
+    if rule is None and system.jacobian is None:
+        raise ValueError("Newton mode needs an analytic Jacobian")
+    if not isinstance(config.mode, NoTransform if rule is None else (NoTransform, NormalEqWindow)):
+        raise ValueError("Newton takes no transform, BGM only a NormalEqWindow")
+    x = _start(config.x0, system)
+    B = None if rule is None else _b0_matrix(config.b0, x.size)
+    model = _Jacobian(rule, B, system.jacobian)
+    return _iterate(system, system.residual, config, model, x, system.residual(x))

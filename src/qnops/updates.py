@@ -98,7 +98,7 @@ def broyden_update(B, pair, theta):
 
 
 def bfgs_inverse_update(H, pair):
-    """Inverse-form BFGS: returns H+ with H+ y = s."""
+    """BFGS on the inverse: returns H+ with H+ y = s."""
     s, y = pair.s, pair.y
     sy = s @ y
     _check_curvature(s, y, sy)

@@ -334,6 +334,16 @@ class TestVerifySubcommand:
         assert "violations=0" in result.stdout
         assert "error-reduction/" in result.stdout
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_is_usage_error(self, trials, capsys):
+        # both exited 0 with a clean verdict after running no trial
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", trials])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "--trials" in err
+        assert "Traceback" not in err
+
 
 class TestLambdaValidation:
     @pytest.mark.parametrize("lambdas,methods", [

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from qnops.linalg import (
     angle_to_subspace,
     kernel_basis,
-    solve_general,
-    solve_symmetric,
     weighted_frobenius_error,
     weighted_inner,
 )
@@ -46,66 +44,6 @@ class TestWeightedInner:
         lhs = weighted_inner(a, al * b + be * c, w)
         rhs = al * weighted_inner(a, b, w) + be * weighted_inner(a, c, w)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-class TestSolvers:
-    def test_identity(self):
-        v = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(solve_symmetric(np.eye(3), v), v)
-
-    def test_diagonal(self):
-        x = solve_symmetric(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
-
-    def test_spd_residual(self):
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal((5, 5))
-        B = z @ z.T + 5 * np.eye(5)
-        rhs = rng.standard_normal(5)
-        x = solve_symmetric(B, rhs)
-        res = np.linalg.norm(B @ x - rhs)
-        assert res <= 1e-10 * (np.linalg.norm(B, "fro") * np.linalg.norm(x) + np.linalg.norm(rhs))
-
-    def test_indefinite_is_fine(self):
-        B = np.diag([3.0, -2.0, 1.0])
-        rhs = np.array([3.0, 2.0, 2.0])
-        np.testing.assert_allclose(solve_symmetric(B, rhs), [1.0, -1.0, 2.0], rtol=1e-12)
-
-    def test_singular_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_symmetric(np.zeros((2, 2)), np.ones(2))
-
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            solve_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_general_identity(self):
-        rhs = np.array([1.0, 2.0])
-        assert np.array_equal(solve_general(np.eye(2), rhs), rhs)
-
-    def test_general_permutation(self):
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(solve_general(P, np.array([5.0, 7.0])), [7.0, 5.0])
-
-    def test_general_residual(self):
-        rng = np.random.default_rng(11)
-        B = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        rhs = rng.standard_normal(4)
-        x = solve_general(B, rhs)
-        res = np.linalg.norm(B @ x - rhs)
-        assert res <= 1e-10 * (np.linalg.norm(B, "fro") * np.linalg.norm(x) + np.linalg.norm(rhs))
-
-    def test_thousand_seeded_spd_instances(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            n = int(rng.integers(2, 51))
-            z = rng.standard_normal((n, n))
-            B = z @ z.T + n * np.eye(n)
-            rhs = rng.standard_normal(n)
-            x = solve_symmetric(B, rhs)
-            res = np.linalg.norm(B @ x - rhs)
-            bound = 1e-10 * (np.linalg.norm(B, "fro") * np.linalg.norm(x) + np.linalg.norm(rhs))
-            assert res <= bound
 
 
 class TestKernelBasis:

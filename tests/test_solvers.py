@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnops.problems import (
+    NonlinearSystem,
     SmoothProblem,
     circle_cosine_system,
     modified_rosenbrock_10,
@@ -89,20 +90,6 @@ class TestMinimizeBasics:
         p = one_d_quadratic()
         with pytest.raises(ValueError):
             minimize(p, dense_config(BGM(), 1.0))
-
-    def test_inverse_form_requires_bfgs(self):
-        p = one_d_quadratic()
-        with pytest.raises(ValueError):
-            minimize(p, dense_config(Broyden(theta=1.0, form="inverse"), 1.0))
-
-    def test_inverse_form_matches_direct_bfgs(self):
-        p = random_spd_quadratic(6, spectrum=(0.5, 20.0), seed=3)
-        x0 = np.ones(6)
-        direct = minimize(p, dense_config(Broyden(0.0), 5.0, x0=x0))
-        inverse = minimize(p, dense_config(Broyden(0.0, form="inverse"), 5.0, x0=x0))
-        assert direct.status == inverse.status == "converged"
-        assert abs(direct.iterations - inverse.iterations) <= 1
-        np.testing.assert_allclose(direct.x, inverse.x, atol=1e-6)
 
     def test_max_iters_status(self):
         p = quadratic_weighted_50()
@@ -298,6 +285,35 @@ class TestSolveSystem:
         assert trace.iterations == expected
         assert trace.fallbacks == fallbacks
 
+    @pytest.mark.parametrize("entry,status", [(0.0, "breakdown"), (np.nan, "nonfinite")])
+    def test_newton_on_a_bad_jacobian(self, entry, status):
+        # a zero Jacobian has a zero diagonal in R; a NaN one non-finite factors
+        system = NonlinearSystem(n=2, residual=lambda x: x + 1.0,
+                                 jacobian=lambda x: np.full((2, 2), entry), x0=np.zeros(2))
+        cfg = SolverConfig(rule=None, stop=ResidualNorm(1e-7), b0=1.0)
+        trace = solve_system(system, cfg)
+        assert trace.status == status
+        assert trace.iterations == 0
+
+    @pytest.mark.parametrize("rule,kw", [
+        (BGM(), {"mode": ImageTransform()}),
+        (BGM(), {"mode": GramSchmidtWindow(d=1)}),
+        (BGM(), {"step": Backtracking()}),
+        (None, {"step": Backtracking()}),
+        (None, {"mode": ImageTransform()}),
+        (None, {"mode": GramSchmidtWindow(d=1)}),
+        (None, {"mode": NormalEqWindow(d=1)}),
+    ])
+    def test_unsupported_mode_or_step_rejected_at_entry(self, rule, kw):
+        def never(x):
+            raise AssertionError("the residual was evaluated")
+
+        system = circle_cosine_system()
+        system.residual = never
+        cfg = SolverConfig(rule=rule, stop=ResidualNorm(1e-7), b0=1.0, **kw)
+        with pytest.raises(ValueError):
+            solve_system(system, cfg)
+
     def test_converged_root_is_accurate(self):
         sys = modified_rosenbrock_10()
         cfg = SolverConfig(rule=BGM(), stop=ResidualNorm(1e-7), b0=1.0, max_iters=100000)
@@ -389,3 +405,34 @@ class TestTerminalStatuses:
         assert trace.status == "breakdown"
         assert trace.records[-1].event == "update-breakdown: zero step"
         assert trace.fallbacks == 1
+
+
+class TestSolverConfigValidation:
+    def base(self, **kw):
+        return SolverConfig(rule=None, stop=IterateError(1e-7), **kw)
+
+    @pytest.mark.parametrize("b0", [0.0, -5.0, np.nan, np.inf, -np.inf])
+    def test_scalar_b0_must_be_finite_and_positive(self, b0):
+        # b0=0 raised ZeroDivisionError in minimize_lbfgs, b0=-5 ran to max-iters
+        with pytest.raises(ValueError, match="b0"):
+            self.base(b0=b0)
+
+    def test_memory_below_one_rejected(self):
+        # memory=0 ran minimize_lbfgs to max-iters without complaint
+        with pytest.raises(ValueError, match="memory"):
+            self.base(memory=0)
+
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            self.base(max_iters=-1)
+
+    def test_boundary_values_accepted(self):
+        cfg = self.base(b0=1e-300, memory=1, max_iters=0)
+        trace = minimize_lbfgs(quadratic_weighted_50(), cfg)
+        assert trace.status == "max-iters"
+        assert trace.iterations == 0
+
+    def test_matrix_b0_shape_checked_by_the_driver(self):
+        cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            minimize(quadratic_weighted_50(), cfg)
