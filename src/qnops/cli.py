@@ -278,6 +278,14 @@ def _parse_list(text, conv, flag):
     return values
 
 
+def _parse_sizes(text, flag):
+    # window sizes and memories count pairs, so each must be at least 1
+    sizes = _parse_list(text, int, flag)
+    if min(sizes) < 1:
+        raise click.UsageError(f"{flag} values must be at least 1, got {text!r}")
+    return sizes
+
+
 def _parse_lambdas(text):
     # B0 = lambda * I must be a finite positive multiple of the identity
     lams = _parse_list(text, float, "--lambdas")
@@ -300,25 +308,21 @@ def _read_config_file(path):
     return values
 
 
-def _apply_config_file(ctx, values):
-    mapping = {
-        "experiment": "experiment", "methods": "methods", "lambdas": "lambdas",
-        "d": "d", "N": "n", "seed": "seed", "format": "fmt", "out": "out",
-        "workers": "workers", "trials": "trials",
-    }
-    for key, value in values.items():
-        if key not in mapping:
-            raise click.UsageError(f"unknown config key {key!r}")
-        param = mapping[key]
-        if param not in ctx.params:
-            continue
-        source = ctx.get_parameter_source(param)
-        if source is not None and source.name == "COMMANDLINE":
-            continue  # explicit flags win
-        if param in ("seed", "workers", "trials"):
-            ctx.params[param] = int(value)
-        else:
-            ctx.params[param] = value
+_CONFIG_KEYS = {
+    "experiment": "experiment", "methods": "methods", "lambdas": "lambdas", "d": "d",
+    "N": "n", "seed": "seed", "format": "fmt", "out": "out", "workers": "workers",
+}
+
+
+def _load_config_file(ctx, param, path):
+    # eager: the file's values become the options' defaults, so flags still
+    # win and each value goes through its option's own type and checks
+    if path:
+        values = _read_config_file(path)
+        for key in values:
+            if key not in _CONFIG_KEYS:
+                raise click.UsageError(f"unknown config key {key!r}")
+        ctx.default_map = {_CONFIG_KEYS[key]: value for key, value in values.items()}
 
 
 def _split_labels(text):
@@ -376,30 +380,20 @@ def cli():
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="output path (default: stdout)")
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="worker processes (default: hardware threads)")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="key=value file; flags override it")
-@click.pass_context
-def run(ctx, experiment, methods, lambdas, d, n, seed, fmt, out, workers, config_path):
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
+              is_eager=True, expose_value=False, callback=_load_config_file,
+              help="key=value file; flags override it")
+def run(experiment, methods, lambdas, d, n, seed, fmt, out, workers):
     """Run one experiment and emit its result table."""
-    if config_path:
-        _apply_config_file(ctx, _read_config_file(config_path))
-        experiment, methods, lambdas, d, n = (
-            ctx.params["experiment"], ctx.params["methods"], ctx.params["lambdas"],
-            ctx.params["d"], ctx.params["n"],
-        )
-        seed, fmt, out, workers = (
-            ctx.params["seed"], ctx.params["fmt"], ctx.params["out"],
-            ctx.params["workers"],
-        )
     if experiment is None:
         raise click.UsageError("--experiment is required (flag or config file)")
     if workers is None:
         workers = os.cpu_count() or 1
     lam_list = _parse_lambdas(lambdas) if lambdas else list(LAMBDAS)
-    d_list = _parse_list(d, int, "--d") if d else None
-    n_list = _parse_list(n, int, "--n") if n else None
+    d_list = _parse_sizes(d, "--d") if d else None
+    n_list = _parse_sizes(n, "--n") if n else None
 
     start = time.perf_counter()
     exit_code = 0

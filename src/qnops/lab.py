@@ -6,21 +6,28 @@ theory into seeded numerical oracles: per-update error-reduction bounds,
 image-operator gain, projection gain with angle identities, the
 supporting lemmas, and finite termination of the approximation sequence.
 
+Each family is its update formula plus one inner-product weight W,
+<u, v>_W = u' W v: W = A for the Broyden family, W = M^-2 for generalized
+PSB, and W = I for PSB and BGM.  The image operator maps s to
+W^-1 (B - A)' s, and the orthogonalized source and the kernel-growth check
+measure orthogonality in the same W.
+
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
-above accumulation error for the dense n <= 10 algebra used here.  Trial
-generators are seeded; ``verify_all`` reports one row per suite.
+above accumulation error for the dense n <= 10 algebra used here.  Every
+suite runs its seeded trials through one loop, ``_tally``; ``verify_all``
+reports one row per suite.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import angle_to_subspace, kernel_basis, weighted_frobenius_error
+from .linalg import kernel_basis, weighted_frobenius_error
 from .problems import random_spd_matrix
 from .updates import (
     SecantPair,
-    bfgs_inverse_update,
     bgm_update,
     broyden_update,
     dfp_direct_update,
@@ -31,6 +38,8 @@ from .updates import (
 __all__ = [
     "SLACK",
     "ANGLE_SLACK",
+    "KERNEL_TOL",
+    "HALT_RTOL",
     "ProcessConfig",
     "ProcessTrace",
     "KernelGrowthReport",
@@ -50,10 +59,38 @@ SLACK = 1e-9
 ANGLE_SLACK = 1e-8
 #: relative residual allowed for the BGM error identity (an equality, not a bound)
 BGM_IDENTITY_TOL = 1e-10
+#: relative singular-value cutoff for ker(B_k - A)
+KERNEL_TOL = 1e-8
+#: the process halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F
+HALT_RTOL = 1e-10
 
 
 def _slacked(scale):
     return SLACK * max(1.0, abs(scale))
+
+
+def _m_ratio(E, m, v):
+    # ||M E v||^2 / ||M^-1 v||^2, the gpsb reduction functional (m=None: M=I)
+    ev = E @ v
+    num = np.linalg.norm(ev if m is None else m @ ev) ** 2
+    den = np.linalg.norm(v if m is None else np.linalg.solve(m, v)) ** 2
+    return num / den
+
+
+def _e_ratio(E, v):
+    # ||E v||^2 / v'v, the Euclidean reduction functional
+    return np.linalg.norm(E @ v) ** 2 / (v @ v)
+
+
+def _w_inner(u, v, w):
+    return u @ v if w is None else u @ (w @ v)
+
+
+def _w_residual(s, basis, wmat):
+    # s minus its W-orthogonal projection onto span(basis)
+    wb = basis if wmat is None else wmat @ basis
+    coef = np.linalg.solve(basis.T @ wb, wb.T @ s)
+    return s - basis @ coef
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +108,6 @@ class ProcessConfig:
     directions: Optional[Sequence[np.ndarray]] = None
     max_steps: Optional[int] = None  # default: n
     seed: int = 0
-    kernel_tol: float = 1e-8
-    halt_rtol: float = 1e-10
 
 
 @dataclass
@@ -82,11 +117,9 @@ class ProcessTrace:
     errors: List[float] = field(default_factory=list)
     weighted_errors: Optional[List[float]] = None
     kernel_dims: List[int] = field(default_factory=list)
-    reductions: List[float] = field(default_factory=list)
     events: List[str] = field(default_factory=list)
     weight: Optional[np.ndarray] = None  # inner-product matrix (None = identity)
     target: Optional[np.ndarray] = None  # the fixed A, kept for post-hoc analysis
-    kernel_tol: float = 1e-8
     status: str = "running"
 
     @property
@@ -105,70 +138,42 @@ class KernelGrowthReport:
 
 
 class _Family:
-    """Per-family plumbing: update formula, inner-product weight, image map,
-    and the reduction functional whose growth the theorems assert."""
+    """A family as its update formula and its inner-product weight ``w``:
+    A for broyden and dfp, M^-2 for gpsb, None (the identity) for psb and
+    bgm.  ``m`` is the gpsb M, kept for the weighted error."""
 
     def __init__(self, config):
-        self.name = config.family
-        if self.name not in ("broyden", "dfp", "psb", "gpsb", "bgm"):
-            raise ValueError(f"unknown family {self.name!r}")
+        name, theta = config.family, config.theta
+        if name not in ("broyden", "dfp", "psb", "gpsb", "bgm"):
+            raise ValueError(f"unknown family {name!r}")
         self.a = config.a
-        self.m = None
-        self.minv2 = None
-        if self.name == "gpsb":
+        self.m = self.w = minv2 = None
+        if name == "gpsb":
             if config.m_weight is None:
                 raise ValueError("the gpsb family needs m_weight (the SPD M)")
             self.m = config.m_weight
-            self.minv2 = np.linalg.inv(self.m @ self.m)
-        self.theta = config.theta
-
-    def update(self, B, s, y):
-        pair = SecantPair(s, y)
-        if self.name == "broyden":
-            return broyden_update(B, pair, self.theta)
-        if self.name == "dfp":
-            return dfp_direct_update(B, pair)
-        if self.name in ("psb", "gpsb"):
-            return gpsb_update(B, pair, self.minv2)
-        if self.name == "bgm":
-            return bgm_update(B, pair)
-        raise ValueError(f"unknown family {self.name!r}")
-
-    def weight_matrix(self):
-        # the W defining the family's inner product: <u, v>_W = u' W v
-        if self.name in ("broyden", "dfp"):
-            return self.a
-        if self.name == "gpsb":
-            return self.minv2
-        return None  # psb, bgm: Euclidean
+            self.w = minv2 = np.linalg.inv(self.m @ self.m)
+        elif name in ("broyden", "dfp"):
+            self.w = config.a
+        # each formula is looked up as a module global when it runs
+        self.update = {
+            "broyden": lambda B, pair: broyden_update(B, pair, theta),
+            "dfp": lambda B, pair: dfp_direct_update(B, pair),
+            "psb": lambda B, pair: gpsb_update(B, pair, minv2),
+            "gpsb": lambda B, pair: gpsb_update(B, pair, minv2),
+            "bgm": lambda B, pair: bgm_update(B, pair),
+        }[name]
 
     def image_direction(self, B, s):
-        # W^-1 (B - A)' s: lands in ker(B - A) orthogonal-complement w.r.t. W
+        # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
         es = (B - self.a).T @ s
-        if self.name in ("broyden", "dfp"):
-            return np.linalg.solve(self.a, es)
-        if self.name == "gpsb":
-            return np.linalg.solve(self.minv2, es)
-        return es
-
-    def reduction(self, B, s):
-        # the per-update error-reduction functional evaluated at s
-        es = (B - self.a) @ s
-        if self.name in ("broyden", "dfp"):
-            return (es @ np.linalg.solve(self.a, es)) / (s @ (self.a @ s))
-        if self.name == "gpsb":
-            return (es @ np.linalg.solve(self.minv2, es)) / (s @ (self.minv2 @ s))
-        return (es @ es) / (s @ s)
-
-
-def _w_inner(u, v, w):
-    return u @ v if w is None else u @ (w @ v)
+        return es if self.w is None else np.linalg.solve(self.w, es)
 
 
 def run_process(config):
     """Drive the update family toward A with exact pairs (s, As).
 
-    Halts once ||B_k - A||_F <= halt_rtol * ||A||_F (status ``terminated``),
+    Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
     on an exhausted step budget (``exhausted``), or on a recorded update
     breakdown (``breakdown``).
     """
@@ -180,20 +185,18 @@ def run_process(config):
     fam = _Family(config)
     rng = np.random.default_rng(config.seed)
     max_steps = config.max_steps if config.max_steps is not None else n
-    halt = config.halt_rtol * np.linalg.norm(a, "fro")
-    weight = fam.weight_matrix()
-
-    trace = ProcessTrace(weight=weight, target=a, kernel_tol=config.kernel_tol)
-    if fam.name == "gpsb":
-        trace.weighted_errors = []
-
     a_norm = np.linalg.norm(a, "fro")
+    halt = HALT_RTOL * a_norm
+
+    trace = ProcessTrace(weight=fam.w, target=a)
+    if fam.m is not None:
+        trace.weighted_errors = []
 
     def record_state():
         E = B - a
         trace.matrices.append(B.copy())
         trace.errors.append(np.linalg.norm(E, "fro"))
-        trace.kernel_dims.append(_kernel_basis_scaled(E, config.kernel_tol, a_norm).shape[1])
+        trace.kernel_dims.append(_kernel_basis_scaled(E, KERNEL_TOL, a_norm).shape[1])
         if trace.weighted_errors is not None:
             trace.weighted_errors.append(weighted_frobenius_error(E, fam.m))
 
@@ -228,7 +231,7 @@ def run_process(config):
         elif config.direction_source == "orthogonalized":
             s = s0.copy()
             for h in ortho_hist:
-                s = s - (_w_inner(s, h, weight) / _w_inner(h, h, weight)) * h
+                s = s - (_w_inner(s, h, fam.w) / _w_inner(h, h, fam.w)) * h
             if np.linalg.norm(s) <= 1e-12 * np.linalg.norm(s0):
                 trace.events.append(f"step {k}: dependent direction skipped")
                 k += 1
@@ -236,10 +239,8 @@ def run_process(config):
             ortho_hist.append(s)
         else:
             s = s0
-        y = a @ s
-        trace.reductions.append(fam.reduction(B, s))
         try:
-            B = fam.update(B, s, y)
+            B = fam.update(B, SecantPair(s, a @ s))
         except ArithmeticError as exc:
             trace.events.append(f"step {k}: breakdown: {exc}")
             trace.status = "breakdown"
@@ -262,7 +263,7 @@ def _kernel_basis_scaled(E, tol, scale):
     return kernel_basis(E, tol)
 
 
-def check_kernel_growth(trace, tol=None, ortho_tol=1e-8):
+def check_kernel_growth(trace, tol=KERNEL_TOL, ortho_tol=1e-8):
     """Kernel dimensions of B_k - A must never shrink, and must grow
     strictly whenever the step was W-orthogonal to the whole current
     kernel (within ortho_tol, relative).
@@ -274,7 +275,6 @@ def check_kernel_growth(trace, tol=None, ortho_tol=1e-8):
     step is W-orthogonal to every current kernel direction - which is how
     the image-operator and orthogonalized sources construct their steps.
     """
-    tol = trace.kernel_tol if tol is None else tol
     scale = np.linalg.norm(trace.target, "fro")
     dims = []
     bases = []
@@ -323,14 +323,12 @@ def oracle_error_reduction(family, a, b, m, s):
         minv2 = None if m is None else np.linalg.inv(m @ m)
         bplus = gpsb_update(b, SecantPair(s, y), minv2)
         lhs = weighted_frobenius_error(bplus - a, m) ** 2
-        num = np.linalg.norm(E @ s if m is None else m @ (E @ s)) ** 2
-        den = np.linalg.norm(s if m is None else np.linalg.solve(m, s)) ** 2
-        rhs = weighted_frobenius_error(E, m) ** 2 - num / den
+        rhs = weighted_frobenius_error(E, m) ** 2 - _m_ratio(E, m, s)
         return lhs, rhs, lhs <= rhs + _slacked(rhs)
     if family == "bgm":
         bplus = bgm_update(b, SecantPair(s, y))
         lhs = np.linalg.norm(bplus - a, "fro") ** 2
-        rhs = np.linalg.norm(E, "fro") ** 2 - np.linalg.norm(E @ s) ** 2 / (s @ s)
+        rhs = np.linalg.norm(E, "fro") ** 2 - _e_ratio(E, s)
         return lhs, rhs, abs(lhs - rhs) <= BGM_IDENTITY_TOL * max(1.0, abs(rhs))
     raise ValueError(f"unknown family {family!r}")
 
@@ -347,11 +345,7 @@ def _image_setup(family, a, b, m):
         def apply_w(v):
             return E @ v if m2 is None else m2 @ (E @ v)
 
-        def ratio(v):
-            ev = E @ v
-            num = np.linalg.norm(ev if m is None else m @ ev) ** 2
-            den = np.linalg.norm(v if m is None else np.linalg.solve(m, v)) ** 2
-            return num / den
+        ratio = partial(_m_ratio, E, m)
 
     elif family in ("dfp", "dfp-ordered"):
         E = b - a
@@ -390,13 +384,7 @@ def _image_setup(family, a, b, m):
         # below by ||E^T s||^2/||s||^2 (both are Rayleigh quotients of EE^T);
         # a base of ||Es||^2/||s||^2 would be false for nonsymmetric E, so
         # the base functional carries the transpose.
-        def base_ratio(v):
-            return np.linalg.norm(E.T @ v) ** 2 / (v @ v)
-
-        def ratio(v):
-            return np.linalg.norm(E @ v) ** 2 / (v @ v)
-
-        return E, apply_w, (base_ratio, ratio)
+        return E, apply_w, (partial(_e_ratio, E.T), partial(_e_ratio, E))
 
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -408,6 +396,18 @@ def _one_signed(sym, tol):
     return np.all(w >= -tol) or np.all(w <= tol)
 
 
+def _image_gain(family, a, b, m, s):
+    # the gain comparison of oracle_image_operator_gain without its gate
+    E, apply_w, (base_ratio, ratio) = _image_setup(family, a, b, m)
+    ws = apply_w(s)
+    scale = np.linalg.norm(E, "fro") * np.linalg.norm(s)
+    if np.linalg.norm(ws) <= 1e-13 * max(scale, 1e-300):
+        return 0.0, 0.0, "degenerate"
+    base = base_ratio(s)
+    improved = ratio(ws)
+    return base, improved, bool(improved >= base - _slacked(base))
+
+
 def oracle_image_operator_gain(family, a, b, m, s):
     """Gain of the family's image operator: the reduction functional does
     not decrease when s is replaced by Ws.
@@ -415,12 +415,12 @@ def oracle_image_operator_gain(family, a, b, m, s):
     Returns (base, improved, holds); ``holds`` is True/False or one of the
     strings ``"hypothesis not met"`` / ``"degenerate"`` (neither counts as
     a violation).  For the bfgs variants ``b`` is the inverse
-    approximation H and ``s`` plays the role of y.
+    approximation H and ``s`` plays the role of y.  The ordered variants
+    need SPD A and B with B - A (H - A^-1 for bfgs) one-signed.
     """
     s = np.asarray(s, dtype=float)
-    E, apply_w, (base_ratio, ratio) = _image_setup(family, a, b, m)
-    scale = np.linalg.norm(E, "fro") * np.linalg.norm(s)
-    if family == "dfp-ordered":
+    if family in ("dfp-ordered", "bfgs-ordered"):
+        E = b - (a if family == "dfp-ordered" else np.linalg.inv(a))
         tol = 1e-12 * max(1.0, np.linalg.norm(E, "fro"))
         if (
             np.any(np.linalg.eigvalsh(a) <= 0)
@@ -428,20 +428,7 @@ def oracle_image_operator_gain(family, a, b, m, s):
             or not _one_signed(E, tol)
         ):
             return 0.0, 0.0, "hypothesis not met"
-    if family == "bfgs-ordered":
-        tol = 1e-12 * max(1.0, np.linalg.norm(E, "fro"))
-        if (
-            np.any(np.linalg.eigvalsh(a) <= 0)
-            or np.any(np.linalg.eigvalsh(b) <= 0)
-            or not _one_signed(E, tol)
-        ):
-            return 0.0, 0.0, "hypothesis not met"
-    ws = apply_w(s)
-    if np.linalg.norm(ws) <= 1e-13 * max(scale, 1e-300):
-        return 0.0, 0.0, "degenerate"
-    base = base_ratio(s)
-    improved = ratio(ws)
-    return base, improved, bool(improved >= base - _slacked(base))
+    return _image_gain(family, a, b, m, s)
 
 
 def oracle_projection_gain(family, a, b, m, subspace_basis, s):
@@ -454,31 +441,16 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
     E = b - a
     if family == "gpsb":
         wmat = None if m is None else np.linalg.inv(m @ m)
-
-        def ratio(v):
-            ev = E @ v
-            num = np.linalg.norm(ev if m is None else m @ ev) ** 2
-            den = np.linalg.norm(v if m is None else np.linalg.solve(m, v)) ** 2
-            return num / den
-
+        ratio = partial(_m_ratio, E, m)
     elif family == "bgm":
-        wmat = None
-
-        def ratio(v):
-            return np.linalg.norm(E @ v) ** 2 / (v @ v)
-
+        wmat, ratio = None, partial(_e_ratio, E)
     else:
         raise ValueError(f"unknown family {family!r}")
 
     C = np.asarray(subspace_basis, dtype=float)
     if C.ndim == 1:
         C = C[:, None]
-    if C.shape[1] == 0:
-        stilde = s
-    else:
-        wc = C if wmat is None else wmat @ C
-        coef = np.linalg.solve(C.T @ wc, wc.T @ s)
-        stilde = s - C @ coef
+    stilde = s if C.shape[1] == 0 else _w_residual(s, C, wmat)
     if np.linalg.norm(stilde) <= 1e-12 * np.linalg.norm(s):
         return ratio(s), 0.0, "degenerate", 0.0
     base = ratio(s)
@@ -490,7 +462,7 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
 
 
 # ---------------------------------------------------------------------------
-# lemma oracles
+# the trial loop and the lemma oracles
 
 
 @dataclass
@@ -516,6 +488,26 @@ class SuiteRow:
     @property
     def ok(self):
         return self.violations == 0
+
+
+def _tally(name, trials, seed, trial):
+    """Run ``trial(rng, t)`` on one ``default_rng(seed)`` until ``trials``
+    trials count; ``t`` is the number counted so far.  A trial returns None
+    (skipped, not counted) or (residual, violations); the row keeps the
+    worst residual and the total of the violations."""
+    rng = np.random.default_rng(seed)
+    max_res = 0.0
+    violations = skipped = done = 0
+    while done < trials:
+        out = trial(rng, done)
+        if out is None:
+            skipped += 1
+            continue
+        res, bad = out
+        max_res = max(max_res, res)
+        violations += int(bad)
+        done += 1
+    return SuiteRow(name, trials, violations, max_res, skipped)
 
 
 def _rand_sym(rng, n):
@@ -546,7 +538,7 @@ def _lemma_projected_contraction(rng):
     P = np.eye(n) - np.outer(s, s) / (s @ s)
     D = P @ C @ P
     lhs = np.linalg.norm(D, "fro") ** 2
-    rhs = np.linalg.norm(C, "fro") ** 2 - np.linalg.norm(C @ s) ** 2 / (s @ s)
+    rhs = np.linalg.norm(C, "fro") ** 2 - _e_ratio(C, s)
     return max(0.0, lhs - rhs) / max(1.0, abs(rhs))
 
 
@@ -558,7 +550,7 @@ def _lemma_image_ratio(rng):
     if np.linalg.norm(bu) <= 1e-12 * np.linalg.norm(u):
         return None
     l_u = np.linalg.norm(bu) ** 2 / (u @ u)
-    l_bu = np.linalg.norm(B @ bu) ** 2 / (bu @ bu)
+    l_bu = _e_ratio(B, bu)
     return max(0.0, l_u - l_bu) / max(1.0, abs(l_u))
 
 
@@ -575,8 +567,8 @@ def _lemma_one_sided_ratio(rng):
     if np.linalg.norm(ilu) <= 1e-10 * np.linalg.norm(u):
         return None
     K = np.linalg.inv(L) - np.eye(n)
-    lhs = np.linalg.norm(K @ ilu) ** 2 / (ilu @ ilu)
-    rhs = np.linalg.norm(K @ u) ** 2 / (u @ u)
+    lhs = _e_ratio(K, ilu)
+    rhs = _e_ratio(K, u)
     return max(0.0, rhs - lhs) / max(1.0, abs(rhs))
 
 
@@ -619,21 +611,12 @@ _LEMMAS = {
 def oracle_lemmas(which, trials=500, seed=0):
     """Seeded verification of one supporting lemma; see _LEMMAS for ids."""
     gen = _LEMMAS[which]
-    rng = np.random.default_rng(seed)
-    violations = 0
-    max_res = 0.0
-    skipped = 0
-    done = 0
-    while done < trials:
+
+    def trial(rng, t):
         res = gen(rng)
-        if res is None:
-            skipped += 1
-            continue
-        done += 1
-        max_res = max(max_res, res)
-        if res > SLACK:
-            violations += 1
-    return SuiteRow(f"lemma/{which}", trials, violations, max_res, skipped)
+        return None if res is None else (res, res > SLACK)
+
+    return _tally(f"lemma/{which}", trials, seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -641,36 +624,27 @@ def oracle_lemmas(which, trials=500, seed=0):
 
 
 def _suite_error_reduction(seed, trials):
-    rows = []
-    rng = np.random.default_rng(seed)
-    violations = 0
-    max_res = 0.0
-    for t in range(trials):
+    def gpsb_trial(rng, t):
         n = int(rng.integers(2, 9))
         a = _rand_sym(rng, n)
         b = _rand_sym(rng, n)
         m = None if t % 3 == 0 else random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
         s = rng.standard_normal(n)
         lhs, rhs, holds = oracle_error_reduction("gpsb", a, b, m, s)
-        res = max(0.0, lhs - rhs) / max(1.0, abs(rhs))
-        max_res = max(max_res, res)
-        violations += not holds
-    rows.append(SuiteRow("error-reduction/gpsb", trials, violations, max_res))
+        return max(0.0, lhs - rhs) / max(1.0, abs(rhs)), not holds
 
-    rng = np.random.default_rng(seed + 1)
-    violations = 0
-    max_res = 0.0
-    for _ in range(trials):
+    def bgm_trial(rng, t):
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
         s = rng.standard_normal(n)
         lhs, rhs, holds = oracle_error_reduction("bgm", a, b, None, s)
-        res = abs(lhs - rhs) / max(1.0, abs(rhs))
-        max_res = max(max_res, res)
-        violations += not holds
-    rows.append(SuiteRow("error-reduction/bgm-identity", trials, violations, max_res))
-    return rows
+        return abs(lhs - rhs) / max(1.0, abs(rhs)), not holds
+
+    return [
+        _tally("error-reduction/gpsb", trials, seed, gpsb_trial),
+        _tally("error-reduction/bgm-identity", trials, seed + 1, bgm_trial),
+    ]
 
 
 def _image_trial(family, rng):
@@ -679,31 +653,20 @@ def _image_trial(family, rng):
     if family == "gpsb":
         a, b = _rand_sym(rng, n), _rand_sym(rng, n)
         m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-    elif family == "dfp":
+    elif family in ("dfp", "bfgs"):
         a = random_spd_matrix(n, rng)
-        b = _rand_sym(rng, n)
-    elif family == "dfp-ordered":
+        b = _rand_sym(rng, n)  # plays H for bfgs
+    elif family in ("dfp-ordered", "bfgs-ordered"):
+        # B (H for bfgs) one-sidedly around its target A (A^-1 for bfgs)
         a = random_spd_matrix(n, rng)
+        center = a if family == "dfp-ordered" else np.linalg.inv(a)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         pert = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
         if rng.integers(2):
-            b = a + pert
+            b = center + pert
         else:
-            scale = 0.4 * np.linalg.eigvalsh(a)[0] / np.linalg.eigvalsh(pert)[-1]
-            b = a - scale * pert
-    elif family == "bfgs":
-        a = random_spd_matrix(n, rng)
-        b = _rand_sym(rng, n)  # plays H
-    elif family == "bfgs-ordered":
-        a = random_spd_matrix(n, rng)
-        ainv = np.linalg.inv(a)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        pert = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
-        if rng.integers(2):
-            b = ainv + pert
-        else:
-            scale = 0.4 * np.linalg.eigvalsh(ainv)[0] / np.linalg.eigvalsh(pert)[-1]
-            b = ainv - scale * pert
+            scale = 0.4 * np.linalg.eigvalsh(center)[0] / np.linalg.eigvalsh(pert)[-1]
+            b = center - scale * pert
     else:  # bgm
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
@@ -714,62 +677,42 @@ def _image_trial(family, rng):
 def _suite_image_gain(seed, trials):
     rows = []
     for i, family in enumerate(["gpsb", "dfp", "dfp-ordered", "bfgs", "bfgs-ordered", "bgm"]):
-        rng = np.random.default_rng(seed + 10 + i)
-        violations = 0
-        skipped = 0
-        max_res = 0.0
-        done = 0
-        while done < trials:
+
+        def trial(rng, t):
             base, improved, holds = _image_trial(family, rng)
-            if holds in ("hypothesis not met", "degenerate"):
-                skipped += 1
-                continue
-            done += 1
-            res = max(0.0, base - improved) / max(1.0, abs(base))
-            max_res = max(max_res, res)
-            violations += not holds
-        rows.append(SuiteRow(f"image-gain/{family}", trials, violations, max_res, skipped))
+            if isinstance(holds, str):  # hypothesis not met, or degenerate
+                return None
+            return max(0.0, base - improved) / max(1.0, abs(base)), not holds
+
+        rows.append(_tally(f"image-gain/{family}", trials, seed + 10 + i, trial))
     # counterexample hunt: the ordered functionals evaluated WITHOUT their
-    # ordering hypothesis.  Reported informationally, never as failures.
+    # ordering hypothesis.  Breaches are reported in the note, never as
+    # violations.
     for j, family in enumerate(["dfp-ordered", "bfgs-ordered"]):
-        rng = np.random.default_rng(seed + 17 + j)
-        breaches = 0
-        worst = 0.0
-        done = 0
-        while done < trials:
+
+        def hunt(rng, t):
             n = int(rng.integers(2, 9))
             a = random_spd_matrix(n, rng)
             b = random_spd_matrix(n, rng)
             s = rng.standard_normal(n)
-            E, apply_w, (base_ratio, ratio) = _image_setup(family, a, b, None)
-            ws = apply_w(s)
-            scale = np.linalg.norm(E, "fro") * np.linalg.norm(s)
-            if np.linalg.norm(ws) <= 1e-13 * max(scale, 1e-300):
-                continue
-            done += 1
-            base, improved = base_ratio(s), ratio(ws)
-            if improved < base - _slacked(base):
-                breaches += 1
-                worst = max(worst, (base - improved) / max(1.0, abs(base)))
-        rows.append(SuiteRow(
-            f"image-gain/{family}-unconstrained", trials, 0, worst,
-            note=f"informational hunt: {breaches} breaches without the ordering hypothesis",
-        ))
+            base, improved, holds = _image_gain(family, a, b, None, s)
+            if holds == "degenerate":
+                return None
+            breach = improved < base - _slacked(base)
+            return ((base - improved) / max(1.0, abs(base)) if breach else 0.0), breach
+
+        row = _tally(f"image-gain/{family}-unconstrained", trials, seed + 17 + j, hunt)
+        note = f"informational hunt: {row.violations} breaches without the ordering hypothesis"
+        rows.append(replace(row, violations=0, note=note))
     return rows
 
 
 def _suite_projection_gain(seed, trials):
     rows = []
-    specs = [
-        ("gpsb", False), ("gpsb", True), ("bgm", False), ("bgm", True),
-    ]
+    specs = [("gpsb", False), ("gpsb", True), ("bgm", False), ("bgm", True)]
     for i, (family, proper) in enumerate(specs):
-        rng = np.random.default_rng(seed + 20 + i)
-        violations = 0
-        skipped = 0
-        max_res = 0.0
-        done = 0
-        while done < trials:
+
+        def trial(rng, t):
             n = int(rng.integers(3 if proper else 2, 9))
             kd = int(rng.integers(2, n)) if proper else int(rng.integers(1, n))
             if family == "gpsb":
@@ -783,77 +726,56 @@ def _suite_projection_gain(seed, trials):
             b = a + E
             s = rng.standard_normal(n)
             basis = U[:, : kd - 1] if proper else U
-            out = oracle_projection_gain(family, a, b, m, basis, s)
-            base, improved, holds, angle_res = out
+            base, improved, holds, angle_res = oracle_projection_gain(family, a, b, m, basis, s)
             if holds == "degenerate":
-                skipped += 1
-                continue
-            done += 1
+                return None
             res = max(max(0.0, base - improved) / max(1.0, abs(base)), angle_res)
             if proper:
                 # monotonicity: the full-kernel angle is no larger than the
                 # subspace angle (sin theta <= sin gamma)
-                wmat = None
-                if family == "gpsb" and m is not None:
-                    wmat = np.linalg.inv(m @ m)
+                wmat = None if m is None else np.linalg.inv(m @ m)
                 sin_g = _sin_to_complement(s, basis, wmat)
                 sin_t = _sin_to_complement(s, U, wmat)
                 res = max(res, max(0.0, sin_t - sin_g))
-            max_res = max(max_res, res)
-            if (not holds) or angle_res > ANGLE_SLACK:
-                violations += 1
+            return res, (not holds) or angle_res > ANGLE_SLACK
+
         tag = "subspace" if proper else "kernel"
-        rows.append(SuiteRow(f"projection-gain/{family}-{tag}", trials, violations, max_res, skipped))
+        rows.append(_tally(f"projection-gain/{family}-{tag}", trials, seed + 20 + i, trial))
     return rows
 
 
 def _sin_to_complement(s, basis, wmat):
     """sin of the W-angle between s and span(basis): norm ratio of the
     W-orthogonal residual of s against the basis."""
-    wb = basis if wmat is None else wmat @ basis
-    coef = np.linalg.solve(basis.T @ wb, wb.T @ s)
-    resid = s - basis @ coef
+    resid = _w_residual(s, basis, wmat)
     return np.sqrt(max(0.0, _w_inner(resid, resid, wmat) / _w_inner(s, s, wmat)))
-
-
-def _termination_config(family, theta, n, seed, source, rng):
-    a = random_spd_matrix(n, rng)
-    kwargs = dict(a=a, b0=np.eye(n), direction_source=source, seed=seed, max_steps=n)
-    if family == "gpsb":
-        kwargs["m_weight"] = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-    return ProcessConfig(family=family, theta=theta, **kwargs)
 
 
 def _suite_termination(seed, instances=100):
     rows = []
-    cases = [
-        ("broyden", 0.0), ("broyden", 1.0), ("psb", 0.0), ("gpsb", 0.0), ("bgm", 0.0),
-    ]
+    cases = [("broyden", 0.0), ("broyden", 1.0), ("psb", 0.0), ("gpsb", 0.0), ("bgm", 0.0)]
     for fi, (family, theta) in enumerate(cases):
         for source in ("image", "orthogonalized"):
-            rng = np.random.default_rng(seed + 40 + fi)
-            violations = 0
-            max_res = 0.0
-            for t in range(instances):
+
+            def trial(rng, t):
                 n = 2 + t % 9
-                config = _termination_config(family, theta, n, seed + t, source, rng)
-                trace = run_process(config)
-                rel = trace.errors[-1] / np.linalg.norm(config.a, "fro")
-                max_res = max(max_res, rel)
-                if rel > 1e-8 or len(trace.steps) > n:
-                    violations += 1
-            name = f"termination/{family}{'-dfp' if theta == 1.0 else ''}-{source}"
-            if family == "broyden":
-                name = f"termination/broyden-theta{int(theta)}-{source}"
-            rows.append(SuiteRow(name, instances, violations, max_res))
+                a = random_spd_matrix(n, rng)
+                m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0)) if family == "gpsb" else None
+                trace = run_process(ProcessConfig(
+                    a=a, b0=np.eye(n), family=family, theta=theta, m_weight=m,
+                    direction_source=source, seed=seed + t, max_steps=n,
+                ))
+                rel = trace.errors[-1] / np.linalg.norm(a, "fro")
+                return rel, rel > 1e-8 or len(trace.steps) > n
+
+            tag = f"broyden-theta{int(theta)}" if family == "broyden" else family
+            # both sources replay the same seeded instances
+            rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial))
     return rows
 
 
 def _suite_kernel_growth(seed, instances=50):
-    violations = 0
-    max_res = 0.0
-    rng = np.random.default_rng(seed + 60)
-    for t in range(instances):
+    def trial(rng, t):
         n = 2 + t % 9
         family = ("dfp", "psb", "bgm", "gpsb")[t % 4]
         source = ("random", "image", "orthogonalized")[t % 3]
@@ -864,17 +786,14 @@ def _suite_kernel_growth(seed, instances=50):
             m_weight=m, seed=seed + t, max_steps=n,
         )
         trace = run_process(config)
-        for tol in (trace.kernel_tol, 10 * trace.kernel_tol):
-            report = check_kernel_growth(trace, tol)
-            violations += len(report.violations)
-    return [SuiteRow("process/kernel-growth", instances, violations, max_res)]
+        reports = [check_kernel_growth(trace, tol) for tol in (KERNEL_TOL, 10 * KERNEL_TOL)]
+        return 0.0, sum(len(report.violations) for report in reports)
+
+    return [_tally("process/kernel-growth", instances, seed + 60, trial)]
 
 
 def _suite_span_inclusion(seed, instances=50):
-    violations = 0
-    max_res = 0.0
-    rng = np.random.default_rng(seed + 70)
-    for t in range(instances):
+    def trial(rng, t):
         n = 2 + t % 9
         family, theta = (("broyden", 0.0), ("dfp", 0.0), ("psb", 0.0), ("bgm", 0.0))[t % 4]
         a = random_spd_matrix(n, rng)
@@ -883,7 +802,8 @@ def _suite_span_inclusion(seed, instances=50):
             direction_source="orthogonalized", seed=seed + t, max_steps=n,
         )
         trace = run_process(config)
-        halt = 1e-10 * np.linalg.norm(a, "fro")
+        halt = HALT_RTOL * np.linalg.norm(a, "fro")
+        worst, violations = 0.0, 0
         for k in range(1, len(trace.matrices)):
             Ek = trace.matrices[k] - a
             if np.linalg.norm(Ek, "fro") <= halt:
@@ -893,17 +813,15 @@ def _suite_span_inclusion(seed, instances=50):
                 res = np.linalg.norm(Ek @ sj) / (
                     np.linalg.norm(Ek, "fro") * np.linalg.norm(sj)
                 )
-                max_res = max(max_res, res)
-                if res > 1e-8:
-                    violations += 1
-    return [SuiteRow("process/span-inclusion", instances, violations, max_res)]
+                worst = max(worst, res)
+                violations += res > 1e-8
+        return worst, violations
+
+    return [_tally("process/span-inclusion", instances, seed + 70, trial)]
 
 
 def _suite_image_space(seed, trials=200):
-    violations = 0
-    max_res = 0.0
-    rng = np.random.default_rng(seed + 80)
-    for t in range(trials):
+    def trial(rng, t):
         n = int(rng.integers(2, 9))
         kd = int(rng.integers(0, n))
         if t % 2:
@@ -915,10 +833,10 @@ def _suite_image_space(seed, trials=200):
         X = np.linalg.solve(W, E.T)
         rank = np.linalg.matrix_rank(X, tol=1e-8 * max(1.0, np.linalg.norm(X, 2)))
         if rank + K.shape[1] != n:
-            violations += 1
-            continue
+            return 0.0, 1
+        worst, violations = 0.0, 0
         if K.shape[1] == 0 or rank == 0:
-            continue
+            return worst, violations
         for i in range(n):
             xi = X[:, i]
             nx = np.linalg.norm(xi)
@@ -928,10 +846,11 @@ def _suite_image_space(seed, trials=200):
                 res = abs(xi @ (W @ K[:, j])) / (
                     np.sqrt(xi @ (W @ xi)) * np.sqrt(K[:, j] @ (W @ K[:, j]))
                 )
-                max_res = max(max_res, res)
-                if res > SLACK:
-                    violations += 1
-    return [SuiteRow("process/image-space-characterization", trials, violations, max_res)]
+                worst = max(worst, res)
+                violations += res > SLACK
+        return worst, violations
+
+    return [_tally("process/image-space-characterization", trials, seed + 80, trial)]
 
 
 def verify_all(seed=0, trials=500):

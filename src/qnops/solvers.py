@@ -117,13 +117,21 @@ class ImageTransform:
 
 
 @dataclass(frozen=True)
-class GramSchmidtWindow:
-    d: int
+class _Window:
+    d: int  # the number of most recent raw steps transformed against
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"window size d must be at least 1, got {self.d!r}")
 
 
 @dataclass(frozen=True)
-class NormalEqWindow:
-    d: int
+class GramSchmidtWindow(_Window):
+    pass
+
+
+@dataclass(frozen=True)
+class NormalEqWindow(_Window):
     lam: float = 0.0
     discard_tol: float = DISCARD_TOL
 
@@ -481,12 +489,17 @@ def minimize_lbfgs(problem, config):
     The initial inverse is (1/lambda) * I for b0 = lambda * I.  Image mode
     stores the transformed (u, v) pairs in memory; projection modes
     transform against a raw step window before storage.  Any pair is
-    stored only when s'y > 0.
+    stored only when s'y > 0.  The pairs are BFGS pairs, so the rule must be
+    None or Broyden(0.0), and no matrix exists to record angles or errors of.
     """
+    if config.rule not in (None, Broyden(0.0)):
+        raise ValueError(f"minimize_lbfgs runs BFGS pairs only, not rule {config.rule!r}")
+    if config.record_angles or config.record_matrix_error:
+        raise ValueError("minimize_lbfgs keeps no matrix to record angles or errors of")
     if not np.isscalar(config.b0):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
     mode = config.mode
-    if isinstance(mode, (GramSchmidtWindow, NormalEqWindow)) and mode.d > config.memory - 1:
+    if isinstance(mode, _Window) and mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
     x = _start(config.x0, problem)
     model = _LimitedMemory(config.memory, 1.0 / config.b0)

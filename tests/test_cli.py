@@ -301,6 +301,20 @@ class TestConfigFile:
         assert result.exit_code != 0
 
 
+    @pytest.mark.parametrize("line", ["experiment = bogus", "format = xml", "workers = abc",
+                                      "workers = 0", "trials = 5"])
+    def test_file_values_are_checked_like_flags(self, line, tmp_path, capsys):
+        # bogus ran the lab suite and exited 0; xml and abc were tracebacks;
+        # workers=0 was accepted; trials was read and then ignored
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"methods = DFP\nlambdas = 50\n{line}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)] + ([] if "experiment" in line
+                                                   else ["--experiment", "table2"]))
+        assert exc.value.code == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestExitCodeContract:
     def test_usage_error_is_three(self):
         with pytest.raises(SystemExit) as exc:
@@ -359,6 +373,21 @@ class TestLambdaValidation:
             main(argv)
         assert exc.value.code == 3
         assert "--lambdas must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "table3", "--n", "0"],  # was a ValueError traceback
+        ["--experiment", "table2", "--d", "0"],  # printed IP-DFP(d=0) rows of the plain method
+        ["--experiment", "table2", "--d", "-1"],
+        ["--experiment", "table2", "--workers", "0"],  # was accepted
+        ["--experiment", "table2", "--workers", "-3"],
+    ])
+    def test_sizes_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--lambdas", "50"] + argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert argv[2] in err
+        assert "Traceback" not in err
 
     def test_unparsable_list_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

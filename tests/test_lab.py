@@ -337,6 +337,24 @@ class TestLemmaOracles:
             oracle_lemmas("no-such-lemma", trials=1)
 
 
+SUITE_NAMES = [
+    "error-reduction/gpsb", "error-reduction/bgm-identity",
+    "image-gain/gpsb", "image-gain/dfp", "image-gain/dfp-ordered", "image-gain/bfgs",
+    "image-gain/bfgs-ordered", "image-gain/bgm",
+    "image-gain/dfp-ordered-unconstrained", "image-gain/bfgs-ordered-unconstrained",
+    "projection-gain/gpsb-kernel", "projection-gain/gpsb-subspace",
+    "projection-gain/bgm-kernel", "projection-gain/bgm-subspace",
+    "lemma/projected-contraction", "lemma/image-ratio", "lemma/one-sided-ratio",
+    "lemma/least-change-direct", "lemma/least-change-dual",
+    "termination/broyden-theta0-image", "termination/broyden-theta0-orthogonalized",
+    "termination/broyden-theta1-image", "termination/broyden-theta1-orthogonalized",
+    "termination/psb-image", "termination/psb-orthogonalized",
+    "termination/gpsb-image", "termination/gpsb-orthogonalized",
+    "termination/bgm-image", "termination/bgm-orthogonalized",
+    "process/kernel-growth", "process/span-inclusion", "process/image-space-characterization",
+]
+
+
 class TestVerifyAll:
     def test_smoke_run_is_clean(self):
         rows = verify_all(seed=0, trials=40)
@@ -354,6 +372,13 @@ class TestVerifyAll:
             "process/image-space",
         ):
             assert prefix in names
+        # the suites, their order and their seed streams
+        assert [r.name for r in rows] == SUITE_NAMES
+        notes = [r.note for r in rows if r.note]
+        assert notes == [
+            f"informational hunt: {k} breaches without the ordering hypothesis" for k in (32, 35)
+        ]
+        assert all(type(r.violations) is int and type(r.skipped) is int for r in rows)
 
     def test_row_format(self):
         row = SuiteRow(name="demo", trials=10, violations=0, max_residual=1.5e-12)

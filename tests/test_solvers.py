@@ -177,6 +177,20 @@ class TestLbfgsDriver:
         with pytest.raises(ValueError):
             minimize_lbfgs(p, cfg)
 
+    @pytest.mark.parametrize("rule", [BGM(), GeneralizedPSB(), Broyden(1.0)])
+    def test_rule_other_than_bfgs_rejected(self, rule):
+        # each ran BFGS pairs for 120 iterations without a word
+        cfg = SolverConfig(rule=rule, stop=IterateError(1e-7), b0=50.0, memory=3)
+        with pytest.raises(ValueError, match="BFGS"):
+            minimize_lbfgs(quadratic_weighted_50(), cfg)
+
+    @pytest.mark.parametrize("flag", ["record_angles", "record_matrix_error"])
+    def test_recording_rejected(self, flag):
+        # there is no matrix to record; the flags were ignored
+        cfg = SolverConfig(rule=None, stop=IterateError(1e-7), b0=50.0, memory=3, **{flag: True})
+        with pytest.raises(ValueError, match="record"):
+            minimize_lbfgs(quadratic_weighted_50(), cfg)
+
     def test_matches_dense_bfgs_trajectory(self):
         # with memory covering every pair, the two-loop recursion is the
         # inverse-form update: iterates agree to rounding with the dense
@@ -405,6 +419,18 @@ class TestTerminalStatuses:
         assert trace.status == "breakdown"
         assert trace.records[-1].event == "update-breakdown: zero step"
         assert trace.fallbacks == 1
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("window", [GramSchmidtWindow, NormalEqWindow])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_window_below_one_rejected(self, window, d):
+        # d=0 and d=-1 ran the plain method (55 iterations of BFGS at b0=50)
+        with pytest.raises(ValueError, match="window size"):
+            window(d)
+
+    def test_window_of_one_accepted(self):
+        assert GramSchmidtWindow(1).d == NormalEqWindow(1).d == 1
 
 
 class TestSolverConfigValidation:

@@ -1,7 +1,9 @@
-"""Print SHA-256 digests of every iteration record of the reference runs.
+"""Print SHA-256 digests of every iteration record of the reference runs
+and of every lab oracle result.
 
-A change to the solvers' arithmetic should leave both digests unchanged; this
-is the bit check to run at the parent and at the change.
+A change to the solvers' or the lab's arithmetic should leave all three
+digests unchanged; this is the bit check to run at the parent and at the
+change.
 
     PYTHONPATH=src python tools/record_digest.py
 
@@ -10,16 +12,24 @@ is the bit check to run at the parent and at the change.
   ``float64(grad_norm)`` and, when the record has a pair, ``pair.s`` and
   ``pair.y``;
 * systems: ``x`` and ``float64(grad_norm)`` of every record of the six
-  ``systems`` cells (problem outer, label inner).
+  ``systems`` cells (problem outer, label inner);
+* lab: during ``verify_all(seed=0, trials=500)``, the name and the result of
+  every call of ``oracle_error_reduction``, ``oracle_image_operator_gain``,
+  ``oracle_projection_gain`` and ``run_process`` (a trace as ``[matrices,
+  steps, errors, kernel_dims, status]``), then every row as ``[name, trials,
+  violations, max_residual, skipped, note]``.  Arrays hash as float64
+  C-order bytes, floats as ``float.hex``, anything else by ``repr``, so a
+  count that leaks as a NumPy integer changes the digest.
 
-One serial pass runs every table2 and table3 cell, about 10 s on a laptop.
+One serial pass runs every table2 and table3 cell, about 10 s on a laptop;
+the lab pass takes about 5 s.
 """
 
 import hashlib
 
 import numpy as np
 
-from qnops import cli
+from qnops import cli, lab
 
 
 def _hash_record(h, record, with_pair):
@@ -57,6 +67,47 @@ def systems_digest():
     return h.hexdigest()
 
 
+def _feed(h, value):
+    if isinstance(value, np.ndarray):
+        h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    elif isinstance(value, lab.ProcessTrace):
+        _feed(h, [value.matrices, value.steps, value.errors, value.kernel_dims, value.status])
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, float):
+        h.update(float.hex(value).encode())
+    else:
+        h.update(repr(value).encode())
+
+
+def lab_digest():
+    h = hashlib.sha256()
+    names = ("oracle_error_reduction", "oracle_image_operator_gain",
+             "oracle_projection_gain", "run_process")
+    originals = {name: getattr(lab, name) for name in names}
+
+    def hashed(name, fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            h.update(name.encode())
+            _feed(h, result)
+            return result
+        return call
+
+    for name, fn in originals.items():
+        setattr(lab, name, hashed(name, fn))
+    try:
+        rows = lab.verify_all(seed=0, trials=500)
+    finally:
+        for name, fn in originals.items():
+            setattr(lab, name, fn)
+    for r in rows:
+        _feed(h, [r.name, r.trials, r.violations, r.max_residual, r.skipped, r.note])
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(f"grid    {grid_digest()}")
     print(f"systems {systems_digest()}")
+    print(f"lab     {lab_digest()}")
