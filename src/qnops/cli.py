@@ -1,11 +1,12 @@
-"""Benchmark harness: reproduce the iteration-count tables, the 2-D angle
-example, the nonlinear-system comparisons, and the oracle suites.
+"""Benchmark harness: ``run`` reproduces the iteration-count tables, the 2-D
+angle example and the nonlinear-system comparisons; ``verify`` runs the
+oracle suites.  A method label becomes a config only in ``config_for_label``.
 
 Output is deterministic for a fixed experiment and seed: wall time is reported
 on stderr only, never in the emitted table, so reruns are byte-identical.
 
-Exit codes: 0 success, 1 convergence failure, 2 oracle violation,
-3 usage error.
+Exit codes: 0 success, 1 convergence failure (run), 2 oracle violation
+(verify), 3 usage error.
 """
 
 import csv
@@ -36,6 +37,7 @@ from .solvers import (
     ImageTransform,
     IterateError,
     NormalEqWindow,
+    NoTransform,
     ResidualNorm,
     SolverConfig,
     minimize,
@@ -44,7 +46,7 @@ from .solvers import (
 )
 
 LAMBDAS = (50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0)
-EXPERIMENTS = ("table2", "table3", "example1", "systems", "lab")
+EXPERIMENTS = ("table2", "table3", "example1", "systems")
 
 
 @dataclass
@@ -95,22 +97,36 @@ def method_label(base, mode=None, n=None, d=None):
 
 def config_for_label(label, lam):
     """Label + lambda -> (driver kind, SolverConfig); the inverse of
-    method_label over the experiment grids."""
+    method_label over the experiment grids and the systems labels."""
     parts = parse_method_label(label)
     base, mode = parts["base"], parts["mode"]
-    mode_obj = {None: None, "im": ImageTransform(), "ip": None}[mode]
-    if mode == "ip":
-        mode_obj = NormalEqWindow(parts["d"])
-    kwargs = dict(stop=IterateError(1e-7), b0=lam)
-    if mode_obj is not None:
-        kwargs["mode"] = mode_obj
+    transform = (NormalEqWindow(parts["d"]) if mode == "ip"
+                 else ImageTransform() if mode == "im" else NoTransform())
+    kwargs = dict(b0=lam, mode=transform, max_iters=200000)
+    if base in ("Newton", "BGM"):
+        rule = None if base == "Newton" else BGM()
+        return "system", SolverConfig(rule=rule, stop=ResidualNorm(1e-7), **kwargs)
+    kwargs["stop"] = IterateError(1e-7)
     if base == "LBFGS":
-        return "lbfgs", SolverConfig(rule=None, memory=parts["N"], max_iters=60000, **kwargs)
+        kwargs["max_iters"] = 60000
+        return "lbfgs", SolverConfig(rule=None, memory=parts["N"], **kwargs)
     rule = {"DFP": Broyden(1.0), "BFGS": Broyden(0.0), "PSB": GeneralizedPSB()}[base]
-    return "dense", SolverConfig(rule=rule, max_iters=200000, **kwargs)
+    return "dense", SolverConfig(rule=rule, **kwargs)
 
 
-def table2_labels(lambdas=None, n_list=(3, 10), d_list=(1, 2)):
+# kind -> the name of a driver imported above, resolved when a cell runs
+_DRIVERS = {"dense": "minimize", "lbfgs": "minimize_lbfgs", "system": "solve_system"}
+
+
+def run_label(label, lam, problem):
+    """Run one labelled method on ``problem`` from B0 = lam * I; returns the
+    trace.  The decoder and the driver are looked up as module globals at
+    call time, so a patched ``config_for_label`` or ``minimize`` is used."""
+    kind, config = config_for_label(label, lam)
+    return globals()[_DRIVERS[kind]](problem, config)
+
+
+def table2_labels(n_list=(3, 10), d_list=(1, 2)):
     labels = []
     for base in ("DFP", "BFGS", "PSB"):
         labels.append(method_label(base))
@@ -133,7 +149,8 @@ def table3_labels(n_list=(3, 4, 5), d_list=None):
     return labels
 
 
-SYSTEM_PROBLEMS = ("circle-cosine", "rosenbrock-10")
+SYSTEM_PROBLEMS = {"circle-cosine": circle_cosine_system,
+                   "rosenbrock-10": modified_rosenbrock_10}
 SYSTEM_LABELS = ("Newton", "BGM", "IP-BGM(d=1)")
 
 
@@ -141,59 +158,37 @@ SYSTEM_LABELS = ("Newton", "BGM", "IP-BGM(d=1)")
 # experiment cells (top level so the process pool can pickle them)
 
 
+def _timed_row(label, params, lam, problem):
+    start = time.perf_counter()
+    trace = run_label(label, lam, problem)
+    return ResultRow(label, params, trace.iterations, trace.status, trace.fallbacks,
+                     time.perf_counter() - start)
+
+
 def _bench_cell(args):
     label, lam = args
-    problem = quadratic_weighted_50()
-    kind, config = config_for_label(label, lam)
-    start = time.perf_counter()
-    if kind == "lbfgs":
-        trace = minimize_lbfgs(problem, config)
-    else:
-        trace = minimize(problem, config)
-    wall = time.perf_counter() - start
-    return ResultRow(label, {"lambda": lam}, trace.iterations, trace.status,
-                     trace.fallbacks, wall)
+    return _timed_row(label, {"lambda": lam}, lam, quadratic_weighted_50())
 
 
 def _system_cell(args):
-    label, problem_name = args
-    system = circle_cosine_system() if problem_name == "circle-cosine" else modified_rosenbrock_10()
-    parts = parse_method_label(label)
-    if parts["base"] == "Newton":
-        rule, mode = None, None
-    else:
-        rule = BGM()
-        mode = NormalEqWindow(parts["d"]) if parts["mode"] == "ip" else None
-    kwargs = {} if mode is None else {"mode": mode}
-    config = SolverConfig(rule=rule, stop=ResidualNorm(1e-7), b0=1.0,
-                          max_iters=200000, **kwargs)
-    start = time.perf_counter()
-    trace = solve_system(system, config)
-    wall = time.perf_counter() - start
-    return ResultRow(label, {"problem": problem_name}, trace.iterations,
-                     trace.status, trace.fallbacks, wall)
+    label, name = args
+    return _timed_row(label, {"problem": name}, 1.0, SYSTEM_PROBLEMS[name]())
 
 
 def run_example1():
-    """The 2-D motivating runs; returns (summary rows, angle rows)."""
+    """The 2-D motivating runs; returns (summary rows, BFGS angle rows)."""
     problem, setup = motivating_quadratic_2d()
-    rows, angle_rows = [], []
+    rows = []
     for label, theta in (("DFP", 1.0), ("BFGS", 0.0)):
-        config = SolverConfig(
-            rule=Broyden(theta), stop=GradNorm(setup["grad_rtol"]),
-            b0=setup["b0"], max_iters=60000, record_angles=True,
-        )
+        config = SolverConfig(rule=Broyden(theta), stop=GradNorm(setup["grad_rtol"]),
+                              b0=setup["b0"], max_iters=60000, record_angles=True)
         start = time.perf_counter()
         trace = minimize(problem, config)
-        wall = time.perf_counter() - start
-        angles = trace.angles
         row = ResultRow(label, {"lambda": None}, trace.iterations, trace.status,
-                        trace.fallbacks, wall)
-        row.mean_angle = float(np.mean(angles))
+                        trace.fallbacks, time.perf_counter() - start)
+        row.mean_angle = float(np.mean(trace.angles))
         rows.append(row)
-        if label == "BFGS":
-            angle_rows = [(k, a) for k, a in enumerate(angles)]
-    return rows, angle_rows
+    return rows, list(enumerate(trace.angles))
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +227,25 @@ def parse_table(text):
     return cells[0], cells[1:]
 
 
-def _grid_cells(rows, lambdas):
-    headers = ["method", "lambda", "iterations", "status", "fallbacks"]
-    out = [[r.method, _fmt_lambda(r.params["lambda"]), str(r.iterations),
-            r.status, str(r.fallbacks)] for r in rows]
+# the two cell-table formatters: csv is one row per cell in cell order; the
+# markdown pivot is one row per method and one column per params[key] value.
+# The defaults are the lambda grid's, which perfbench renders as csv.
+
+
+def _grid_cells(rows, columns, key="lambda", show=_fmt_lambda):
+    headers = ["method", key, "iterations", "status", "fallbacks"]
+    out = [[r.method, show(r.params[key]), str(r.iterations), r.status,
+            str(r.fallbacks)] for r in rows]
     return headers, out
 
 
-def _pivot(rows, key, columns, fmt=str):
-    # report-style pivot: one row per method, one column per value of params[key]
-    headers = ["Method"] + [fmt(c) for c in columns]
+def _pivot(rows, columns, key, show):
+    headers = ["Method"] + [show(c) for c in columns]
     by_method = {}
     for r in rows:
         cell = str(r.iterations) if r.status == "converged" else r.status
         by_method.setdefault(r.method, {})[r.params[key]] = cell
     out = [[m] + [cells.get(c, "") for c in columns] for m, cells in by_method.items()]
-    return headers, out
-
-
-def _systems_cells(rows):
-    headers = ["method", "problem", "iterations", "status", "fallbacks"]
-    out = [[r.method, r.params["problem"], str(r.iterations), r.status,
-            str(r.fallbacks)] for r in rows]
-    return headers, out
-
-
-def _lab_cells(rows):
-    headers = ["suite", "trials", "violations", "max_residual", "skipped", "note"]
-    out = [[r.name, str(r.trials), str(r.violations), f"{r.max_residual:.3e}",
-            str(r.skipped), r.note] for r in rows]
     return headers, out
 
 
@@ -296,21 +281,27 @@ def _parse_lambdas(text):
 
 def _read_config_file(path):
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise click.UsageError(f"malformed config line: {line!r}")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise click.UsageError(f"config file {path!r} is not UTF-8 text") from None
+    if any("\x00" in line for line in lines):  # no path or flag can hold one
+        raise click.UsageError(f"config file {path!r} holds a NUL character")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise click.UsageError(f"malformed config line: {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
 _CONFIG_KEYS = {
     "experiment": "experiment", "methods": "methods", "lambdas": "lambdas", "d": "d",
-    "N": "n", "seed": "seed", "format": "fmt", "out": "out", "workers": "workers",
+    "N": "n", "format": "fmt", "out": "out", "workers": "workers",
 }
 
 
@@ -325,28 +316,23 @@ def _load_config_file(ctx, param, path):
         ctx.default_map = {_CONFIG_KEYS[key]: value for key, value in values.items()}
 
 
-def _split_labels(text):
-    # label arguments contain commas inside parentheses (IP-LBFGS(N=4,d=3)),
-    # so the list separator is only a comma at parenthesis depth zero
-    items = []
-    buf = []
-    depth = 0
-    for ch in text:
-        if ch == "," and depth == 0:
-            items.append("".join(buf))
-            buf = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        buf.append(ch)
-    items.append("".join(buf))
-    return [item.strip() for item in items if item.strip()]
+def _check_out_dir(ctx, param, path):
+    # click.Path checks only a file that exists; a missing or read-only
+    # directory would otherwise fail after every cell has run
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise click.BadParameter(f"directory {parent!r} is missing or not writable",
+                                     ctx, param)
+    return path
 
 
 def _filter_methods(labels, methods):
     if not methods:
         return labels
-    wanted = [m.lower() for m in _split_labels(methods)]
+    # label arguments contain commas inside parentheses (IP-LBFGS(N=4,d=3)),
+    # so a comma separates labels only outside parentheses
+    wanted = [m.strip().lower() for m in re.split(r",(?![^()]*\))", methods) if m.strip()]
     picked = []
     for label in labels:
         low = label.lower()
@@ -375,17 +361,16 @@ def cli():
 @click.option("--lambdas", default=None, help="comma-separated B0 scales")
 @click.option("--d", default=None, help="comma-separated window sizes")
 @click.option("--n", "--N", "n", default=None, help="comma-separated memory sizes")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="output path (default: stdout)")
+              callback=_check_out_dir, help="output path (default: stdout)")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               help="worker processes (default: hardware threads)")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               is_eager=True, expose_value=False, callback=_load_config_file,
               help="key=value file; flags override it")
-def run(experiment, methods, lambdas, d, n, seed, fmt, out, workers):
+def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     """Run one experiment and emit its result table."""
     if experiment is None:
         raise click.UsageError("--experiment is required (flag or config file)")
@@ -396,31 +381,8 @@ def run(experiment, methods, lambdas, d, n, seed, fmt, out, workers):
     n_list = _parse_sizes(n, "--n") if n else None
 
     start = time.perf_counter()
-    exit_code = 0
-    if experiment in ("table2", "table3"):
-        if experiment == "table2":
-            labels = table2_labels(n_list=n_list or (3, 10), d_list=d_list or (1, 2))
-        else:
-            labels = table3_labels(n_list=n_list or (3, 4, 5), d_list=d_list)
-        labels = _filter_methods(labels, methods)
-        cells = [(label, lam) for label in labels for lam in lam_list]
-        rows = _run_pool(cells, _bench_cell, workers)
-        if any(r.status != "converged" for r in rows):
-            exit_code = 1
-        headers, body = (_pivot(rows, "lambda", lam_list, _fmt_lambda) if fmt == "markdown"
-                         else _grid_cells(rows, lam_list))
-    elif experiment == "systems":
-        labels = _filter_methods(list(SYSTEM_LABELS), methods)
-        cells = [(label, prob) for prob in SYSTEM_PROBLEMS for label in labels]
-        rows = _run_pool(cells, _system_cell, workers)
-        if any(r.status != "converged" for r in rows):
-            exit_code = 1
-        headers, body = (_pivot(rows, "problem", SYSTEM_PROBLEMS) if fmt == "markdown"
-                         else _systems_cells(rows))
-    elif experiment == "example1":
+    if experiment == "example1":
         rows, angle_rows = run_example1()
-        if any(r.status != "converged" for r in rows):
-            exit_code = 1
         for r in rows:
             click.echo(
                 f"{r.method}: {r.iterations} iterations, mean angle "
@@ -429,11 +391,22 @@ def run(experiment, methods, lambdas, d, n, seed, fmt, out, workers):
             )
         headers = ["iteration", "angle_deg"]
         body = [[str(k), f"{a:.4f}"] for k, a in angle_rows]
-    else:  # lab
-        suite_rows = lab.verify_all(seed=seed)
-        if any(r.violations for r in suite_rows):
-            exit_code = 2
-        headers, body = _lab_cells(suite_rows)
+    else:
+        if experiment == "systems":
+            labels = _filter_methods(list(SYSTEM_LABELS), methods)
+            columns, key, show, worker = list(SYSTEM_PROBLEMS), "problem", str, _system_cell
+            cells = [(label, name) for name in columns for label in labels]
+        else:
+            if experiment == "table2":
+                labels = table2_labels(n_list=n_list or (3, 10), d_list=d_list or (1, 2))
+            else:
+                labels = table3_labels(n_list=n_list or (3, 4, 5), d_list=d_list)
+            labels = _filter_methods(labels, methods)
+            columns, key, show, worker = lam_list, "lambda", _fmt_lambda, _bench_cell
+            cells = [(label, lam) for label in labels for lam in columns]
+        rows = _run_pool(cells, worker, workers)
+        table = _pivot if fmt == "markdown" else _grid_cells
+        headers, body = table(rows, columns, key, show)
 
     text = emit_table(headers, body, fmt)
     if out:
@@ -442,11 +415,11 @@ def run(experiment, methods, lambdas, d, n, seed, fmt, out, workers):
     else:
         click.echo(text, nl=False)
     click.echo(f"wall time: {time.perf_counter() - start:.2f}s", err=True)
-    sys.exit(exit_code)
+    sys.exit(int(any(r.status != "converged" for r in rows)))
 
 
 @cli.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
 def verify(seed, trials):
     """Run every oracle suite and report one line per suite."""

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qnops import cli as qcli
 from qnops.cli import (
@@ -21,11 +21,13 @@ from qnops.cli import (
     table3_labels,
 )
 from qnops.solvers import (
+    BGM,
     Broyden,
     GeneralizedPSB,
     ImageTransform,
     NormalEqWindow,
     NoTransform,
+    ResidualNorm,
 )
 
 
@@ -86,6 +88,18 @@ class TestConfigForLabel:
         assert cfg.memory == 5
         assert cfg.mode == NormalEqWindow(3)
         assert cfg.b0 == 200.0
+
+    def test_system_labels(self):
+        # the systems cells decode their labels here too, at lambda = 1
+        expected = {"Newton": (None, NoTransform()), "BGM": (BGM(), NoTransform()),
+                    "IP-BGM(d=1)": (BGM(), NormalEqWindow(1))}
+        assert set(expected) == set(SYSTEM_LABELS)
+        for label, (rule, mode) in expected.items():
+            kind, cfg = config_for_label(label, 1.0)
+            assert kind == "system"
+            assert cfg.rule == rule and cfg.mode == mode
+            assert cfg.stop == ResidualNorm(1e-7)
+            assert cfg.b0 == 1.0 and cfg.max_iters == 200000
 
 
 class TestResultRow:
@@ -300,6 +314,33 @@ class TestConfigFile:
         result = runner.invoke(cli, ["run", "--config", str(cfg)])
         assert result.exit_code != 0
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        # was a UnicodeDecodeError traceback
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_bytes(b"experiment = table2\n\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "bench.cfg" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_nul_character_is_usage_error(self, tmp_path, capsys):
+        # an out path with a NUL ended in a ValueError traceback from os.stat
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_bytes(b"experiment = systems\nout = a\x00b\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--workers", "1"])
+        assert exc.value.code == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_seed_key_is_removed(self, tmp_path):
+        # seed was read only by the removed lab experiment; verify --seed replaces it
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("experiment = systems\nseed = 0\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--workers", "1"])
+        assert exc.value.code == 3
 
     @pytest.mark.parametrize("line", ["experiment = bogus", "format = xml", "workers = abc",
                                       "workers = 0", "trials = 5"])
@@ -332,6 +373,36 @@ class TestExitCodeContract:
             main(["explode"])
         assert exc.value.code == 3
 
+    def test_lab_experiment_is_removed(self):
+        # the oracle suites run only through verify
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "lab"])
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_out_outside_a_directory_is_usage_error(self, parent, via_config, tmp_path,
+                                                   monkeypatch, capsys):
+        # ran the whole experiment, then ended in a FileNotFoundError traceback
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        target = tmp_path / parent / "x.csv"
+        pool_calls = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: pool_calls.append(args))
+        argv = ["run", "--experiment", "systems", "--workers", "1"]
+        if via_config:
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text(f"out = {target}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", str(target)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "--out" in err
+        assert "Traceback" not in err
+        assert pool_calls == []
+
     def test_success_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--experiment", "systems", "--methods", "Newton",
@@ -347,6 +418,15 @@ class TestVerifySubcommand:
         assert result.exit_code == 0
         assert "violations=0" in result.stdout
         assert "error-reduction/" in result.stdout
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # was a ValueError traceback from numpy.random.default_rng
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1", "--trials", "1"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_nonpositive_trials_is_usage_error(self, trials, capsys):
@@ -393,3 +473,45 @@ class TestLambdaValidation:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--experiment", "table2", "--lambdas", "fifty", "--workers", "1"])
         assert exc.value.code == 3
+
+
+_NUMBERS = st.sampled_from([None, "1", "0", "-1", "nan", "1e-320", "x"])
+
+
+class TestBoundaryFuzz:
+    # systems is the only experiment in the pools that can run (in process,
+    # about 25 ms); every other draw must stop at the boundary
+    @given(
+        experiment=st.sampled_from(["systems", "lab", "bogus", None]),
+        methods=st.sampled_from([None, "Newton", "Quantum", ","]),
+        lambdas=_NUMBERS, d=_NUMBERS, n=_NUMBERS,
+        workers=st.sampled_from(["1", "0", "abc"]),
+        fmt=st.sampled_from(["csv", "markdown", "xml"]),
+        out=st.sampled_from([None, "tmp", "/nonexistent/dir/x.csv"]),
+        config=st.one_of(st.none(), st.binary(max_size=64)),
+    )
+    @example(experiment="systems", methods="Newton", lambdas=None, d=None, n=None,
+             workers="1", fmt="csv", out="/nonexistent/dir/x.csv", config=None)
+    @example(experiment="systems", methods=None, lambdas=None, d=None, n=None,
+             workers="1", fmt="csv", out=None, config=b"experiment = systems\n\xff\n")
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_run_ends_in_a_documented_exit_code(self, tmp_path, capsys, experiment, methods,
+                                                lambdas, d, n, workers, fmt, out, config):
+        argv = ["run", "--workers", workers, "--format", fmt]
+        for flag, value in (("--experiment", experiment), ("--methods", methods),
+                            ("--lambdas", lambdas), ("--d", d), ("--n", n)):
+            if value is not None:
+                argv += [flag, value]
+        if out is not None:
+            argv += ["--out", str(tmp_path / "rows.csv") if out == "tmp" else out]
+        if config is not None:
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_bytes(config)
+            argv += ["--config", str(cfg)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err

@@ -12,7 +12,7 @@ change.
   ``float64(grad_norm)`` and, when the record has a pair, ``pair.s`` and
   ``pair.y``;
 * systems: ``x`` and ``float64(grad_norm)`` of every record of the six
-  ``systems`` cells (problem outer, label inner);
+  ``systems`` cells (problem outer, label inner, lambda 1.0);
 * lab: during ``verify_all(seed=0, trials=500)``, the name and the result of
   every call of ``oracle_error_reduction``, ``oracle_image_operator_gain``,
   ``oracle_projection_gain`` and ``run_process`` (a trace as ``[matrices,
@@ -40,31 +40,25 @@ def _hash_record(h, record, with_pair):
         h.update(record.pair.y.tobytes())
 
 
-def grid_digest():
+def _records_digest(cells, with_pair):
+    # each cell is (label, lambda, problem factory), run through cli.run_label
     h = hashlib.sha256()
-    for label in cli.table2_labels() + cli.table3_labels():
-        for lam in cli.LAMBDAS:
-            kind, config = cli.config_for_label(label, lam)
-            driver = cli.minimize_lbfgs if kind == "lbfgs" else cli.minimize
-            for record in driver(cli.quadratic_weighted_50(), config).records:
-                _hash_record(h, record, with_pair=True)
+    for label, lam, problem in cells:
+        for record in cli.run_label(label, lam, problem()).records:
+            _hash_record(h, record, with_pair)
     return h.hexdigest()
+
+
+def grid_digest():
+    return _records_digest(((label, lam, cli.quadratic_weighted_50)
+                            for label in cli.table2_labels() + cli.table3_labels()
+                            for lam in cli.LAMBDAS), with_pair=True)
 
 
 def systems_digest():
-    h = hashlib.sha256()
-    for problem in cli.SYSTEM_PROBLEMS:
-        for label in cli.SYSTEM_LABELS:
-            system = (cli.circle_cosine_system() if problem == "circle-cosine"
-                      else cli.modified_rosenbrock_10())
-            parts = cli.parse_method_label(label)
-            rule = None if parts["base"] == "Newton" else cli.BGM()
-            kwargs = {"mode": cli.NormalEqWindow(parts["d"])} if parts["mode"] == "ip" else {}
-            config = cli.SolverConfig(rule=rule, stop=cli.ResidualNorm(1e-7), b0=1.0,
-                                      max_iters=200000, **kwargs)
-            for record in cli.solve_system(system, config).records:
-                _hash_record(h, record, with_pair=False)
-    return h.hexdigest()
+    return _records_digest(((label, 1.0, cli.SYSTEM_PROBLEMS[name])
+                            for name in cli.SYSTEM_PROBLEMS
+                            for label in cli.SYSTEM_LABELS), with_pair=False)
 
 
 def _feed(h, value):
