@@ -21,7 +21,6 @@ from .updates import (
 )
 from .operators import (
     DISCARD_TOL,
-    OrthogonalHistory,
     RawHistory,
     gram_schmidt_transform,
     image_direction_broyden,
@@ -48,7 +47,6 @@ from .solvers import (
     ImageTransform,
     IterateError,
     IterationTrace,
-    GramSchmidtWindow,
     NoTransform,
     NormalEqWindow,
     ResidualNorm,
@@ -79,17 +77,16 @@ __all__ = [
     "CurvatureError", "DegenerateUpdateError", "SecantPair",
     "bfgs_inverse_update", "bgm_update", "broyden_update", "dfp_direct_update",
     "gpsb_inverse_update", "gpsb_update", "lbfgs_direction",
-    "DISCARD_TOL", "OrthogonalHistory", "RawHistory", "gram_schmidt_transform",
+    "DISCARD_TOL", "RawHistory", "gram_schmidt_transform",
     "image_direction_broyden", "image_direction_gpsb", "normal_eq_projection",
     "secondary_secant",
     "NonlinearSystem", "SmoothProblem", "circle_cosine_system",
     "modified_rosenbrock_10", "motivating_quadratic_2d", "quadratic_weighted_50",
     "random_spd_matrix", "random_spd_quadratic",
     "BGM", "Backtracking", "Broyden", "GeneralizedPSB", "GradNorm",
-    "ImageTransform", "IterateError", "IterationTrace", "GramSchmidtWindow",
-    "NoTransform", "NormalEqWindow", "ResidualNorm", "SolverConfig",
-    "StepRecord", "Unit", "line_search", "minimize", "minimize_lbfgs",
-    "solve_system",
+    "ImageTransform", "IterateError", "IterationTrace", "NoTransform",
+    "NormalEqWindow", "ResidualNorm", "SolverConfig", "StepRecord", "Unit",
+    "line_search", "minimize", "minimize_lbfgs", "solve_system",
     "KernelGrowthReport", "ProcessConfig", "ProcessTrace", "SuiteRow",
     "check_kernel_growth", "oracle_error_reduction",
     "oracle_image_operator_gain", "oracle_lemmas", "oracle_projection_gain",

@@ -196,7 +196,9 @@ def run_example1():
 
 
 def _fmt_lambda(lam):
-    return str(int(lam)) if float(lam) == int(lam) else str(lam)
+    # a whole lambda prints as an integer only where that is short: 1e308
+    # stays 1e+308 rather than 309 digits
+    return str(int(lam)) if abs(lam) < 1e16 and float(lam) == int(lam) else str(lam)
 
 
 def emit_table(headers, rows, fmt):
@@ -344,7 +346,9 @@ def _filter_methods(labels, methods):
 
 
 def _run_pool(cells, worker, workers):
-    if workers > 1 and len(cells) > 1:
+    # no more processes than cells: the pool may start all of max_workers at once
+    workers = min(workers, len(cells))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, cells))  # map preserves order
     return [worker(c) for c in cells]

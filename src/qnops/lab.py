@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import kernel_basis, weighted_frobenius_error
+from .linalg import kernel_basis, weighted_frobenius_error, weighted_inner
 from .problems import random_spd_matrix
 from .updates import (
     SecantPair,
@@ -80,10 +80,6 @@ def _m_ratio(E, m, v):
 def _e_ratio(E, v):
     # ||E v||^2 / v'v, the Euclidean reduction functional
     return np.linalg.norm(E @ v) ** 2 / (v @ v)
-
-
-def _w_inner(u, v, w):
-    return u @ v if w is None else u @ (w @ v)
 
 
 def _w_residual(s, basis, wmat):
@@ -231,7 +227,7 @@ def run_process(config):
         elif config.direction_source == "orthogonalized":
             s = s0.copy()
             for h in ortho_hist:
-                s = s - (_w_inner(s, h, fam.w) / _w_inner(h, h, fam.w)) * h
+                s = s - (weighted_inner(s, h, fam.w) / weighted_inner(h, h, fam.w)) * h
             if np.linalg.norm(s) <= 1e-12 * np.linalg.norm(s0):
                 trace.events.append(f"step {k}: dependent direction skipped")
                 k += 1
@@ -455,7 +451,7 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
         return ratio(s), 0.0, "degenerate", 0.0
     base = ratio(s)
     improved = ratio(stilde)
-    sin2 = _w_inner(stilde, stilde, wmat) / _w_inner(s, s, wmat)
+    sin2 = weighted_inner(stilde, stilde, wmat) / weighted_inner(s, s, wmat)
     angle_residual = abs(base - sin2 * improved) / max(1.0, abs(base))
     holds = bool(improved >= base - _slacked(base))
     return base, improved, holds, angle_residual
@@ -748,7 +744,7 @@ def _sin_to_complement(s, basis, wmat):
     """sin of the W-angle between s and span(basis): norm ratio of the
     W-orthogonal residual of s against the basis."""
     resid = _w_residual(s, basis, wmat)
-    return np.sqrt(max(0.0, _w_inner(resid, resid, wmat) / _w_inner(s, s, wmat)))
+    return np.sqrt(max(0.0, weighted_inner(resid, resid, wmat) / weighted_inner(s, s, wmat)))
 
 
 def _suite_termination(seed, instances=100):

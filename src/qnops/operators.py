@@ -6,10 +6,10 @@ before a matrix update:
 * image directions -- build u from the current approximation (e.g.
   u = s - B^-1 y) and pair it with a secondary difference v, so the
   update enforces B+ u = v instead of the standard secant equation;
-* projections -- strip from s its components along recent steps, either
-  by windowed (modified) Gram-Schmidt in a family-specific inner
-  product, or by solving small regularized normal equations against the
-  raw step window.
+* the projection -- strip from s its components along the recent raw
+  steps by small normal equations in a family-specific inner product
+  (``normal_eq_projection``, the one route the solvers take); stepwise
+  Gram-Schmidt (``gram_schmidt_transform``) is its reference on quadratics.
 
 Both carry explicit fallback signals (curvature failure, near-dependent
 projected step) so drivers can revert to the raw pair and log the event.
@@ -24,7 +24,6 @@ from .linalg import euclidean_norm
 from .updates import SecantPair
 
 __all__ = [
-    "OrthogonalHistory",
     "RawHistory",
     "image_direction_broyden",
     "image_direction_gpsb",
@@ -35,18 +34,6 @@ __all__ = [
 
 #: relative ||s_tilde|| / ||s|| threshold below which a projected step is discarded
 DISCARD_TOL = 1e-8
-
-
-@dataclass
-class OrthogonalHistory:
-    """Window of transformed pairs for stepwise Gram-Schmidt (capacity d)."""
-
-    d: int
-    window: list = field(default_factory=list)
-    restarts: int = 0
-
-    def __len__(self):
-        return len(self.window)
 
 
 @dataclass
@@ -107,8 +94,8 @@ def _gs_coefficient(family, minv2, s_cur, sj, yj):
     raise ValueError(f"unknown family {family!r}")
 
 
-def gram_schmidt_transform(pair, hist, family, minv2=None):
-    """Orthogonalize (s, y) against the windowed history by sequential projection.
+def gram_schmidt_transform(pair, window, family, minv2=None):
+    """Orthogonalize (s, y) against a window of transformed pairs by sequential projection.
 
     Modified (sequential) Gram-Schmidt: each stored direction is removed
     using the partially reduced vector, the numerically stable variant.
@@ -117,23 +104,22 @@ def gram_schmidt_transform(pair, hist, family, minv2=None):
     fallback: the raw pair is returned, the window is cleared and then
     reseeded with the raw pair, mirroring a restart of the procedure.
 
-    Returns (SecantPair, fell_back: bool); the history is updated in place.
+    ``window`` is a ``collections.deque(maxlen=d)`` of (s_j, y_j), oldest
+    first.  Returns (SecantPair, fell_back: bool); the window is updated in
+    place.
     """
     s, y = pair.s, pair.y
     st = s.copy()
     yt = y.copy()
-    for sj, yj in hist.window:
+    for sj, yj in window:
         c = _gs_coefficient(family, minv2, st, sj, yj)
         st = st - c * sj
         yt = yt - c * yj
-    if family == "broyden" and hist.window and st @ yt <= 0:
-        hist.window.clear()
-        hist.window.append((s, y))
-        hist.restarts += 1
+    if family == "broyden" and window and st @ yt <= 0:
+        window.clear()
+        window.append((s, y))
         return SecantPair(s, y, "raw"), True
-    hist.window.append((st, yt))
-    if len(hist.window) > hist.d:
-        hist.window.pop(0)
+    window.append((st, yt))
     return SecantPair(st, yt, "projected"), False
 
 
@@ -170,10 +156,10 @@ def _beta_solve(G, rhs):
     return np.linalg.solve(G, rhs)
 
 
-def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, minv2=None):
+def normal_eq_projection(pair, raw, family, minv2=None):
     """Project (s, y) against the raw step window via small normal equations.
 
-    Solves the family-specific d x d system (with +lam*I when lam > 0)
+    Solves the family-specific d x d system
 
         broyden: (S'Y + Y'S) beta = S'y + Y's   (symmetrized)
         gpsb:    (S'M^-2 S) beta = S'M^-2 s
@@ -181,7 +167,7 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
 
     and returns ``(SecantPair(s - S beta, y - Y beta), beta, reason)``
     where ``reason`` is None on success, ``"discard"`` when the projected
-    step is near-dependent (||s~|| < discard_tol * ||s||), or
+    step is near-dependent (||s~|| < DISCARD_TOL * ||s||), or
     ``"curvature"`` when s~'y~ <= 0 for the broyden family.  On a
     non-None reason the returned pair is the raw one.  The window itself
     is left untouched; drivers append the raw pair after transforming.
@@ -206,8 +192,6 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
         rhs = MS.T @ s
     else:
         raise ValueError(f"unknown family {family!r}")
-    if lam:
-        G = G + lam * np.eye(m)
     try:
         beta = _beta_solve(G, rhs)
     except np.linalg.LinAlgError:
@@ -216,7 +200,7 @@ def normal_eq_projection(pair, raw, family, lam=0.0, discard_tol=DISCARD_TOL, mi
         return SecantPair(s, y, "raw"), np.empty(0), "singular"
     st = s - S @ beta
     yt = y - Y @ beta
-    if euclidean_norm(st) < discard_tol * euclidean_norm(s):
+    if euclidean_norm(st) < DISCARD_TOL * euclidean_norm(s):
         return SecantPair(s, y, "raw"), beta, "discard"
     if family == "broyden" and st @ yt <= 0:
         return SecantPair(s, y, "raw"), beta, "curvature"

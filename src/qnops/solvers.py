@@ -1,14 +1,15 @@
 """Iteration drivers: quasi-Newton minimization, L-BFGS, and nonlinear systems.
 
 The three drivers share one loop, ``_iterate``: direction, step, raw pair,
-secant transform per the mode (none, image, Gram-Schmidt window,
-normal-equations window), model update, record.  A driver validates its
-configuration and builds the model that gives the loop directions, image
-directions and updates: a dense B_k solved by LU (``minimize``), the limited
-memory applied by the two-loop recursion, which refuses a pair with s'y <= 0
-(``minimize_lbfgs``), or a Jacobian solved by QR, BGM's B_k or the analytic
-one for Newton (``solve_system``).  Traces record the initial state and one
-entry per iteration, and log every fallback: no pair is silently replaced.
+secant transform per the mode (none, image, or ``NormalEqWindow``: the one
+projection route, ``normal_eq_projection`` against the raw step window),
+model update, record.  A driver validates its configuration and builds the
+model that gives the loop directions, image directions and updates: a
+dense B_k solved by LU (``minimize``), the limited memory applied by the
+two-loop recursion, which refuses a pair with s'y <= 0 (``minimize_lbfgs``),
+or a Jacobian solved by QR, BGM's B_k or the analytic one for Newton
+(``solve_system``).  Traces record the initial state and one entry per
+iteration, and log every fallback: no pair is silently replaced.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
@@ -32,10 +33,7 @@ import numpy as np
 
 from .linalg import angle_to_subspace, euclidean_norm
 from .operators import (
-    DISCARD_TOL,
-    OrthogonalHistory,
     RawHistory,
-    gram_schmidt_transform,
     image_direction_broyden,
     image_direction_gpsb,
     normal_eq_projection,
@@ -58,7 +56,6 @@ __all__ = [
     "BGM",
     "NoTransform",
     "ImageTransform",
-    "GramSchmidtWindow",
     "NormalEqWindow",
     "Unit",
     "Backtracking",
@@ -117,23 +114,12 @@ class ImageTransform:
 
 
 @dataclass(frozen=True)
-class _Window:
-    d: int  # the number of most recent raw steps transformed against
+class NormalEqWindow:
+    d: int  # the number of most recent raw steps projected against
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"window size d must be at least 1, got {self.d!r}")
-
-
-@dataclass(frozen=True)
-class GramSchmidtWindow(_Window):
-    pass
-
-
-@dataclass(frozen=True)
-class NormalEqWindow(_Window):
-    lam: float = 0.0
-    discard_tol: float = DISCARD_TOL
 
 
 @dataclass(frozen=True)
@@ -168,7 +154,7 @@ class SolverConfig:
     rule: Union[Broyden, GeneralizedPSB, BGM, None]
     stop: Union[GradNorm, IterateError, ResidualNorm]
     b0: Union[float, np.ndarray] = 1.0  # scalar lambda means lambda * I
-    mode: Union[NoTransform, ImageTransform, GramSchmidtWindow, NormalEqWindow] = NoTransform()
+    mode: Union[NoTransform, ImageTransform, NormalEqWindow] = NoTransform()
     step: Union[Unit, Backtracking] = Unit()
     max_iters: int = 200000
     memory: int = 10  # L-BFGS only
@@ -406,7 +392,6 @@ def _iterate(problem, evaluate, config, model, x, g):
     """
     mode = config.mode
     image = isinstance(mode, ImageTransform)
-    gs_hist = OrthogonalHistory(mode.d) if isinstance(mode, GramSchmidtWindow) else None
     raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
     threshold = _stop_threshold(config.stop, problem, x, g)
     x_star = problem.x_star if isinstance(config.stop, IterateError) else None
@@ -444,14 +429,8 @@ def _iterate(problem, evaluate, config, model, x, g):
         if image:
             u = model.image(s, y, alpha, g, gn)
             pair, event = _image_pair(u, s, y, problem, xn, mode)
-        elif gs_hist is not None:
-            pair, fell = gram_schmidt_transform(pair, gs_hist, model.family, model.minv2)
-            if fell:
-                event = "gs-restart"
         elif raw_hist is not None:
-            pair, _, event = normal_eq_projection(
-                pair, raw_hist, model.family, mode.lam, mode.discard_tol, model.minv2
-            )
+            pair, _, event = normal_eq_projection(pair, raw_hist, model.family, model.minv2)
             raw_hist.append(s, y)
 
         try:
@@ -487,8 +466,8 @@ def minimize_lbfgs(problem, config):
     """Limited-memory driver: matrix-free directions from the two-loop recursion.
 
     The initial inverse is (1/lambda) * I for b0 = lambda * I.  Image mode
-    stores the transformed (u, v) pairs in memory; projection modes
-    transform against a raw step window before storage.  Any pair is
+    stores the transformed (u, v) pairs in memory; NormalEqWindow projects
+    each pair against a raw step window before storage.  Any pair is
     stored only when s'y > 0.  The pairs are BFGS pairs, so the rule must be
     None or Broyden(0.0), and no matrix exists to record angles or errors of.
     """
@@ -498,8 +477,7 @@ def minimize_lbfgs(problem, config):
         raise ValueError("minimize_lbfgs keeps no matrix to record angles or errors of")
     if not np.isscalar(config.b0):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
-    mode = config.mode
-    if isinstance(mode, _Window) and mode.d > config.memory - 1:
+    if isinstance(config.mode, NormalEqWindow) and config.mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
     x = _start(config.x0, problem)
     model = _LimitedMemory(config.memory, 1.0 / config.b0)

@@ -10,6 +10,7 @@ published entry, the entry is kept next to its correction as a named
 erratum, and the evidence for the correction is a test in this file.
 """
 
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 from qnops.cli import _bench_cell, _system_cell, run_example1
 from qnops.lab import verify_all
 from qnops.operators import (
-    OrthogonalHistory,
     RawHistory,
     gram_schmidt_transform,
     normal_eq_projection,
@@ -444,7 +444,7 @@ def test_c10_structural_invariants():
         n = int(rng.integers(3, 8))
         a2 = random_spd_matrix(n, rng, spectrum=(0.5, 5.0))
         m = int(rng.integers(1, min(4, n)))
-        gs_hist = OrthogonalHistory(d=m)
+        gs_hist = deque(maxlen=m)
         raw = RawHistory(d=m)
         for s in rng.standard_normal((m, n)):
             gram_schmidt_transform(SecantPair(s, a2 @ s), gs_hist, "broyden")

@@ -222,6 +222,31 @@ class TestRunCommand:
         ]
         assert [r[2] for r in rows] == ["124", "235", "55", "79"]
 
+    @pytest.mark.parametrize("cells,workers,started", [
+        ([1, 2, 3], 1000, [3]),  # the pool asked for 1000 processes
+        ([1, 2, 3], 2, [2]),
+        ([1], 8, []),
+    ])
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch, cells, workers, started):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(qcli, "ProcessPoolExecutor", InProcessPool)
+        assert qcli._run_pool(cells, str, workers) == [str(c) for c in cells]
+        assert sizes == started
+
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["run", "--experiment", "systems", "--methods", "Newton", "--workers", "1"]
         streamed = runner.invoke(cli, args)
@@ -277,6 +302,18 @@ class TestRunCommand:
         assert result.exit_code == 0
         _, rows = parse_table(result.stdout)
         assert rows[0][1] == "62.5"
+
+    def test_huge_whole_lambda_keeps_exponent_form(self):
+        # 1e308 was written as its 309-digit integer expansion
+        args = ["run", "--experiment", "table2", "--methods", "DFP", "--lambdas", "1e308",
+                "--workers", "1"]
+        _, rows = parse_table(runner.invoke(cli, args).stdout)
+        assert rows[0][1] == "1e+308"
+        markdown = runner.invoke(cli, args + ["--format", "markdown"]).stdout
+        assert markdown.splitlines()[0] == "| Method | 1e+308 |"
+        grid = runner.invoke(cli, ["run", "--experiment", "table2", "--methods", "BFGS",
+                                   "--format", "markdown", "--workers", "1"])
+        assert grid.stdout.splitlines()[0] == "| Method | 50 | 100 | 200 | 500 | 1000 | 5000 |"
 
 
 class TestConfigFile:

@@ -16,7 +16,6 @@ from qnops.solvers import (
     Broyden,
     GeneralizedPSB,
     GradNorm,
-    GramSchmidtWindow,
     ImageTransform,
     IterateError,
     NormalEqWindow,
@@ -206,15 +205,6 @@ class TestLbfgsDriver:
         for rd, rl in zip(dense.records, lm.records):
             assert np.linalg.norm(rd.x - rl.x) <= 1e-8 * max(1.0, np.linalg.norm(rd.x))
 
-    def test_gram_schmidt_mode_runs(self):
-        p = quadratic_weighted_50()
-        cfg = SolverConfig(
-            rule=Broyden(0.0), stop=IterateError(1e-7), b0=100.0, memory=10,
-            mode=GramSchmidtWindow(d=2),
-        )
-        trace = minimize_lbfgs(p, cfg)
-        assert trace.status == "converged"
-
 
 class TestAngleRecording:
     def test_identity_quadratic_bfgs_angles(self):
@@ -309,14 +299,14 @@ class TestSolveSystem:
         assert trace.status == status
         assert trace.iterations == 0
 
+    # the ids keep each case's name from before the Gram-Schmidt window
+    # cases (rule1-kw1, None-kw5) were deleted
     @pytest.mark.parametrize("rule,kw", [
-        (BGM(), {"mode": ImageTransform()}),
-        (BGM(), {"mode": GramSchmidtWindow(d=1)}),
-        (BGM(), {"step": Backtracking()}),
-        (None, {"step": Backtracking()}),
-        (None, {"mode": ImageTransform()}),
-        (None, {"mode": GramSchmidtWindow(d=1)}),
-        (None, {"mode": NormalEqWindow(d=1)}),
+        pytest.param(BGM(), {"mode": ImageTransform()}, id="rule0-kw0"),
+        pytest.param(BGM(), {"step": Backtracking()}, id="rule2-kw2"),
+        pytest.param(None, {"step": Backtracking()}, id="None-kw3"),
+        pytest.param(None, {"mode": ImageTransform()}, id="None-kw4"),
+        pytest.param(None, {"mode": NormalEqWindow(d=1)}, id="None-kw6"),
     ])
     def test_unsupported_mode_or_step_rejected_at_entry(self, rule, kw):
         def never(x):
@@ -363,6 +353,24 @@ class TestImageModeMechanics:
         assert trace.status == "converged"
         final_err = trace.records[-1].matrix_error
         assert final_err <= 1e-7 * np.linalg.norm(p.hessian, "fro")
+
+    @pytest.mark.parametrize("rule", [Broyden(0.0), Broyden(1.0)], ids=["Im-BFGS", "Im-DFP"])
+    @pytest.mark.parametrize("step", [Unit(), Backtracking()], ids=["Unit", "Backtracking"])
+    def test_image_methods_terminate_with_the_exact_hessian(self, rule, step):
+        # the paper's central claim at the solver: on an n-dimensional
+        # quadratic the image-corrected update converges within n + 1
+        # iterations and ends with B = A
+        for n in range(2, 13):
+            for seed in range(5):
+                p = random_spd_quadratic(n, seed=seed)
+                x0 = np.random.default_rng(100 + seed).standard_normal(n)
+                cfg = SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=ImageTransform(),
+                                   step=step, x0=x0, record_matrix_error=True)
+                trace = minimize(p, cfg)
+                assert trace.status == "converged", (n, seed)
+                assert trace.iterations <= n + 1, (n, seed)
+                final_err = trace.records[-1].matrix_error
+                assert final_err <= 1e-10 * np.linalg.norm(p.hessian, "fro"), (n, seed)
 
 
 def nan_after(problem, evaluations):
@@ -422,7 +430,7 @@ class TestTerminalStatuses:
 
 
 class TestWindowValidation:
-    @pytest.mark.parametrize("window", [GramSchmidtWindow, NormalEqWindow])
+    @pytest.mark.parametrize("window", [NormalEqWindow])
     @pytest.mark.parametrize("d", [0, -1])
     def test_window_below_one_rejected(self, window, d):
         # d=0 and d=-1 ran the plain method (55 iterations of BFGS at b0=50)
@@ -430,7 +438,7 @@ class TestWindowValidation:
             window(d)
 
     def test_window_of_one_accepted(self):
-        assert GramSchmidtWindow(1).d == NormalEqWindow(1).d == 1
+        assert NormalEqWindow(1).d == 1
 
 
 class TestSolverConfigValidation:

@@ -2,8 +2,9 @@
 and of every lab oracle result.
 
 A change to the solvers' or the lab's arithmetic should leave all three
-digests unchanged; this is the bit check to run at the parent and at the
-change.
+digests unchanged; this is the bit check.  The script prints the digests,
+compares them with ``tools/DIGESTS`` next to it and exits 1 when they
+differ.  A change that means to alter the arithmetic rewrites that file.
 
     PYTHONPATH=src python tools/record_digest.py
 
@@ -26,6 +27,8 @@ the lab pass takes about 5 s.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +105,9 @@ def lab_digest():
 
 
 if __name__ == "__main__":
-    print(f"grid    {grid_digest()}")
-    print(f"systems {systems_digest()}")
-    print(f"lab     {lab_digest()}")
+    lines = [f"grid    {grid_digest()}", f"systems {systems_digest()}", f"lab     {lab_digest()}"]
+    print("\n".join(lines))
+    expected = (Path(__file__).parent / "DIGESTS").read_text().splitlines()
+    if lines != expected:
+        print("digests differ from tools/DIGESTS", file=sys.stderr)
+        sys.exit(1)
