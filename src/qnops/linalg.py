@@ -90,11 +90,22 @@ def angle_to_subspace(s, basis, w=None):
 
 
 def weighted_frobenius_error(X, M=None):
-    """Weighted Frobenius norm ||M X M||_F; ``M=None`` gives the plain ||X||_F."""
+    """Weighted Frobenius norm ||M X M||_F; ``M=None`` gives the plain ||X||_F.
+
+    X is one (n, n) matrix, giving a float, or a stack (k, n, n), giving
+    the k norms, each bit for bit the norm of its slice: the sum of squares
+    of a slice is the (1, n^2) @ (n^2, 1) product, which NumPy computes as
+    the same dot that ``np.linalg.norm`` runs on the raveled matrix.
+    """
     X = np.asarray(X, dtype=float)
-    if M is None:
+    if X.ndim not in (2, 3):
+        raise ValueError(f"expected an (n, n) matrix or a (k, n, n) stack, got shape {X.shape}")
+    if M is not None:
+        M = np.asarray(M, dtype=float)
+        if M.shape != X.shape[-2:]:
+            raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
+        X = M @ X @ M
+    if X.ndim == 2:
         return np.linalg.norm(X, "fro")
-    M = np.asarray(M, dtype=float)
-    if M.shape != X.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
-    return np.linalg.norm(M @ X @ M, "fro")
+    f = X.reshape(X.shape[0], 1, -1)
+    return np.sqrt((f @ f.transpose(0, 2, 1)).ravel())

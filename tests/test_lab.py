@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,13 @@ from qnops.lab import (
     oracle_projection_gain,
     run_process,
     verify_all,
+    _least_change,
 )
+from qnops.linalg import weighted_frobenius_error
 from qnops.problems import random_spd_matrix
+from qnops.updates import SecantPair, gpsb_inverse_update, gpsb_update
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def spd(n, seed, spectrum=(0.5, 5.0)):
@@ -173,6 +181,19 @@ class TestKernelGrowth:
         report = check_kernel_growth(trace)
         assert not report.ok
         assert "fell" in report.violations[0]
+
+    @pytest.mark.parametrize("family", ["broyden", "dfp", "psb", "gpsb", "bgm"])
+    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized", "user"])
+    def test_kernel_dims_match_the_growth_check(self, family, source):
+        n = 5
+        kw = {"directions": list(spd(n, 31))} if source == "user" else {}
+        if family == "gpsb":
+            kw["m_weight"] = spd(n, 32, spectrum=(0.5, 2.0))
+        trace = run_process(ProcessConfig(
+            a=spd(n, 33), b0=np.eye(n), family=family, direction_source=source, seed=4, **kw
+        ))
+        assert trace.kernel_dims == check_kernel_growth(trace).dims
+        assert len(trace.kernel_dims) == len(trace.matrices)
 
 
 class TestErrorReductionOracle:
@@ -336,6 +357,36 @@ class TestLemmaOracles:
         with pytest.raises(KeyError):
             oracle_lemmas("no-such-lemma", trials=1)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_stacked_competitors_match_the_one_at_a_time_loop(self, dual):
+        def reference(rng):
+            # the least-change trial drawing and measuring one competitor at a time
+            n = int(rng.integers(2, 9))
+            z = rng.standard_normal((n, n))
+            B = (z + z.T) / 2.0
+            M = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+            minv2 = np.linalg.inv(M @ M)
+            s = rng.standard_normal(n)
+            y = rng.standard_normal(n)
+            update = gpsb_inverse_update if dual else gpsb_update
+            bplus = update(B, SecantPair(s, y), minv2)
+            con, target = (y, s) if dual else (s, y)
+            res = np.linalg.norm(bplus @ con - target) / max(1.0, np.linalg.norm(target))
+            res = max(res, np.linalg.norm(bplus - bplus.T, "fro"))
+            dist = weighted_frobenius_error(bplus - B, M)
+            P = np.eye(n) - np.outer(con, con) / (con @ con)
+            worst = 0.0
+            for _ in range(100):
+                z = rng.standard_normal((n, n))
+                cdist = weighted_frobenius_error(bplus + P @ ((z + z.T) / 2.0) @ P - B, M)
+                worst = max(worst, (dist - cdist) / max(1.0, cdist))
+            return max(res, worst)
+
+        rng, ref_rng = np.random.default_rng(30), np.random.default_rng(30)
+        for _ in range(200):
+            assert float.hex(float(_least_change(rng, dual))) == float.hex(float(reference(ref_rng)))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
 
 SUITE_NAMES = [
     "error-reduction/gpsb", "error-reduction/bgm-identity",
@@ -385,3 +436,13 @@ class TestVerifyAll:
         assert str(row) == "demo: trials=10 violations=0 max_residual=1.500e-12"
         noted = SuiteRow(name="demo", trials=10, violations=0, max_residual=0.25, note="info")
         assert str(noted).endswith("[info]")
+
+
+class TestLabDigest:
+    def test_lab_results_match_the_recorded_digest(self):
+        # the lab's bit contract: every oracle result of verify_all(0, 500)
+        spec = importlib.util.spec_from_file_location("record_digest", TOOLS / "record_digest.py")
+        record_digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(record_digest)
+        expected = dict(line.split() for line in (TOOLS / "DIGESTS").read_text().splitlines())
+        assert record_digest.lab_digest() == expected["lab"]

@@ -131,3 +131,25 @@ class TestWeightedFrobeniusError:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             weighted_frobenius_error(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_stack_matches_each_slice_bit_for_bit(self, weighted):
+        rng = np.random.default_rng(7)
+        for n in [2, 3, 4, 5, 6, 7, 8, 50]:
+            X = rng.standard_normal((20, n, n))
+            M = None
+            if weighted:
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                M = (q * rng.uniform(0.5, 2.0, n)) @ q.T
+            norms = weighted_frobenius_error(X, M)
+            assert norms.shape == (20,)
+            for x, norm in zip(X, norms):
+                assert float.hex(float(norm)) == float.hex(float(weighted_frobenius_error(x, M)))
+
+    def test_stack_weight_mismatch(self):
+        with pytest.raises(ValueError):
+            weighted_frobenius_error(np.ones((4, 3, 3)), np.eye(2))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_frobenius_error(np.ones(3))
