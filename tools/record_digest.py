@@ -16,11 +16,15 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   ``systems`` cells (problem outer, label inner, lambda 1.0);
 * lab: during ``verify_all(seed=0, trials=500)``, the name and the result of
   every call of ``oracle_error_reduction``, ``oracle_image_operator_gain``,
-  ``oracle_projection_gain`` and ``run_process`` (a trace as ``[matrices,
-  steps, errors, kernel_dims, status]``), then every row as ``[name, trials,
-  violations, max_residual, skipped, note]``.  Arrays hash as float64
-  C-order bytes, floats as ``float.hex``, anything else by ``repr``, so a
-  count that leaks as a NumPy integer changes the digest.
+  ``oracle_projection_gain``, ``run_process`` (a trace as ``[matrices,
+  steps, errors, kernel_dims, status]``) and ``weighted_frobenius_error``,
+  and of every trial of a ``lab._LEMMAS`` generator (as ``lemma/<id>``),
+  then every row as ``[name, trials, violations, max_residual, skipped,
+  note]``.  The lemma rows alone would hide most of their trials: a row
+  keeps only the worst residual, and the least-change lemma's competitor
+  term is never its worst.  Arrays hash as float64 C-order bytes, floats as
+  ``float.hex``, anything else by ``repr``, so a count that leaks as a
+  NumPy integer changes the digest.
 
 One serial pass runs every table2 and table3 cell, about 10 s on a laptop
 and 12 s on a 2-vCPU Xeon; the lab pass takes about 2.5 s on that Xeon.
@@ -81,8 +85,9 @@ def _feed(h, value):
 def lab_digest():
     h = hashlib.sha256()
     names = ("oracle_error_reduction", "oracle_image_operator_gain",
-             "oracle_projection_gain", "run_process")
+             "oracle_projection_gain", "run_process", "weighted_frobenius_error")
     originals = {name: getattr(lab, name) for name in names}
+    lemmas = dict(lab._LEMMAS)
 
     def hashed(name, fn):
         def call(*args, **kwargs):
@@ -94,11 +99,13 @@ def lab_digest():
 
     for name, fn in originals.items():
         setattr(lab, name, hashed(name, fn))
+    lab._LEMMAS.update((which, hashed(f"lemma/{which}", gen)) for which, gen in lemmas.items())
     try:
         rows = lab.verify_all(seed=0, trials=500)
     finally:
         for name, fn in originals.items():
             setattr(lab, name, fn)
+        lab._LEMMAS.update(lemmas)
     for r in rows:
         _feed(h, [r.name, r.trials, r.violations, r.max_residual, r.skipped, r.note])
     return h.hexdigest()
