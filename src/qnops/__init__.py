@@ -15,7 +15,6 @@ from .updates import (
     bgm_update,
     broyden_update,
     dfp_direct_update,
-    gpsb_inverse_update,
     gpsb_update,
     lbfgs_direction,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "angle_to_subspace", "kernel_basis", "weighted_frobenius_error", "weighted_inner",
     "CurvatureError", "DegenerateUpdateError", "SecantPair",
     "bfgs_inverse_update", "bgm_update", "broyden_update", "dfp_direct_update",
-    "gpsb_inverse_update", "gpsb_update", "lbfgs_direction",
+    "gpsb_update", "lbfgs_direction",
     "DISCARD_TOL", "RawHistory", "gram_schmidt_transform",
     "image_direction_broyden", "image_direction_gpsb", "normal_eq_projection",
     "secondary_secant",

@@ -24,21 +24,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import euclidean_norm, kernel_basis, weighted_frobenius_error, weighted_inner
-from .problems import random_spd_matrix
-from .updates import (
-    SecantPair,
-    bgm_update,
-    broyden_update,
-    dfp_direct_update,
-    gpsb_inverse_update,
-    gpsb_update,
+from .linalg import (
+    KERNEL_TOL,
+    euclidean_norm,
+    kernel_basis,
+    weighted_frobenius_error,
+    weighted_inner,
 )
+from .problems import random_spd_matrix
+from .updates import SecantPair, bgm_update, broyden_update, dfp_direct_update, gpsb_update
 
 __all__ = [
     "SLACK",
     "ANGLE_SLACK",
-    "KERNEL_TOL",
     "HALT_RTOL",
     "ProcessConfig",
     "ProcessTrace",
@@ -59,8 +57,6 @@ SLACK = 1e-9
 ANGLE_SLACK = 1e-8
 #: relative residual allowed for the BGM error identity (an equality, not a bound)
 BGM_IDENTITY_TOL = 1e-10
-#: relative singular-value cutoff for ker(B_k - A)
-KERNEL_TOL = 1e-8
 #: the process halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F
 HALT_RTOL = 1e-10
 
@@ -100,8 +96,8 @@ class ProcessConfig:
     family: str  # broyden | dfp | psb | gpsb | bgm
     theta: float = 0.0  # broyden only
     m_weight: Optional[np.ndarray] = None  # SPD M for the gpsb family
-    direction_source: str = "random"  # random | image | orthogonalized | user
-    directions: Optional[Sequence[np.ndarray]] = None
+    direction_source: str = "random"  # random | image | orthogonalized
+    directions: Optional[Sequence[np.ndarray]] = None  # replaces the base draws of any source
     max_steps: Optional[int] = None  # default: n
     seed: int = 0
 
@@ -121,13 +117,6 @@ class ProcessTrace:
     def terminated(self):
         return self.status == "terminated"
 
-    @property
-    def kernel_dims(self):
-        """dim ker(B_k - A) for every recorded B_k, computed when read."""
-        scale = euclidean_norm(self.target)
-        return [_kernel_basis_scaled(Bk - self.target, KERNEL_TOL, scale).shape[1]
-                for Bk in self.matrices]
-
 
 @dataclass
 class KernelGrowthReport:
@@ -139,37 +128,27 @@ class KernelGrowthReport:
         return not self.violations
 
 
-class _Family:
-    """A family as its update formula and its inner-product weight ``w``:
-    A for broyden and dfp, M^-2 for gpsb, None (the identity) for psb and
-    bgm.  ``m`` is the gpsb M, kept for the weighted error."""
-
-    def __init__(self, config):
-        name, theta = config.family, config.theta
-        if name not in ("broyden", "dfp", "psb", "gpsb", "bgm"):
-            raise ValueError(f"unknown family {name!r}")
-        self.a = config.a
-        self.m = self.w = minv2 = None
-        if name == "gpsb":
-            if config.m_weight is None:
-                raise ValueError("the gpsb family needs m_weight (the SPD M)")
-            self.m = config.m_weight
-            self.w = minv2 = np.linalg.inv(self.m @ self.m)
-        elif name in ("broyden", "dfp"):
-            self.w = config.a
-        # each formula is looked up as a module global when it runs
-        self.update = {
-            "broyden": lambda B, pair: broyden_update(B, pair, theta),
-            "dfp": lambda B, pair: dfp_direct_update(B, pair),
-            "psb": lambda B, pair: gpsb_update(B, pair, minv2),
-            "gpsb": lambda B, pair: gpsb_update(B, pair, minv2),
-            "bgm": lambda B, pair: bgm_update(B, pair),
-        }[name]
-
-    def image_direction(self, B, s):
-        # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
-        es = (B - self.a).T @ s
-        return es if self.w is None else np.linalg.solve(self.w, es)
+def _family(config):
+    """A family as (update, W, M): its update formula, its inner-product
+    weight W (A for broyden and dfp, M^-2 for gpsb, None = I for psb and
+    bgm) and the gpsb M, kept for the weighted error."""
+    name, w, m = config.family, None, None
+    if name == "gpsb":
+        if config.m_weight is None:
+            raise ValueError("the gpsb family needs m_weight (the SPD M)")
+        m = config.m_weight
+        w = np.linalg.inv(m @ m)
+    elif name in ("broyden", "dfp"):
+        w = config.a
+    elif name not in ("psb", "bgm"):
+        raise ValueError(f"unknown family {name!r}")
+    # each formula is looked up as a module global when it runs
+    update = {
+        "broyden": lambda B, pair: broyden_update(B, pair, config.theta),
+        "dfp": lambda B, pair: dfp_direct_update(B, pair),
+        "bgm": lambda B, pair: bgm_update(B, pair),
+    }.get(name, lambda B, pair: gpsb_update(B, pair, w))  # psb and gpsb
+    return update, w, m
 
 
 def run_process(config):
@@ -184,13 +163,13 @@ def run_process(config):
     B = np.asarray(config.b0, dtype=float).copy()
     if B.shape != a.shape:
         raise ValueError("A and B0 must be conformable")
-    fam = _Family(config)
+    update, w, m = _family(config)
     rng = np.random.default_rng(config.seed)
     max_steps = config.max_steps if config.max_steps is not None else n
     halt = HALT_RTOL * euclidean_norm(a)
 
-    trace = ProcessTrace(weight=fam.w, target=a)
-    if fam.m is not None:
+    trace = ProcessTrace(weight=w, target=a)
+    if m is not None:
         trace.weighted_errors = []
 
     def record_state():
@@ -198,7 +177,7 @@ def run_process(config):
         trace.matrices.append(B.copy())
         trace.errors.append(euclidean_norm(E))
         if trace.weighted_errors is not None:
-            trace.weighted_errors.append(weighted_frobenius_error(E, fam.m))
+            trace.weighted_errors.append(weighted_frobenius_error(E, m))
 
     def base_direction(k):
         if config.directions is not None:
@@ -224,14 +203,16 @@ def run_process(config):
             break
         event = ""
         if config.direction_source == "image":
-            s = fam.image_direction(B, s0)
+            # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
+            s = (B - a).T @ s0
+            s = s if w is None else np.linalg.solve(w, s)
             if euclidean_norm(s) <= 1e-14 * euclidean_norm(s0):
                 event = "degenerate-image"
                 s = s0
         elif config.direction_source == "orthogonalized":
             s = s0.copy()
             for h in ortho_hist:
-                s = s - (weighted_inner(s, h, fam.w) / weighted_inner(h, h, fam.w)) * h
+                s = s - (weighted_inner(s, h, w) / weighted_inner(h, h, w)) * h
             if euclidean_norm(s) <= 1e-12 * euclidean_norm(s0):
                 trace.events.append(f"step {k}: dependent direction skipped")
                 k += 1
@@ -240,7 +221,7 @@ def run_process(config):
         else:
             s = s0
         try:
-            B = fam.update(B, SecantPair(s, a @ s))
+            B = update(B, SecantPair(s, a @ s))
         except ArithmeticError as exc:
             trace.events.append(f"step {k}: breakdown: {exc}")
             trace.status = "breakdown"
@@ -347,32 +328,22 @@ def _image_setup(family, a, b, m):
 
         ratio = partial(_m_ratio, E, m)
 
-    elif family in ("dfp", "dfp-ordered"):
-        E = b - a
-        inner = b if family == "dfp-ordered" else a
+    elif family in ("dfp", "dfp-ordered", "bfgs", "bfgs-ordered"):
+        # dfp weighs with W = A; bfgs is its dual, H against A^-1 with
+        # W = A^-1, so A v and A^-1 v swap roles.  The ordered variants map
+        # E v by B^-1 (H^-1) in place of W^-1.
+        a_v, ainv_v = partial(np.matmul, a), partial(np.linalg.solve, a)
+        dual = family.startswith("bfgs")
+        w_v, winv_v = (ainv_v, a_v) if dual else (a_v, ainv_v)
+        E = b - (np.linalg.inv(a) if dual else a)
+        map_v = partial(np.linalg.solve, b) if family.endswith("ordered") else winv_v
 
         def apply_w(v):
-            return np.linalg.solve(inner, E @ v)
+            return map_v(E @ v)
 
         def ratio(v):
             ev = E @ v
-            return (ev @ np.linalg.solve(a, ev)) / (v @ (a @ v))
-
-    elif family in ("bfgs", "bfgs-ordered"):
-        E = b - np.linalg.inv(a)  # b is H here
-        if family == "bfgs":
-
-            def apply_w(v):
-                return a @ (E @ v)
-
-        else:
-
-            def apply_w(v):
-                return np.linalg.solve(b, E @ v)
-
-        def ratio(v):
-            ev = E @ v
-            return (ev @ (a @ ev)) / (v @ np.linalg.solve(a, v))
+            return (ev @ winv_v(ev)) / (v @ w_v(v))
 
     elif family == "bgm":
         E = b - a
@@ -396,9 +367,9 @@ def _one_signed(sym, tol):
     return np.all(w >= -tol) or np.all(w <= tol)
 
 
-def _image_gain(family, a, b, m, s):
+def _image_gain(setup, s):
     # the gain comparison of oracle_image_operator_gain without its gate
-    E, apply_w, (base_ratio, ratio) = _image_setup(family, a, b, m)
+    E, apply_w, (base_ratio, ratio) = setup
     ws = apply_w(s)
     scale = euclidean_norm(E) * euclidean_norm(s)
     if euclidean_norm(ws) <= 1e-13 * max(scale, 1e-300):
@@ -419,8 +390,9 @@ def oracle_image_operator_gain(family, a, b, m, s):
     need SPD A and B with B - A (H - A^-1 for bfgs) one-signed.
     """
     s = np.asarray(s, dtype=float)
+    setup = _image_setup(family, a, b, m)
     if family in ("dfp-ordered", "bfgs-ordered"):
-        E = b - (a if family == "dfp-ordered" else np.linalg.inv(a))
+        E = setup[0]  # B - A, or H - A^-1 for bfgs
         tol = 1e-12 * max(1.0, euclidean_norm(E))
         if (
             np.any(np.linalg.eigvalsh(a) <= 0)
@@ -428,7 +400,7 @@ def oracle_image_operator_gain(family, a, b, m, s):
             or not _one_signed(E, tol)
         ):
             return 0.0, 0.0, "hypothesis not met"
-    return _image_gain(family, a, b, m, s)
+    return _image_gain(setup, s)
 
 
 def oracle_projection_gain(family, a, b, m, subspace_basis, s):
@@ -579,13 +551,9 @@ def _least_change(rng, dual):
     minv2 = np.linalg.inv(M @ M)
     s = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    pair = SecantPair(s, y)
-    if dual:
-        bplus = gpsb_inverse_update(B, pair, minv2)
-        con, target = y, s
-    else:
-        bplus = gpsb_update(B, pair, minv2)
-        con, target = s, y
+    # the dual update acts on the inverse: the direct update of the swapped pair
+    con, target = (y, s) if dual else (s, y)
+    bplus = gpsb_update(B, SecantPair(con, target), minv2)
     res = euclidean_norm(bplus @ con - target) / max(1.0, euclidean_norm(target))
     res = max(res, euclidean_norm(bplus - bplus.T))
     dist = weighted_frobenius_error(bplus - B, M)
@@ -695,7 +663,7 @@ def _suite_image_gain(seed, trials):
             a = random_spd_matrix(n, rng)
             b = random_spd_matrix(n, rng)
             s = rng.standard_normal(n)
-            base, improved, holds = _image_gain(family, a, b, None, s)
+            base, improved, holds = _image_gain(_image_setup(family, a, b, None), s)
             if holds == "degenerate":
                 return None
             breach = improved < base - _slacked(base)

@@ -93,9 +93,10 @@ def weighted_frobenius_error(X, M=None):
     """Weighted Frobenius norm ||M X M||_F; ``M=None`` gives the plain ||X||_F.
 
     X is one (n, n) matrix, giving a float, or a stack (k, n, n), giving
-    the k norms, each bit for bit the norm of its slice: the sum of squares
-    of a slice is the (1, n^2) @ (n^2, 1) product, which NumPy computes as
-    the same dot that ``np.linalg.norm`` runs on the raveled matrix.
+    the k norms, each bit for bit ``np.linalg.norm`` of its slice in C
+    order: the sum of squares of a slice is the (1, n^2) @ (n^2, 1)
+    product, which NumPy computes as the same dot that ``np.linalg.norm``
+    runs on the raveled matrix.  A matrix is measured as a stack of one.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim not in (2, 3):
@@ -105,7 +106,7 @@ def weighted_frobenius_error(X, M=None):
         if M.shape != X.shape[-2:]:
             raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
         X = M @ X @ M
-    if X.ndim == 2:
-        return np.linalg.norm(X, "fro")
-    f = X.reshape(X.shape[0], 1, -1)
-    return np.sqrt((f @ f.transpose(0, 2, 1)).ravel())
+    stack = X if X.ndim == 3 else X[None]
+    f = stack.reshape(stack.shape[0], 1, -1)
+    norms = np.sqrt((f @ f.transpose(0, 2, 1)).ravel())
+    return norms if X.ndim == 3 else norms[0]

@@ -449,7 +449,11 @@ def _iterate(problem, evaluate, config, model, x, g):
 
 
 def _start(x0, problem):
-    return np.asarray(x0 if x0 is not None else problem.x0, dtype=float).copy()
+    x = np.asarray(x0 if x0 is not None else problem.x0, dtype=float).copy()
+    if x.shape != (problem.n,):  # a missing start reads as a NaN scalar
+        raise ValueError(f"start of shape {x.shape} does not match dimension {problem.n}; "
+                         "give SolverConfig.x0 or the problem's x0")
+    return x
 
 
 def minimize(problem, config):

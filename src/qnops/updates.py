@@ -21,7 +21,6 @@ __all__ = [
     "bfgs_inverse_update",
     "dfp_direct_update",
     "gpsb_update",
-    "gpsb_inverse_update",
     "bgm_update",
     "lbfgs_direction",
 ]
@@ -133,7 +132,9 @@ def gpsb_update(B, pair, minv2=None):
     B+ = B + [r (M^-2 s)' + (M^-2 s) r'] / (s'M^-2 s)
            - [r's / (s'M^-2 s)^2] (M^-2 s)(M^-2 s)',   r = y - B s.
 
-    ``minv2=None`` means M = I, the standard PSB update.
+    ``minv2=None`` means M = I, the standard PSB update.  The dual update
+    of an inverse approximation H, with H+ y = s, is this update of the
+    swapped pair: ``gpsb_update(H, SecantPair(y, s), minv2)``.
     """
     s, y = pair.s, pair.y
     r = y - B @ s
@@ -145,20 +146,6 @@ def gpsb_update(B, pair, minv2=None):
     if sms <= 0:
         raise DegenerateUpdateError("s'M^-2 s must be positive")
     return _sym_rank2(B, r, ms, r @ s, sms)
-
-
-def gpsb_inverse_update(H, pair, minv2=None):
-    """Dual of gpsb_update acting on the inverse: returns H+ with H+ y = s."""
-    s, y = pair.s, pair.y
-    r = s - H @ y
-    if minv2 is None:
-        my = y
-    else:
-        my = minv2 @ y
-    ymy = y @ my
-    if ymy <= 0:
-        raise DegenerateUpdateError("y'M^-2 y must be positive")
-    return _sym_rank2(H, r, my, r @ y, ymy)
 
 
 def bgm_update(B, pair):

@@ -144,7 +144,9 @@ class TestWeightedFrobeniusError:
             norms = weighted_frobenius_error(X, M)
             assert norms.shape == (20,)
             for x, norm in zip(X, norms):
-                assert float.hex(float(norm)) == float.hex(float(weighted_frobenius_error(x, M)))
+                want = np.linalg.norm(x if M is None else M @ x @ M, "fro")
+                assert float.hex(float(norm)) == float.hex(float(want))
+                assert float.hex(float(weighted_frobenius_error(x, M))) == float.hex(float(want))
 
     def test_stack_weight_mismatch(self):
         with pytest.raises(ValueError):

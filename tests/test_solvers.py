@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnops.problems import (
     NonlinearSystem,
@@ -8,6 +11,7 @@ from qnops.problems import (
     modified_rosenbrock_10,
     motivating_quadratic_2d,
     quadratic_weighted_50,
+    random_spd_matrix,
     random_spd_quadratic,
 )
 from qnops.solvers import (
@@ -18,6 +22,7 @@ from qnops.solvers import (
     GradNorm,
     ImageTransform,
     IterateError,
+    NoTransform,
     NormalEqWindow,
     ResidualNorm,
     SolverConfig,
@@ -466,7 +471,73 @@ class TestSolverConfigValidation:
         assert trace.status == "max-iters"
         assert trace.iterations == 0
 
+    @pytest.mark.parametrize("x0", [None, np.ones(3)])
+    def test_start_must_match_the_dimension(self, x0):
+        # random_spd_quadratic has no start: minimize raised a matmul error
+        # from inside the first gradient on a NaN scalar start
+        cfg = SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-8), x0=x0)
+        with pytest.raises(ValueError, match="start of shape"):
+            minimize(random_spd_quadratic(4), cfg)
+
     def test_matrix_b0_shape_checked_by_the_driver(self):
         cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=np.eye(3))
         with pytest.raises(ValueError, match="shape"):
             minimize(quadratic_weighted_50(), cfg)
+
+
+STATUSES = ("converged", "max-iters", "breakdown", "nonfinite")
+
+
+@st.composite
+def solver_draw(draw):
+    """(driver, problem, config) over random SPD quadratics, n = 2..6; the
+    problem has no start of its own, so a draw without x0 must be refused."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**16))
+    problem = random_spd_quadratic(n, seed=seed)
+    driver = draw(st.sampled_from([minimize, minimize_lbfgs]))
+    # minimize refuses rule None and minimize_lbfgs every rule but BFGS
+    names = ["none", "bfgs", "broyden-half", "dfp", "psb", "gpsb"]
+    rule = draw(st.sampled_from(names if driver is minimize else ["none", "bfgs", "dfp"]))
+    rule = {
+        "none": None, "bfgs": Broyden(0.0), "broyden-half": Broyden(0.5), "dfp": Broyden(1.0),
+        "psb": GeneralizedPSB(),
+        "gpsb": GeneralizedPSB(random_spd_matrix(n, np.random.default_rng(seed), (0.5, 2.0))),
+    }[rule]
+    mode = draw(st.one_of(st.just(NoTransform()), st.just(ImageTransform()),
+                          st.integers(1, 6).map(NormalEqWindow)))
+    config = SolverConfig(
+        rule=rule, stop=GradNorm(1e-10), b0=10.0 ** draw(st.floats(-8.0, 8.0)), mode=mode,
+        step=draw(st.sampled_from([Unit(), Backtracking()])), memory=draw(st.integers(1, 6)),
+        max_iters=draw(st.integers(0, 200)),
+        x0=np.random.default_rng(100 + seed).standard_normal(n) if draw(st.integers(0, 7)) else None,
+    )
+    return driver, problem, config
+
+
+class TestSolverProperties:
+    @given(case=solver_draw())
+    @settings(max_examples=250, deadline=None)
+    def test_every_draw_is_refused_at_entry_or_ends_in_a_documented_status(self, case):
+        # windowed PSB may end in nonfinite or max-iters (quadratic termination
+        # is lost in floating point for larger windows), so any status counts
+        driver, problem, config = case
+        calls = [0]
+        gradient = problem.gradient
+
+        def counted(x):
+            calls[0] += 1
+            return gradient(x)
+
+        problem.gradient = counted
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                trace = driver(problem, config)
+            except ValueError:
+                assert calls[0] == 0  # refused before the first evaluation
+                return
+        assert trace.status in STATUSES
+        assert trace.iterations <= config.max_iters
+        if trace.status == "converged":
+            assert trace.records[-1].grad_norm <= 1e-10 * trace.records[0].grad_norm

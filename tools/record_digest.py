@@ -17,17 +17,24 @@ differ.  A change that means to alter the arithmetic rewrites that file.
 * lab: during ``verify_all(seed=0, trials=500)``, the name and the result of
   every call of ``oracle_error_reduction``, ``oracle_image_operator_gain``,
   ``oracle_projection_gain``, ``run_process`` (a trace as ``[matrices,
-  steps, errors, kernel_dims, status]``) and ``weighted_frobenius_error``,
-  and of every trial of a ``lab._LEMMAS`` generator (as ``lemma/<id>``),
-  then every row as ``[name, trials, violations, max_residual, skipped,
-  note]``.  The lemma rows alone would hide most of their trials: a row
+  steps, errors, check_kernel_growth(trace).dims, status]``) and
+  ``weighted_frobenius_error``, and of every trial of a ``lab._LEMMAS``
+  generator (as ``lemma/<id>``), then every row as ``[name, trials,
+  violations, max_residual, skipped, note]``.  The lemma rows alone would hide most of their trials: a row
   keeps only the worst residual, and the least-change lemma's competitor
   term is never its worst.  Arrays hash as float64 C-order bytes, floats as
   ``float.hex``, anything else by ``repr``, so a count that leaks as a
   NumPy integer changes the digest.
 
 One serial pass runs every table2 and table3 cell, about 10 s on a laptop
-and 12 s on a 2-vCPU Xeon; the lab pass takes about 2.5 s on that Xeon.
+and 12 s on a 2-vCPU Xeon; the lab pass takes about 2.5 s on that Xeon,
+about 0.4 s of it hashing.
+
+The lab digest cannot see every loss of digits.  Routing
+``lab._sin_to_complement`` through ``linalg.angle_to_subspace`` leaves it
+(and the printed ``verify`` rows) unchanged, yet the sine of that arccos
+reads 0 for a 1e-8 angle and is 4e-5 off at 1e-6, which would blunt the
+projection suite's monotonicity check; the residual form stays.
 """
 
 import hashlib
@@ -72,7 +79,8 @@ def _feed(h, value):
     if isinstance(value, np.ndarray):
         h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
     elif isinstance(value, lab.ProcessTrace):
-        _feed(h, [value.matrices, value.steps, value.errors, value.kernel_dims, value.status])
+        _feed(h, [value.matrices, value.steps, value.errors,
+                  lab.check_kernel_growth(value).dims, value.status])
     elif isinstance(value, (tuple, list)):
         for item in value:
             _feed(h, item)
