@@ -156,8 +156,11 @@ def run_process(config):
 
     Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
     on an exhausted step budget (``exhausted``), or on a recorded update
-    breakdown (``breakdown``).
+    breakdown (``breakdown``).  A direction source other than ``random``,
+    ``image`` or ``orthogonalized`` raises ``ValueError``.
     """
+    if config.direction_source not in ("random", "image", "orthogonalized"):
+        raise ValueError(f"unknown direction source {config.direction_source!r}")
     a = np.asarray(config.a, dtype=float)
     n = a.shape[0]
     B = np.asarray(config.b0, dtype=float).copy()

@@ -124,20 +124,16 @@ def gram_schmidt_transform(pair, window, family, minv2=None):
 
 
 def _beta_solve(G, rhs):
-    # Solve the d x d projection system.  The system is halved first; this
-    # is bit-neutral for the closed forms and the LU solve (exact binary
+    # Solve the m x m projection system, m >= 2.  The system is halved first;
+    # this is bit-neutral for the closed forms and the LU solve (exact binary
     # scaling) and documented behavior for the m=3 determinant path.
     m = G.shape[0]
     G = G / 2.0
     rhs = rhs / 2.0
-    if m == 1 and G[0, 0] != 0.0 and math.isfinite(G[0, 0]):
-        return rhs / G[0, 0]  # the quotient below, without the errstate context
     # The closed forms divide by the determinant; a singular system is
     # reported through non-finite entries, which the caller maps to the
     # same fallback as a LinAlgError from the LU path.
     with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 1:
-            return rhs / G[0, 0]
         if m == 2:
             det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
             return np.array(
@@ -147,13 +143,31 @@ def _beta_solve(G, rhs):
                 ]
             )
         if m == 3:
-            d0 = np.linalg.det(G)
-            cols = [
-                np.column_stack([rhs if jj == j else G[:, jj] for jj in range(3)])
-                for j in range(3)
-            ]
-            return np.array([np.linalg.det(c) for c in cols]) / d0
+            # Cramer's rule: det(G) and the three with rhs in column j, in one call
+            stack = np.stack([G] * 4)
+            for j in range(3):
+                stack[j + 1, :, j] = rhs
+            dets = np.linalg.det(stack)
+            return dets[1:] / dets[0]
     return np.linalg.solve(G, rhs)
+
+
+def _scalar_beta(s, y, s0, y0, family, minv2):
+    # The m = 1 system in Python floats, halved as _beta_solve halves.
+    # NumPy computes each (1, n) @ (n, 1) product of the matrix path as
+    # 0 + ddot, the ddot that ndarray.dot calls; ``0.0 +`` restores the
+    # leading zero that dot leaves out at n = 1 (a -0.0 product).  A dot is
+    # symmetric in its operands, so the entry of S'Y + Y'S is sy + sy.
+    if family == "broyden":
+        sy = 0.0 + float(s0.dot(y0))
+        g = sy + sy
+        r = 0.0 + float(s0.dot(y)) + float(y0.dot(s))
+    else:
+        ms0 = s0 if minv2 is None else minv2 @ s0
+        g = 0.0 + float(s0.dot(ms0))
+        r = 0.0 + float(ms0.dot(s))
+    g /= 2.0
+    return r / 2.0 / g if g != 0.0 else math.nan  # r / 0 is never finite
 
 
 def normal_eq_projection(pair, raw, family, minv2=None):
@@ -176,30 +190,38 @@ def normal_eq_projection(pair, raw, family, minv2=None):
     m = len(raw)
     if m == 0:
         return SecantPair(s, y, pair.transformed), np.empty(0), None
-    s_cols = raw.s_list
-    y_cols = raw.y_list
-    if m == 3:
-        s_cols = s_cols[::-1]
-        y_cols = y_cols[::-1]
-    S = np.column_stack(s_cols)
-    Y = np.column_stack(y_cols)
-    if family == "broyden":
-        G = S.T @ Y + Y.T @ S
-        rhs = S.T @ y + Y.T @ s
-    elif family in ("gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
-        MS = S if minv2 is None else minv2 @ S
-        G = S.T @ MS
-        rhs = MS.T @ s
-    else:
+    if family not in ("broyden", "gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
         raise ValueError(f"unknown family {family!r}")
-    try:
-        beta = _beta_solve(G, rhs)
-    except np.linalg.LinAlgError:
-        return SecantPair(s, y, "raw"), np.empty(0), "singular"
-    if not np.isfinite(beta).all():
-        return SecantPair(s, y, "raw"), np.empty(0), "singular"
-    st = s - S @ beta
-    yt = y - Y @ beta
+    if m == 1:
+        s0, y0 = raw.s_list[0], raw.y_list[0]
+        b = _scalar_beta(s, y, s0, y0, family, minv2)
+        if not math.isfinite(b):
+            return SecantPair(s, y, "raw"), np.empty(0), "singular"
+        # S @ beta is 0 + s0 * beta, whose zeros are +0.0
+        beta = np.array([b])
+        st = s - (0.0 + s0 * b)
+        yt = y - (0.0 + y0 * b)
+    else:
+        s_cols, y_cols = raw.s_list, raw.y_list
+        if m == 3:
+            s_cols, y_cols = s_cols[::-1], y_cols[::-1]
+        S = np.column_stack(s_cols)
+        Y = np.column_stack(y_cols)
+        if family == "broyden":
+            G = S.T @ Y + Y.T @ S
+            rhs = S.T @ y + Y.T @ s
+        else:
+            MS = S if minv2 is None else minv2 @ S
+            G = S.T @ MS
+            rhs = MS.T @ s
+        try:
+            beta = _beta_solve(G, rhs)
+        except np.linalg.LinAlgError:
+            return SecantPair(s, y, "raw"), np.empty(0), "singular"
+        if not np.isfinite(beta).all():
+            return SecantPair(s, y, "raw"), np.empty(0), "singular"
+        st = s - S @ beta
+        yt = y - Y @ beta
     if euclidean_norm(st) < DISCARD_TOL * euclidean_norm(s):
         return SecantPair(s, y, "raw"), beta, "discard"
     if family == "broyden" and st @ yt <= 0:

@@ -342,24 +342,27 @@ class _DenseModel:
 
 
 class _LimitedMemory:
-    """The last ``memory`` pairs, applied as H_k by the two-loop recursion."""
+    """The last ``memory`` pairs and their 1 / s'y, applied as H_k by the two-loop recursion."""
 
     family, minv2, track = "broyden", None, False
 
     def __init__(self, memory, h0):
         self.mem = deque(maxlen=memory)
+        self.rhos = deque(maxlen=memory)
         self.h0 = h0
 
     def direction(self, x, g):
-        return -lbfgs_direction(self.mem, g, self.h0)
+        return -lbfgs_direction(self.mem, g, self.h0, self.rhos)
 
     def image(self, s, y, alpha, g, gn):
-        return s - lbfgs_direction(self.mem, y, self.h0)
+        return s - lbfgs_direction(self.mem, y, self.h0, self.rhos)
 
     def update(self, pair):
-        if pair.s @ pair.y <= 0:
+        sy = float(pair.s.dot(pair.y))
+        if sy <= 0:
             return "skip-storage"
         self.mem.append(pair)
+        self.rhos.append(1.0 / sy)
 
 
 class _Jacobian:

@@ -162,25 +162,25 @@ def bgm_update(B, pair):
     return np.add(B, T, out=T)
 
 
-def lbfgs_direction(history, g, h0_scale):
+def lbfgs_direction(history, g, h0_scale, rhos=None):
     """Two-loop recursion: returns H g for the implicit limited-memory inverse.
 
     ``history`` is an ordered (oldest first) sequence of SecantPair with
     s'y > 0 (enforced at storage time by the drivers); the initial matrix
-    is h0_scale * I.  The scalars are Python floats (exact conversions of
-    the dot products) and q, r are updated in place.
+    is h0_scale * I.  ``rhos`` holds 1 / s'y of each pair in the same order
+    (the drivers store it with the pair); by default it is computed here.
+    The scalars are Python floats and q, r are updated in place.  A product
+    is ``0.0 + ndarray.dot``, the value of ``@`` (dot omits the 0.0 at n = 1).
     """
+    if rhos is None:
+        rhos = [1.0 / float(p.s.dot(p.y)) for p in history]
     q = g.copy()
-    rhos = []
     alphas = []
-    for p in reversed(history):
-        rho = 1.0 / float(p.s @ p.y)
-        a = rho * float(p.s @ q)
-        rhos.append(rho)
+    for p, rho in zip(reversed(history), reversed(rhos)):
+        a = rho * (0.0 + float(p.s.dot(q)))
         alphas.append(a)
         q -= a * p.y
     r = h0_scale * q
-    for p, rho, a in zip(history, reversed(rhos), reversed(alphas)):
-        b = rho * float(p.y @ r)
-        r += (a - b) * p.s
+    for p, rho, a in zip(history, rhos, reversed(alphas)):
+        r += (a - rho * (0.0 + float(p.y.dot(r)))) * p.s
     return r

@@ -54,7 +54,7 @@ class TestRunProcess:
                 a=A,
                 b0=np.eye(3),
                 family="bgm",
-                direction_source="user",
+                direction_source="random",
                 directions=list(np.eye(3).T),
                 max_steps=3,
             )
@@ -114,10 +114,18 @@ class TestRunProcess:
                     a=np.eye(2),
                     b0=2 * np.eye(2),
                     family="dfp",
-                    direction_source="user",
+                    direction_source="random",
                     directions=[np.zeros(2)],
                 )
             )
+
+    @pytest.mark.parametrize("source", ["user", "Image", "orthogonal", ""])
+    def test_unknown_direction_source_rejected(self, source):
+        # a typo must not run as the random source, with or without directions
+        for kw in ({}, {"directions": [np.ones(2)]}):
+            with pytest.raises(ValueError, match="direction source"):
+                run_process(ProcessConfig(a=np.eye(2), b0=2 * np.eye(2), family="dfp",
+                                          direction_source=source, **kw))
 
     @pytest.mark.parametrize("family", ["broyden", "dfp", "psb", "bgm", "gpsb"])
     @pytest.mark.parametrize("source", ["image", "orthogonalized"])
@@ -185,8 +193,11 @@ class TestKernelGrowth:
     @pytest.mark.parametrize("family", ["broyden", "dfp", "psb", "gpsb", "bgm"])
     @pytest.mark.parametrize("source", ["random", "image", "orthogonalized", "user"])
     def test_kernel_dims_match_the_growth_check(self, family, source):
+        # "user": the random source with its base draws given as directions
         n = 5
-        kw = {"directions": list(spd(n, 31))} if source == "user" else {}
+        kw = {}
+        if source == "user":
+            source, kw["directions"] = "random", list(spd(n, 31))
         if family == "gpsb":
             kw["m_weight"] = spd(n, 32, spectrum=(0.5, 2.0))
         trace = run_process(ProcessConfig(

@@ -1,9 +1,11 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qnops.cli import SYSTEM_PROBLEMS, run_label
 from qnops.problems import (
     NonlinearSystem,
     SmoothProblem,
@@ -163,6 +165,54 @@ class TestReferenceIterationCounts:
         trace = minimize_lbfgs(quadratic_weighted_50(), SolverConfig(**cfg))
         assert trace.status == "converged"
         assert trace.iterations == expected
+
+
+def records_digest(trace):
+    """SHA-256 (first 16 hex digits) of every record's x, grad_norm and pair."""
+    h = hashlib.sha256()
+    for r in trace.records:
+        h.update(r.x.tobytes())
+        h.update(np.float64(r.grad_norm).tobytes())
+        if r.pair is not None:
+            h.update(r.pair.s.tobytes())
+            h.update(r.pair.y.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRecordBits:
+    """Every record of short reference cells, byte for byte.
+
+    A tier-1 slice of ``tools/record_digest.py``, which hashes the whole
+    grid the same way in 5 to 12 s.  The cells cover the limited memory
+    with windows of m = 1 to 4, its plain and image two-loop, and the m = 1
+    window of each projection family: broyden (IP-DFP), gpsb (IP-PSB) and
+    bgm (IP-BGM).  The digests are those of the solvers before the
+    limited-memory fast paths (1 / s'y stored with each pair, ndarray.dot,
+    the scalar m = 1 window, the batched m = 3 determinants), recorded with
+    NumPy 2.4.6 on OpenBLAS 0.3.31; a BLAS build that sums a dot in
+    another order gives other bits.
+    """
+
+    CELLS = [
+        ("IP-LBFGS(N=3,d=1)", 50.0, quadratic_weighted_50, 216, "a1b653e9ce67007b"),
+        ("IP-LBFGS(N=3,d=2)", 50.0, quadratic_weighted_50, 98, "aba9119b6e70efb3"),
+        ("IP-LBFGS(N=4,d=3)", 50.0, quadratic_weighted_50, 87, "6d4dc4cb15f023a7"),
+        ("IP-LBFGS(N=5,d=4)", 50.0, quadratic_weighted_50, 85, "b48912ea866a43c0"),
+        ("Im-LBFGS(N=3)", 50.0, quadratic_weighted_50, 32, "87f7bd6d8432a957"),
+        ("LBFGS(N=10)", 50.0, quadratic_weighted_50, 81, "9b3a9dd72f030149"),
+        ("IP-DFP(d=1)", 50.0, quadratic_weighted_50, 100, "f59e3a6be36f4f98"),
+        ("IP-PSB(d=1)", 50.0, quadratic_weighted_50, 71, "e1f249641d7e774f"),
+        ("IP-BGM(d=1)", 1.0, SYSTEM_PROBLEMS["circle-cosine"], 51, "e9944b60558199da"),
+        ("IP-BGM(d=1)", 1.0, SYSTEM_PROBLEMS["rosenbrock-10"], 5, "9554aaa2f9d44586"),
+    ]
+
+    @pytest.mark.parametrize("label, lam, problem, iterations, digest", CELLS,
+                             ids=[f"{c[0]}-{c[2].__name__}" for c in CELLS])
+    def test_records_are_unchanged(self, label, lam, problem, iterations, digest):
+        trace = run_label(label, lam, problem())
+        assert trace.status == "converged"
+        assert trace.iterations == iterations
+        assert records_digest(trace) == digest
 
 
 class TestLbfgsDriver:

@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from qnops.linalg import euclidean_norm, weighted_frobenius_error
 from qnops.problems import random_spd_matrix
+from qnops.solvers import _LimitedMemory
 from qnops.updates import (
     CURVATURE_TOL,
     CurvatureError,
@@ -531,6 +532,13 @@ class TestBitwiseEquivalence:
         history = [SecantPair(s, A @ s) for s in steps]
         g = rng.standard_normal(n)
         g0 = g.copy()
-        got = lbfgs_direction(history, g, h0)
-        assert_bitwise(got, ref_lbfgs_direction(history, g, h0))
+        want = ref_lbfgs_direction(history, g, h0)
+        assert_bitwise(lbfgs_direction(history, g, h0), want)
         assert_bitwise(g, g0)  # q is updated in place, g is not
+        # the driver's memory stores 1 / s'y with each pair it keeps
+        model = _LimitedMemory(max(pairs, 1), h0)
+        for pair in history:
+            assert model.update(pair) is None
+        assert_bitwise(lbfgs_direction(model.mem, g, h0, model.rhos), want)
+        assert_bitwise(model.direction(None, g), -want)
+        assert_bitwise(g, g0)

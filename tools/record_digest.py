@@ -26,9 +26,10 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   ``float.hex``, anything else by ``repr``, so a count that leaks as a
   NumPy integer changes the digest.
 
-One serial pass runs every table2 and table3 cell, about 10 s on a laptop
-and 12 s on a 2-vCPU Xeon; the lab pass takes about 2.5 s on that Xeon,
-about 0.4 s of it hashing.
+One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
+Xeon in its fast state and 10-12 s in its slow one (its speed swings about
+2x); the lab pass takes 1.3 s there in the fast state, about 0.3 s of it
+hashing.  The whole script takes about 7 s in the fast state.
 
 The lab digest cannot see every loss of digits.  Routing
 ``lab._sin_to_complement`` through ``linalg.angle_to_subspace`` leaves it
