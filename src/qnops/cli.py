@@ -17,7 +17,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import click
 import numpy as np
@@ -118,12 +118,13 @@ def config_for_label(label, lam):
 _DRIVERS = {"dense": "minimize", "lbfgs": "minimize_lbfgs", "system": "solve_system"}
 
 
-def run_label(label, lam, problem):
-    """Run one labelled method on ``problem`` from B0 = lam * I; returns the
-    trace.  The decoder and the driver are looked up as module globals at
-    call time, so a patched ``config_for_label`` or ``minimize`` is used."""
+def run_label(label, lam, problem, record="full"):
+    """Run one labelled method on ``problem`` from B0 = lam * I at recording
+    level ``record`` (see ``SolverConfig.record``); returns the trace.  The
+    decoder and the driver are looked up as module globals at call time, so
+    a patched ``config_for_label`` or ``minimize`` is used."""
     kind, config = config_for_label(label, lam)
-    return globals()[_DRIVERS[kind]](problem, config)
+    return globals()[_DRIVERS[kind]](problem, replace(config, record=record))
 
 
 def table2_labels(n_list=(3, 10), d_list=(1, 2)):
@@ -159,8 +160,9 @@ SYSTEM_LABELS = ("Newton", "BGM", "IP-BGM(d=1)")
 
 
 def _timed_row(label, params, lam, problem):
+    # a row reads only the counts and the status, so no per-iteration records
     start = time.perf_counter()
-    trace = run_label(label, lam, problem)
+    trace = run_label(label, lam, problem, record="summary")
     return ResultRow(label, params, trace.iterations, trace.status, trace.fallbacks,
                      time.perf_counter() - start)
 
@@ -370,7 +372,7 @@ def cli():
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               callback=_check_out_dir, help="output path (default: stdout)")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="worker processes (default: hardware threads)")
+              help="worker processes (default: one per CPU this process may run on)")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               is_eager=True, expose_value=False, callback=_load_config_file,
               help="key=value file; flags override it")
@@ -378,8 +380,9 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     """Run one experiment and emit its result table."""
     if experiment is None:
         raise click.UsageError("--experiment is required (flag or config file)")
-    if workers is None:
-        workers = os.cpu_count() or 1
+    if workers is None:  # an affinity mask, where the platform has one, may be narrower
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     lam_list = _parse_lambdas(lambdas) if lambdas else list(LAMBDAS)
     d_list = _parse_sizes(d, "--d") if d else None
     n_list = _parse_sizes(n, "--n") if n else None

@@ -8,14 +8,18 @@ model that gives the loop directions, image directions and updates: a
 dense B_k solved by LU (``minimize``), the limited memory applied by the
 two-loop recursion, which refuses a pair with s'y <= 0 (``minimize_lbfgs``),
 or a Jacobian solved by QR, BGM's B_k or the analytic one for Newton
-(``solve_system``).  Traces record the initial state and one entry per
-iteration, and log every fallback: no pair is silently replaced.
+(``solve_system``).  A trace counts the iterations and the fallbacks (steps
+whose pair was replaced or refused): no pair is silently replaced.  At
+``SolverConfig.record == "full"`` (the default) it keeps the initial state
+and one record per iteration; at ``"summary"`` only the initial and the
+final record, so the records of a long run take constant memory.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
-scratch buffer besides it; the records hold the iterates the loop made, not
-copies.  Runs with the same configuration are bitwise reproducible (fixed
-evaluation order, no parallel reductions).
+scratch buffer besides it; the records that are kept hold the iterates the
+loop made, not copies.  Runs with the same configuration are bitwise
+reproducible (fixed evaluation order, no parallel reductions) at either
+recording level.
 
 Every run ends in one status: ``converged``, ``max-iters``, ``breakdown``
 (a singular solve or an update that refuses its pair) or ``nonfinite`` (a
@@ -161,8 +165,15 @@ class SolverConfig:
     x0: Optional[np.ndarray] = None  # default: the problem's start
     record_angles: bool = False
     record_matrix_error: bool = False
+    # "full": every iteration's record; "summary": the initial and the final one
+    record: str = "full"
 
     def __post_init__(self):
+        if self.record not in ("full", "summary"):
+            raise ValueError(f"record must be 'full' or 'summary', got {self.record!r}")
+        if self.record == "summary" and (self.record_angles or self.record_matrix_error):
+            raise ValueError("angles and matrix errors live on per-iteration records; "
+                             "record them at record='full'")
         # a matrix b0 is checked against the dimension by the driver
         if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
             raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
@@ -187,18 +198,12 @@ class StepRecord:
 class IterationTrace:
     records: List[StepRecord] = field(default_factory=list)
     status: str = "running"
-
-    @property
-    def iterations(self):
-        return len(self.records) - 1
+    iterations: int = 0  # steps taken, an update-breakdown step included
+    fallbacks: int = 0  # of those, the steps with an event
 
     @property
     def x(self):
         return self.records[-1].x
-
-    @property
-    def fallbacks(self):
-        return sum(1 for r in self.records if r.event is not None)
 
     @property
     def angles(self):
@@ -254,9 +259,10 @@ def _terminal_status(gnorm, measure, threshold, k, max_iters):
     return None
 
 
-def line_search(problem, x, direction, rule):
+def line_search(problem, x, g, direction, rule):
     """Step length for the given direction: 1 for Unit, Armijo backtracking else.
 
+    ``g`` is the gradient at x, which the caller already holds.
     Backtracking returns the largest alpha in {1, shrink, shrink^2, ...}
     with f(x + alpha p) <= f(x) + c1 * alpha * g'p; after 60 shrinks the
     smallest trial is returned with a warning.
@@ -264,7 +270,7 @@ def line_search(problem, x, direction, rule):
     if isinstance(rule, Unit):
         return 1.0
     f0 = problem.objective(x)
-    slope = problem.gradient(x) @ direction
+    slope = g @ direction
     alpha = 1.0
     for _ in range(61):
         if problem.objective(x + alpha * direction) <= f0 + rule.c1 * alpha * slope:
@@ -391,7 +397,10 @@ def _iterate(problem, evaluate, config, model, x, g):
     Per iteration: the model's direction, a step by ``line_search``, the raw
     pair, its transform per ``config.mode``, the model's update, a record.  A
     transform fallback or a pair the model refuses is the record's event; an
-    update that raises ends the run as ``breakdown`` (``update-breakdown``).
+    update that raises ends the run as ``breakdown`` with an
+    ``update-breakdown`` record, which counts as an iteration and a fallback.
+    At ``config.record == "summary"`` each record replaces the previous
+    step's, so the trace ends with the initial and the final record.
     """
     mode = config.mode
     image = isinstance(mode, ImageTransform)
@@ -399,13 +408,14 @@ def _iterate(problem, evaluate, config, model, x, g):
     threshold = _stop_threshold(config.stop, problem, x, g)
     x_star = problem.x_star if isinstance(config.stop, IterateError) else None
     track = model.track
+    summary = config.record == "summary"
 
     trace = IterationTrace()
     records = trace.records
     gnorm = euclidean_norm(g)
     records.append(StepRecord(x, gnorm, matrix_error=model.error() if track else None))
 
-    k = 0
+    k = fallbacks = 0
     while True:
         measure = gnorm if x_star is None else euclidean_norm(x - x_star)
         status = _terminal_status(gnorm, measure, threshold, k, config.max_iters)
@@ -419,7 +429,7 @@ def _iterate(problem, evaluate, config, model, x, g):
         except ValueError:  # the QR solve refuses non-finite factors
             status = "nonfinite"
             break
-        alpha = line_search(problem, x, p, config.step)
+        alpha = line_search(problem, x, g, p, config.step)
         s = p if alpha == 1.0 else alpha * p
         xn = x + s
         gn = evaluate(xn)
@@ -439,15 +449,21 @@ def _iterate(problem, evaluate, config, model, x, g):
         try:
             refused = model.update(pair)
         except (CurvatureError, DegenerateUpdateError) as exc:
-            records.append(StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}"))
             status = "breakdown"
-            break
-
-        x, g = xn, gn
+            record = StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}")
+        else:
+            record = StepRecord(xn, gnorm, s, pair, event or refused,
+                                model.error() if track else None, angle)
         k += 1
-        records.append(StepRecord(x, gnorm, s, pair, event or refused,
-                                  model.error() if track else None, angle))
-    trace.status = status
+        fallbacks += record.event is not None
+        if summary and k > 1:
+            records[1] = record
+        else:
+            records.append(record)
+        if status is not None:
+            break
+        x, g = xn, gn
+    trace.status, trace.iterations, trace.fallbacks = status, k, fallbacks
     return trace
 
 

@@ -247,6 +247,25 @@ class TestRunCommand:
         assert qcli._run_pool(cells, str, workers) == [str(c) for c in cells]
         assert sizes == started
 
+    @pytest.mark.parametrize("affinity, expected", [({0}, 1), (None, 8)])
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch, affinity, expected):
+        # the default was os.cpu_count(), more workers than an affinity mask allows
+        monkeypatch.setattr(qcli.os, "cpu_count", lambda: 8)
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(qcli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(qcli.os, "sched_getaffinity", lambda pid: affinity)
+        asked = []
+
+        def pool(cells, worker, workers):
+            asked.append(workers)
+            return [worker(c) for c in cells]
+
+        monkeypatch.setattr(qcli, "_run_pool", pool)
+        result = runner.invoke(cli, ["run", "--experiment", "systems", "--methods", "Newton"])
+        assert result.exit_code == 0
+        assert asked == [expected]
+
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["run", "--experiment", "systems", "--methods", "Newton", "--workers", "1"]
         streamed = runner.invoke(cli, args)

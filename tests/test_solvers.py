@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qnops import cli
 from qnops.cli import SYSTEM_PROBLEMS, run_label
 from qnops.problems import (
     NonlinearSystem,
@@ -58,12 +59,12 @@ def dense_config(rule, lam, mode=None, **kw):
 class TestLineSearch:
     def test_unit_rule(self):
         p = one_d_quadratic()
-        assert line_search(p, p.x0, np.array([-5.0]), Unit()) == 1.0
+        assert line_search(p, p.x0, p.gradient(p.x0), np.array([-5.0]), Unit()) == 1.0
 
     def test_backtracking_accepts_full_step_on_easy_descent(self):
         p = one_d_quadratic(a=1.0, x0=1.0)
         # step to the minimizer: f drops from 0.5 to 0, slope is -1
-        alpha = line_search(p, p.x0, np.array([-1.0]), Backtracking())
+        alpha = line_search(p, p.x0, p.gradient(p.x0), np.array([-1.0]), Backtracking())
         assert alpha == 1.0
 
     def test_backtracking_halves_until_sufficient_decrease(self):
@@ -74,13 +75,14 @@ class TestLineSearch:
             objective=lambda x: float(x[0] ** 2),
             gradient=lambda x: 2 * x,
         )
-        alpha = line_search(p, np.array([1.0]), np.array([-4.0]), Backtracking())
+        x = np.array([1.0])
+        alpha = line_search(p, x, p.gradient(x), np.array([-4.0]), Backtracking())
         assert alpha == 0.25
 
     def test_exhaustion_warns_and_returns_last(self):
         p = SmoothProblem(n=1, objective=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         with pytest.warns(RuntimeWarning):
-            alpha = line_search(p, np.zeros(1), np.ones(1), Backtracking())
+            alpha = line_search(p, np.zeros(1), np.ones(1), np.ones(1), Backtracking())
         assert 0.0 < alpha < 1e-15
 
 
@@ -119,6 +121,21 @@ class TestMinimizeBasics:
         assert trace.status == "converged"
         f = [p.objective(r.x) for r in trace.records]
         assert all(b <= a + 1e-12 for a, b in zip(f, f[1:]))
+
+    def test_backtracking_evaluates_one_gradient_per_iteration(self):
+        # line_search took the slope from a second gradient at x
+        p = quadratic_weighted_50()
+        calls = [0]
+        gradient = p.gradient
+
+        def counted(x):
+            calls[0] += 1
+            return gradient(x)
+
+        p.gradient = counted
+        trace = minimize(p, dense_config(Broyden(0.0), 50.0, step=Backtracking()))
+        assert trace.status == "converged"
+        assert calls[0] == trace.iterations + 1
 
     def test_gradnorm_stop_absolute_and_relative(self):
         p = one_d_quadratic(a=2.0, x0=4.0)
@@ -482,6 +499,89 @@ class TestTerminalStatuses:
         assert trace.status == "breakdown"
         assert trace.records[-1].event == "update-breakdown: zero step"
         assert trace.fallbacks == 1
+
+
+class TestRecordingLevels:
+    """``record="summary"`` keeps the initial and the final record of the very
+    run ``record="full"`` makes: same status, counts and final iterate."""
+
+    BFGS = dict(rule=Broyden(0.0), b0=50.0, max_iters=50)
+    LBFGS = dict(rule=None, b0=50.0, memory=3, max_iters=50)
+    BGM_AT = dict(rule=BGM(), stop=ResidualNorm(1e-7), max_iters=50)
+    RUNS = {
+        # the gradient turns NaN at iteration 3, or at the start
+        "nonfinite-dense-iterate": (minimize, 3, dict(stop=IterateError(1e-7), **BFGS)),
+        "nonfinite-dense-gradnorm": (minimize, 3, dict(stop=GradNorm(1e-7), **BFGS)),
+        "nonfinite-lbfgs-iterate": (minimize_lbfgs, 3, dict(stop=IterateError(1e-7), **LBFGS)),
+        "nonfinite-lbfgs-gradnorm": (minimize_lbfgs, 3, dict(stop=GradNorm(1e-7), **LBFGS)),
+        "nan-start": (minimize, 0, dict(stop=GradNorm(1e-7), **BFGS)),
+        "max-iters": (minimize, None, dict(rule=Broyden(1.0), stop=IterateError(1e-7),
+                                           b0=50.0, max_iters=10)),
+        # BGM on circle-cosine: the first step overflows, or s's underflows
+        "bgm-overflow": (solve_system, None, dict(b0=1e-300, **BGM_AT)),
+        "bgm-overflow-window": (solve_system, None,
+                                dict(b0=1e-300, mode=NormalEqWindow(d=1), **BGM_AT)),
+        "bgm-breakdown": (solve_system, None, dict(b0=1e300, **BGM_AT)),
+        "bgm-breakdown-window": (solve_system, None,
+                                 dict(b0=1e300, mode=NormalEqWindow(d=1), **BGM_AT)),
+    }
+
+    def assert_same_run(self, full, summary):
+        assert full.iterations == len(full.records) - 1
+        assert full.fallbacks == sum(r.event is not None for r in full.records)
+        assert len(summary.records) == min(2, len(full.records))
+        assert ((summary.status, summary.iterations, summary.fallbacks)
+                == (full.status, full.iterations, full.fallbacks))
+        for f, s in ((full.records[0], summary.records[0]),
+                     (full.records[-1], summary.records[-1])):
+            assert f.x.tobytes() == s.x.tobytes()
+            assert np.float64(f.grad_norm).tobytes() == np.float64(s.grad_norm).tobytes()
+            assert f.event == s.event
+
+    @pytest.mark.parametrize("label, lam, problem", [c[:3] for c in TestRecordBits.CELLS],
+                             ids=[f"{c[0]}-{c[2].__name__}" for c in TestRecordBits.CELLS])
+    def test_reference_cells(self, label, lam, problem):
+        full = run_label(label, lam, problem())
+        self.assert_same_run(full, run_label(label, lam, problem(), record="summary"))
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_terminal_statuses(self, name):
+        driver, nan_from, kw = self.RUNS[name]
+
+        def run(record):
+            if driver is solve_system:
+                problem = circle_cosine_system()
+            elif nan_from is None:
+                problem = quadratic_weighted_50()
+            else:
+                problem = nan_after(quadratic_weighted_50(), nan_from)
+            with np.errstate(all="ignore"):
+                return driver(problem, SolverConfig(record=record, **kw))
+
+        full = run("full")
+        assert full.status != "converged"
+        self.assert_same_run(full, run("summary"))
+
+    @pytest.mark.parametrize("kw", [dict(record="events"), dict(record=None),
+                                    dict(record="summary", record_angles=True),
+                                    dict(record="summary", record_matrix_error=True)])
+    def test_invalid_levels_rejected(self, kw):
+        with pytest.raises(ValueError, match="record"):
+            SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-7), **kw)
+
+    def test_grid_cells_run_at_summary_and_run_label_at_full(self, monkeypatch):
+        levels = []
+
+        def spy(problem, config):
+            levels.append(config.record)
+            return minimize(problem, config)
+
+        monkeypatch.setattr(cli, "minimize", spy)
+        row = cli._bench_cell(("DFP", 50.0))
+        trace = cli.run_label("DFP", 50.0, quadratic_weighted_50())
+        assert levels == ["summary", "full"]
+        assert (row.iterations, row.status, row.fallbacks) == (124, "converged", 0)
+        assert len(trace.records) == 125
 
 
 class TestWindowValidation:
