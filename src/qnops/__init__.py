@@ -11,7 +11,6 @@ from .updates import (
     CurvatureError,
     DegenerateUpdateError,
     SecantPair,
-    bfgs_inverse_update,
     bgm_update,
     broyden_update,
     dfp_direct_update,
@@ -21,7 +20,6 @@ from .updates import (
 from .operators import (
     DISCARD_TOL,
     RawHistory,
-    gram_schmidt_transform,
     image_direction_broyden,
     image_direction_gpsb,
     normal_eq_projection,
@@ -74,11 +72,10 @@ from .lab import (
 __all__ = [
     "angle_to_subspace", "kernel_basis", "weighted_frobenius_error", "weighted_inner",
     "CurvatureError", "DegenerateUpdateError", "SecantPair",
-    "bfgs_inverse_update", "bgm_update", "broyden_update", "dfp_direct_update",
-    "gpsb_update", "lbfgs_direction",
-    "DISCARD_TOL", "RawHistory", "gram_schmidt_transform",
-    "image_direction_broyden", "image_direction_gpsb", "normal_eq_projection",
-    "secondary_secant",
+    "bgm_update", "broyden_update", "dfp_direct_update", "gpsb_update",
+    "lbfgs_direction",
+    "DISCARD_TOL", "RawHistory", "image_direction_broyden", "image_direction_gpsb",
+    "normal_eq_projection", "secondary_secant",
     "NonlinearSystem", "SmoothProblem", "circle_cosine_system",
     "modified_rosenbrock_10", "motivating_quadratic_2d", "quadratic_weighted_50",
     "random_spd_matrix", "random_spd_quadratic",

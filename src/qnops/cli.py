@@ -207,7 +207,7 @@ def emit_table(headers, rows, fmt):
     """Render string cells as csv or a markdown pipe table.
 
     csv cells are minimally quoted, so method labels that contain commas
-    (IP-LBFGS(N=4,d=3)) survive a parse_table round trip.
+    (IP-LBFGS(N=4,d=3)) survive a csv.reader round trip.
     """
     if not rows:
         raise ValueError("refusing to emit an empty table")
@@ -223,12 +223,6 @@ def emit_table(headers, rows, fmt):
         lines += ["| " + " | ".join(r) + " |" for r in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_table(text):
-    """Inverse of emit_table for csv: returns (headers, rows)."""
-    cells = [row for row in csv.reader(io.StringIO(text)) if row]
-    return cells[0], cells[1:]
 
 
 # the two cell-table formatters: csv is one row per cell in cell order; the

@@ -59,10 +59,10 @@ def kernel_basis(E, tol=KERNEL_TOL):
     return vt[mask].T
 
 
-def angle_to_subspace(s, basis, w=None):
-    """Principal angle (degrees) between s and the column span of basis under <.,.>_W.
+def angle_to_subspace(s, basis):
+    """Principal angle (degrees) between s and the column span of basis.
 
-    Computed as arccos(||proj||_W / ||s||_W) where proj is the W-orthogonal
+    Computed as arccos(||proj|| / ||s||) where proj is the orthogonal
     projection of s onto the span.  An empty basis gives 90 degrees.
     """
     s = np.asarray(s, dtype=float)
@@ -73,19 +73,9 @@ def angle_to_subspace(s, basis, w=None):
         basis = basis[:, None]
     if basis.shape[1] == 0:
         return 90.0
-    if w is None:
-        wq = basis
-        ws = s
-    else:
-        w = np.asarray(w, dtype=float)
-        wq = w @ basis
-        ws = w @ s
-    gram = basis.T @ wq
-    coef = np.linalg.solve(gram, basis.T @ ws)
+    coef = np.linalg.solve(basis.T @ basis, basis.T @ s)
     proj = basis @ coef
-    num = np.sqrt(max(weighted_inner(proj, proj, w), 0.0))
-    den = np.sqrt(weighted_inner(s, s, w))
-    c = min(num / den, 1.0)
+    c = min(np.sqrt(proj @ proj) / np.sqrt(s @ s), 1.0)
     return np.degrees(np.arccos(c))
 
 

@@ -8,8 +8,7 @@ before a matrix update:
   update enforces B+ u = v instead of the standard secant equation;
 * the projection -- strip from s its components along the recent raw
   steps by small normal equations in a family-specific inner product
-  (``normal_eq_projection``, the one route the solvers take); stepwise
-  Gram-Schmidt (``gram_schmidt_transform``) is its reference on quadratics.
+  (``normal_eq_projection``, the one route the solvers take).
 
 Both carry explicit fallback signals (curvature failure, near-dependent
 projected step) so drivers can revert to the raw pair and log the event.
@@ -28,7 +27,6 @@ __all__ = [
     "image_direction_broyden",
     "image_direction_gpsb",
     "secondary_secant",
-    "gram_schmidt_transform",
     "normal_eq_projection",
 ]
 
@@ -80,47 +78,6 @@ def secondary_secant(grad, x_next, u, t):
     if t <= 0:
         raise ValueError("t must be positive")
     return (grad(x_next + t * u) - grad(x_next)) / t
-
-
-def _gs_coefficient(family, minv2, s_cur, sj, yj):
-    # projection coefficient of s_cur onto the stored direction, in the
-    # family's inner product; on quadratics the broyden coefficient realizes
-    # <.,.>_A through the stored y.
-    if family == "broyden":
-        return (s_cur @ yj) / (sj @ yj)
-    if family in ("gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
-        mj = sj if minv2 is None else minv2 @ sj
-        return (s_cur @ mj) / (sj @ mj)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def gram_schmidt_transform(pair, window, family, minv2=None):
-    """Orthogonalize (s, y) against a window of transformed pairs by sequential projection.
-
-    Modified (sequential) Gram-Schmidt: each stored direction is removed
-    using the partially reduced vector, the numerically stable variant.
-
-    For the broyden family a transformed pair failing s'y > 0 triggers a
-    fallback: the raw pair is returned, the window is cleared and then
-    reseeded with the raw pair, mirroring a restart of the procedure.
-
-    ``window`` is a ``collections.deque(maxlen=d)`` of (s_j, y_j), oldest
-    first.  Returns (SecantPair, fell_back: bool); the window is updated in
-    place.
-    """
-    s, y = pair.s, pair.y
-    st = s.copy()
-    yt = y.copy()
-    for sj, yj in window:
-        c = _gs_coefficient(family, minv2, st, sj, yj)
-        st = st - c * sj
-        yt = yt - c * yj
-    if family == "broyden" and window and st @ yt <= 0:
-        window.clear()
-        window.append((s, y))
-        return SecantPair(s, y, "raw"), True
-    window.append((st, yt))
-    return SecantPair(st, yt, "projected"), False
 
 
 def _beta_solve(G, rhs):

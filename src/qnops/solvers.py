@@ -8,11 +8,16 @@ model that gives the loop directions, image directions and updates: a
 dense B_k solved by LU (``minimize``), the limited memory applied by the
 two-loop recursion, which refuses a pair with s'y <= 0 (``minimize_lbfgs``),
 or a Jacobian solved by QR, BGM's B_k or the analytic one for Newton
-(``solve_system``).  A trace counts the iterations and the fallbacks (steps
-whose pair was replaced or refused): no pair is silently replaced.  At
-``SolverConfig.record == "full"`` (the default) it keeps the initial state
-and one record per iteration; at ``"summary"`` only the initial and the
-final record, so the records of a long run take constant memory.
+(``solve_system``).  A request a run cannot honour is refused with
+``ValueError`` at entry: each driver checks its rule, mode, step and
+shapes, and the loop, before it evaluates the start, refuses angle or
+matrix-error recording unless the model tracks a reference matrix (a dense
+B_k of a problem with a ``hessian``).  A trace counts the iterations and
+the fallbacks (steps whose pair was replaced or refused): no pair is
+silently replaced.  At ``SolverConfig.record == "full"`` (the default) it
+keeps the initial state and one record per iteration; at ``"summary"``
+only the initial and the final record, so the records of a long run take
+constant memory.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
@@ -114,7 +119,7 @@ class NoTransform:
 
 @dataclass(frozen=True)
 class ImageTransform:
-    t: float = 1.0
+    pass
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,6 @@ class SolverConfig:
 class StepRecord:
     x: np.ndarray
     grad_norm: float
-    step: Optional[np.ndarray] = None
     pair: Optional[SecantPair] = None
     event: Optional[str] = None
     matrix_error: Optional[float] = None
@@ -214,13 +218,16 @@ class IterationTrace:
 # helpers
 
 
+def _check_square(name, m, n):
+    if np.shape(m) != (n, n):
+        raise ValueError(f"{name} shape {np.shape(m)} does not match dimension {n}")
+
+
 def _b0_matrix(b0, n):
     if np.isscalar(b0):
         return b0 * np.eye(n)
-    b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (n, n):
-        raise ValueError(f"b0 shape {b0.shape} does not match dimension {n}")
-    return b0.copy()
+    _check_square("b0", b0, n)
+    return np.array(b0, dtype=float)
 
 
 def _near_kernel_direction(E):
@@ -280,14 +287,14 @@ def line_search(problem, x, g, direction, rule):
     return alpha / rule.shrink
 
 
-def _image_pair(u, s, y, problem, xn, mode):
+def _image_pair(u, s, y, problem, xn):
     """Image pair (u, v) for the image direction u, or the raw pair with the fallback reason."""
     if euclidean_norm(u) == 0.0:
         return SecantPair(s, y, "raw"), "zero-image"
     if problem.hessian is not None:
         v = problem.hessian @ u  # exact directional difference for a quadratic
     else:
-        v = secondary_secant(problem.gradient, xn, u, mode.t)
+        v = secondary_secant(problem.gradient, xn, u, 1.0)
     if u @ v > 0:
         return SecantPair(u, v, "image"), None
     return SecantPair(s, y, "raw"), "curvature"
@@ -323,7 +330,7 @@ class _DenseModel:
         self.family, self.minv2 = rule.family, getattr(rule, "minv2", None)
         self.ref = problem.hessian if config.record_matrix_error or config.record_angles else None
         self.track = self.ref is not None
-        self.angles = config.record_angles and self.track
+        self.angles = config.record_angles
 
     def direction(self, x, g):
         return -np.linalg.solve(self.B, g)
@@ -391,8 +398,8 @@ class _Jacobian:
 # the loop and its drivers
 
 
-def _iterate(problem, evaluate, config, model, x, g):
-    """Iterate from x (with g = evaluate(x)) to a terminal status; return the trace.
+def _iterate(problem, evaluate, config, model, x):
+    """Iterate from x to a terminal status; return the trace.
 
     Per iteration: the model's direction, a step by ``line_search``, the raw
     pair, its transform per ``config.mode``, the model's update, a record.  A
@@ -402,6 +409,10 @@ def _iterate(problem, evaluate, config, model, x, g):
     At ``config.record == "summary"`` each record replaces the previous
     step's, so the trace ends with the initial and the final record.
     """
+    if (config.record_angles or config.record_matrix_error) and not model.track:
+        raise ValueError("record_angles and record_matrix_error need a dense model "
+                         "of a problem with a hessian")
+    g = evaluate(x)
     mode = config.mode
     image = isinstance(mode, ImageTransform)
     raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
@@ -441,7 +452,7 @@ def _iterate(problem, evaluate, config, model, x, g):
         angle = model.angle(s) if track else None
         if image:
             u = model.image(s, y, alpha, g, gn)
-            pair, event = _image_pair(u, s, y, problem, xn, mode)
+            pair, event = _image_pair(u, s, y, problem, xn)
         elif raw_hist is not None:
             pair, _, event = normal_eq_projection(pair, raw_hist, model.family, model.minv2)
             raw_hist.append(s, y)
@@ -450,9 +461,9 @@ def _iterate(problem, evaluate, config, model, x, g):
             refused = model.update(pair)
         except (CurvatureError, DegenerateUpdateError) as exc:
             status = "breakdown"
-            record = StepRecord(xn, gnorm, s, pair, f"update-breakdown: {exc}")
+            record = StepRecord(xn, gnorm, pair, f"update-breakdown: {exc}")
         else:
-            record = StepRecord(xn, gnorm, s, pair, event or refused,
+            record = StepRecord(xn, gnorm, pair, event or refused,
                                 model.error() if track else None, angle)
         k += 1
         fallbacks += record.event is not None
@@ -481,8 +492,10 @@ def minimize(problem, config):
     if not isinstance(rule, (Broyden, GeneralizedPSB)):  # BGM runs in solve_system
         raise ValueError(f"minimize takes a Broyden or GeneralizedPSB rule, not {rule!r}")
     x = _start(config.x0, problem)
+    if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
+        _check_square("minv2", rule.minv2, x.size)
     model = _DenseModel(rule, _b0_matrix(config.b0, x.size), problem, config)
-    return _iterate(problem, problem.gradient, config, model, x, problem.gradient(x))
+    return _iterate(problem, problem.gradient, config, model, x)
 
 
 def minimize_lbfgs(problem, config):
@@ -496,15 +509,13 @@ def minimize_lbfgs(problem, config):
     """
     if config.rule not in (None, Broyden(0.0)):
         raise ValueError(f"minimize_lbfgs runs BFGS pairs only, not rule {config.rule!r}")
-    if config.record_angles or config.record_matrix_error:
-        raise ValueError("minimize_lbfgs keeps no matrix to record angles or errors of")
     if not np.isscalar(config.b0):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
     if isinstance(config.mode, NormalEqWindow) and config.mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
     x = _start(config.x0, problem)
     model = _LimitedMemory(config.memory, 1.0 / config.b0)
-    return _iterate(problem, problem.gradient, config, model, x, problem.gradient(x))
+    return _iterate(problem, problem.gradient, config, model, x)
 
 
 def solve_system(system, config):
@@ -528,4 +539,4 @@ def solve_system(system, config):
     x = _start(config.x0, system)
     B = None if rule is None else _b0_matrix(config.b0, x.size)
     model = _Jacobian(rule, B, system.jacobian)
-    return _iterate(system, system.residual, config, model, x, system.residual(x))
+    return _iterate(system, system.residual, config, model, x)

@@ -18,7 +18,6 @@ __all__ = [
     "CurvatureError",
     "DegenerateUpdateError",
     "broyden_update",
-    "bfgs_inverse_update",
     "dfp_direct_update",
     "gpsb_update",
     "bgm_update",
@@ -75,6 +74,9 @@ def broyden_update(B, pair, theta):
 
     B+ = B - B s s'B / s'Bs + y y' / s'y + theta * w w',
     w = sqrt(s'Bs) * (y / s'y - B s / s'Bs).
+
+    The BFGS update of an inverse approximation H, with H+ y = s, is the
+    DFP member of the swapped pair: ``broyden_update(H, SecantPair(y, s), 1.0)``.
     """
     s, y = pair.s, pair.y
     Bs = B @ s
@@ -94,23 +96,6 @@ def broyden_update(B, pair, theta):
         np.multiply(theta, _outer(w, w, out=U), out=U)
         Bn += U
     return Bn
-
-
-def bfgs_inverse_update(H, pair):
-    """BFGS on the inverse: returns H+ with H+ y = s."""
-    s, y = pair.s, pair.y
-    sy = s @ y
-    _check_curvature(s, y, sy)
-    Hy = H @ y
-    yHy = y @ Hy
-    # H + ((sy + yHy) / sy**2) * s s' - (Hy s' + s Hy') / sy
-    U = _outer(Hy, s)
-    T = _outer(s, Hy)
-    U += T
-    U /= sy
-    np.multiply((sy + yHy) / sy**2, _outer(s, s, out=T), out=T)
-    Hn = np.add(H, T, out=T)
-    return np.subtract(Hn, U, out=Hn)
 
 
 def dfp_direct_update(B, pair):

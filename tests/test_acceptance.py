@@ -18,19 +18,12 @@ import pytest
 
 from qnops.cli import _bench_cell, _system_cell, run_example1
 from qnops.lab import verify_all
-from qnops.operators import (
-    RawHistory,
-    gram_schmidt_transform,
-    normal_eq_projection,
-)
+from qnops.operators import RawHistory, normal_eq_projection
 from qnops.problems import circle_cosine_system, random_spd_matrix
 from qnops.solvers import BGM, ResidualNorm, SolverConfig, solve_system
-from qnops.updates import (
-    SecantPair,
-    bfgs_inverse_update,
-    broyden_update,
-    lbfgs_direction,
-)
+from qnops.updates import SecantPair, broyden_update, lbfgs_direction
+
+from test_operators import ref_gram_schmidt_transform
 
 LAMBDAS = (50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0)
 
@@ -447,10 +440,10 @@ def test_c10_structural_invariants():
         gs_hist = deque(maxlen=m)
         raw = RawHistory(d=m)
         for s in rng.standard_normal((m, n)):
-            gram_schmidt_transform(SecantPair(s, a2 @ s), gs_hist, "broyden")
+            ref_gram_schmidt_transform(SecantPair(s, a2 @ s), gs_hist, "broyden")
             raw.append(s, a2 @ s)
         s = rng.standard_normal(n)
-        g_out, fell = gram_schmidt_transform(SecantPair(s, a2 @ s), gs_hist, "broyden")
+        g_out, fell = ref_gram_schmidt_transform(SecantPair(s, a2 @ s), gs_hist, "broyden")
         n_out, _, reason = normal_eq_projection(SecantPair(s, a2 @ s), raw, "broyden")
         if fell or reason is not None:
             continue
@@ -462,7 +455,8 @@ def test_c10_structural_invariants():
     if agreed < 40:
         failures.append(f"projection-route comparison only exercised {agreed}/50 trials")
 
-    # two-loop recursion equals the dense inverse update
+    # two-loop recursion equals the dense inverse update (BFGS on H: the
+    # DFP update of the swapped pair)
     for t in range(25):
         n = int(rng.integers(2, 8))
         lam = float(rng.uniform(0.5, 4.0))
@@ -473,7 +467,7 @@ def test_c10_structural_invariants():
             s = rng.standard_normal(n)
             pair = SecantPair(s, a @ s)
             mem.append(pair)
-            h = bfgs_inverse_update(h, pair)
+            h = broyden_update(h, SecantPair(pair.y, pair.s), 1.0)
         g = rng.standard_normal(n)
         direct = lbfgs_direction(mem, g, 1.0 / lam)
         dense = h @ g

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from qnops.cli import (
     main,
     method_label,
     parse_method_label,
-    parse_table,
     table2_labels,
     table3_labels,
 )
@@ -32,6 +33,12 @@ from qnops.solvers import (
 
 
 runner = CliRunner()
+
+
+def parse_table(text):
+    """(headers, rows) of csv text, blank lines skipped: emit_table read back."""
+    cells = [row for row in csv.reader(io.StringIO(text)) if row]
+    return cells[0], cells[1:]
 
 
 class TestMethodLabels:

@@ -99,13 +99,6 @@ class TestAngleToSubspace:
         with pytest.raises(ValueError):
             angle_to_subspace(np.zeros(2), np.eye(2))
 
-    def test_weighted_angle_uses_w_geometry(self):
-        # under W = diag(1, 100), (1, 1) leans heavily toward e2
-        w = np.diag([1.0, 100.0])
-        a = angle_to_subspace(np.array([1.0, 1.0]), e(1, 2)[:, None], w)
-        expected = np.degrees(np.arccos(np.sqrt(100.0 / 101.0)))
-        assert a == pytest.approx(expected, abs=1e-8)
-
     @given(st.integers(2, 7), st.integers(0, 500), st.floats(0.01, 100.0))
     @settings(deadline=None, max_examples=60)
     def test_positive_scale_invariance(self, n, seed, scale):

@@ -56,6 +56,25 @@ def dense_config(rule, lam, mode=None, **kw):
     return SolverConfig(**cfg)
 
 
+def without_hessian(problem):
+    """The problem, rebuilt as if given only its gradient."""
+    problem.hessian = None
+    return problem
+
+
+def counted(problem, calls):
+    """The problem, with its gradient (residual) counting calls in ``calls``."""
+    attr = "residual" if isinstance(problem, NonlinearSystem) else "gradient"
+    evaluate = getattr(problem, attr)
+
+    def count(x):
+        calls.append(x)
+        return evaluate(x)
+
+    setattr(problem, attr, count)
+    return problem
+
+
 class TestLineSearch:
     def test_unit_rule(self):
         p = one_d_quadratic()
@@ -444,6 +463,25 @@ class TestImageModeMechanics:
                 final_err = trace.records[-1].matrix_error
                 assert final_err <= 1e-10 * np.linalg.norm(p.hessian, "fro"), (n, seed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("driver, rule", [
+        pytest.param(minimize, Broyden(0.0), id="Im-BFGS"),
+        pytest.param(minimize, Broyden(1.0), id="Im-DFP"),
+        pytest.param(minimize, GeneralizedPSB(), id="Im-PSB"),
+        pytest.param(minimize_lbfgs, None, id="Im-LBFGS(N=5)"),
+    ])
+    def test_hessian_free_image_pairs_match_the_exact_ones(self, driver, rule, seed):
+        # without a hessian v is the difference quotient of the gradient,
+        # which is A u up to roundoff on a quadratic
+        cfg = SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=2.0, mode=ImageTransform(),
+                           memory=5, x0=np.ones(6))
+        exact = driver(random_spd_quadratic(6, spectrum=(0.5, 10.0), seed=seed), cfg)
+        free = driver(without_hessian(random_spd_quadratic(6, spectrum=(0.5, 10.0), seed=seed)),
+                      cfg)
+        assert any(r.pair.transformed == "image" for r in free.records[1:])
+        assert (free.status, free.iterations) == (exact.status, exact.iterations)
+        assert np.linalg.norm(free.x - exact.x) <= 1e-12
+
 
 def nan_after(problem, evaluations):
     """The problem with a gradient that returns NaN from evaluation
@@ -633,6 +671,38 @@ class TestSolverConfigValidation:
         cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=np.eye(3))
         with pytest.raises(ValueError, match="shape"):
             minimize(quadratic_weighted_50(), cfg)
+
+    def test_minv2_shape_checked_by_the_driver(self):
+        # a 3 x 3 weight on n = 50 took a full step, then failed in a matmul
+        calls = []
+        cfg = SolverConfig(rule=GeneralizedPSB(np.eye(3)), stop=IterateError(1e-7), b0=50.0)
+        with pytest.raises(ValueError, match="minv2 shape"):
+            minimize(counted(quadratic_weighted_50(), calls), cfg)
+        assert calls == []
+
+    REFUSED_RECORDING = {
+        "minimize-no-hessian": (
+            minimize, lambda: without_hessian(random_spd_quadratic(4, seed=0)),
+            dict(rule=Broyden(0.0), stop=GradNorm(1e-8), x0=np.ones(4))),
+        "minimize_lbfgs": (
+            minimize_lbfgs, quadratic_weighted_50,
+            dict(rule=None, stop=IterateError(1e-7), b0=50.0, memory=3)),
+        "solve_system-bgm": (
+            solve_system, circle_cosine_system, dict(rule=BGM(), stop=ResidualNorm(1e-7))),
+        "solve_system-newton": (
+            solve_system, circle_cosine_system, dict(rule=None, stop=ResidualNorm(1e-7))),
+    }
+
+    @pytest.mark.parametrize("flag", ["record_angles", "record_matrix_error"])
+    @pytest.mark.parametrize("name", list(REFUSED_RECORDING))
+    def test_unrecordable_request_refused_before_any_evaluation(self, name, flag):
+        # minimize without a hessian and solve_system converged with every
+        # matrix_error None and no angles
+        driver, problem, kw = self.REFUSED_RECORDING[name]
+        calls = []
+        with pytest.raises(ValueError, match="record"):
+            driver(counted(problem(), calls), SolverConfig(**kw, **{flag: True}))
+        assert calls == []
 
 
 STATUSES = ("converged", "max-iters", "breakdown", "nonfinite")
