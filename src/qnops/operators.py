@@ -53,13 +53,14 @@ class RawHistory:
             self.y_list.pop(0)
 
 
-def image_direction_broyden(b_solve, s, y):
+def image_direction_broyden(h_apply, s, y):
     """u = s - B^-1 y, the image of s under B^-1(B - A) on a quadratic.
 
-    ``b_solve`` is a linear-solve handle for the current B.  A zero u
-    signals that B already acts exactly along s (caller should skip).
+    ``h_apply`` applies B^-1 to a vector: a product with H = B^-1, or a
+    solve with B.  A zero u signals that B already acts exactly along s
+    (caller should skip).
     """
-    return s - b_solve(y)
+    return s - h_apply(y)
 
 
 def image_direction_gpsb(m2_apply, alpha, g_k, g_next):

@@ -4,15 +4,17 @@ The three drivers share one loop, ``_iterate``: direction, step, raw pair,
 secant transform per the mode (none, image, or ``NormalEqWindow``: the one
 projection route, ``normal_eq_projection`` against the raw step window),
 model update, record.  A driver validates its configuration and builds the
-model that gives the loop directions, image directions and updates: a
-dense B_k solved by LU (``minimize``), the limited memory applied by the
-two-loop recursion, which refuses a pair with s'y <= 0 (``minimize_lbfgs``),
-or a Jacobian solved by QR, BGM's B_k or the analytic one for Newton
-(``solve_system``).  A request a run cannot honour is refused with
-``ValueError`` at entry: each driver checks its rule, mode, step and
-shapes, and the loop, before it evaluates the start, refuses angle or
+model that gives the loop directions, image directions and updates
+(``minimize``): a dense H_k = B_k^-1 updated by the dual for BFGS and DFP,
+or a dense B_k solved by LU for generalized PSB and any other Broyden
+theta; the limited memory applied by the two-loop recursion, which refuses
+a pair with s'y <= 0 (``minimize_lbfgs``); or a Jacobian solved by QR,
+BGM's B_k or the analytic one for Newton (``solve_system``).  A request a
+run cannot honour is refused with ``ValueError`` at entry: each driver
+checks its rule, mode, step and shapes, and the loop, before it evaluates
+the start, refuses a stop rule the problem cannot evaluate, and angle or
 matrix-error recording unless the model tracks a reference matrix (a dense
-B_k of a problem with a ``hessian``).  A trace counts the iterations and
+model of a problem with a ``hessian``).  A trace counts the iterations and
 the fallbacks (steps whose pair was replaced or refused): no pair is
 silently replaced.  At ``SolverConfig.record == "full"`` (the default) it
 keeps the initial state and one record per iteration; at ``"summary"``
@@ -21,15 +23,16 @@ constant memory.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
-scratch buffer besides it; the records that are kept hold the iterates the
-loop made, not copies.  Runs with the same configuration are bitwise
-reproducible (fixed evaluation order, no parallel reductions) at either
-recording level.
+scratch buffer besides it; a dense BFGS or DFP run that records angles or
+matrix errors holds and updates two n x n matrices, H_k and B_k.  The
+records that are kept hold the iterates the loop made, not copies.  Runs
+with the same configuration are bitwise reproducible (fixed evaluation
+order, no parallel reductions) at either recording level.
 
 Every run ends in one status: ``converged``, ``max-iters``, ``breakdown``
-(a singular solve or an update that refuses its pair) or ``nonfinite`` (a
-NaN or infinite gradient or residual norm, which never counts as
-converged).
+(a singular solve, a singular matrix b0, or an update that refuses its
+pair) or ``nonfinite`` (a NaN or infinite gradient or residual norm, which
+never counts as converged).
 """
 
 import math
@@ -237,16 +240,21 @@ def _near_kernel_direction(E):
     return V[:, np.argmin(np.abs(w))]
 
 
+def _check_stop(stop, problem):
+    # the refusal half of the stop rule; the threshold needs the start's gradient
+    if isinstance(stop, IterateError) and problem.x_star is None:
+        raise ValueError("iterate-error stopping needs a known minimizer")
+    if not (isinstance(stop, (GradNorm, IterateError))
+            or isinstance(stop, ResidualNorm) and isinstance(problem, NonlinearSystem)):
+        raise ValueError(f"stop rule {stop!r} not usable here")
+
+
 def _stop_threshold(stop, problem, x0, g0):
     if isinstance(stop, IterateError):
-        if problem.x_star is None:
-            raise ValueError("iterate-error stopping needs a known minimizer")
         return stop.eps_rel * euclidean_norm(x0 - problem.x_star)
     if isinstance(stop, GradNorm):
         return stop.eps * euclidean_norm(g0) if stop.relative else stop.eps
-    if isinstance(stop, ResidualNorm) and isinstance(problem, NonlinearSystem):
-        return stop.eps
-    raise ValueError(f"stop rule {stop!r} not usable here")
+    return stop.eps
 
 
 def _terminal_status(gnorm, measure, threshold, k, max_iters):
@@ -323,28 +331,53 @@ def _qr_solve(B, rhs):
 
 
 class _DenseModel:
-    """A dense B_k solved by LU, updated by the rule of its family."""
+    """A dense model updated by the rule of its family.
 
-    def __init__(self, rule, B, problem, config):
-        self.rule, self.B = rule, B
+    BFGS and DFP (``Broyden`` with theta 0 or 1) carry H_k = B_k^-1 and
+    solve nothing: the direction is -H g, the image direction s - H y, and
+    H is updated by the dual, the other end of the family on the swapped
+    pair.  A scalar b0 seeds H_0 = (1 / b0) I; a matrix b0 is inverted by the
+    first direction, so a singular one ends the run as ``breakdown``.  B_k
+    itself is carried beside H only when the run tracks a reference matrix,
+    and read only by ``error`` and ``angle``.  Generalized PSB and any other
+    theta (whose dual parameter depends on the pair) keep B_k and solve
+    with it by LU.
+    """
+
+    def __init__(self, rule, b0, n, problem, config):
+        self.rule = rule
         self.family, self.minv2 = rule.family, getattr(rule, "minv2", None)
         self.ref = problem.hessian if config.record_matrix_error or config.record_angles else None
         self.track = self.ref is not None
         self.angles = config.record_angles
+        theta = getattr(rule, "theta", None)
+        self.dual = 1.0 - theta if theta in (0.0, 1.0) else None  # H's theta; None: LU on B
+        self.H = (1.0 / b0) * np.eye(n) if self.dual is not None and np.isscalar(b0) else None
+        self.B = None if self.H is not None and not self.track else _b0_matrix(b0, n)
 
     def direction(self, x, g):
-        return -np.linalg.solve(self.B, g)
+        if self.dual is None:
+            return -np.linalg.solve(self.B, g)
+        if self.H is None:  # a matrix b0, inverted inside the loop
+            self.H = np.linalg.inv(self.B)
+        return -(self.H @ g)
 
     def image(self, s, y, alpha, g, gn):
         if self.family == "gpsb":
             minv2 = self.minv2
             m2_apply = None if minv2 is None else (lambda v: np.linalg.solve(minv2, v))
             return image_direction_gpsb(m2_apply, alpha, g, gn)
+        if self.dual is not None:
+            H = self.H
+            return image_direction_broyden(lambda rhs: H @ rhs, s, y)
         B = self.B
         return image_direction_broyden(lambda rhs: np.linalg.solve(B, rhs), s, y)
 
     def update(self, pair):
-        self.B = self.rule.update(self.B, pair)
+        if self.dual is not None:
+            self.H = broyden_update(self.H, SecantPair(pair.y, pair.s), self.dual)
+        if self.dual is None or self.track:
+            self.B = self.rule.update(self.B, pair)
 
     def error(self):
         return euclidean_norm(self.B - self.ref)
@@ -412,6 +445,7 @@ def _iterate(problem, evaluate, config, model, x):
     if (config.record_angles or config.record_matrix_error) and not model.track:
         raise ValueError("record_angles and record_matrix_error need a dense model "
                          "of a problem with a hessian")
+    _check_stop(config.stop, problem)
     g = evaluate(x)
     mode = config.mode
     image = isinstance(mode, ImageTransform)
@@ -494,7 +528,7 @@ def minimize(problem, config):
     x = _start(config.x0, problem)
     if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
         _check_square("minv2", rule.minv2, x.size)
-    model = _DenseModel(rule, _b0_matrix(config.b0, x.size), problem, config)
+    model = _DenseModel(rule, config.b0, x.size, problem, config)
     return _iterate(problem, problem.gradient, config, model, x)
 
 

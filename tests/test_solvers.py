@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnops import cli
+from qnops import cli, solvers
 from qnops.cli import SYSTEM_PROBLEMS, run_label
 from qnops.problems import (
     NonlinearSystem,
@@ -166,6 +166,67 @@ class TestMinimizeBasics:
         assert np.linalg.norm(p.gradient(absolute.x)) <= 1e-6
 
 
+class TestDenseInverse:
+    """BFGS and DFP carry H = B^-1, updated by the dual; B only when a run tracks."""
+
+    RULES = [pytest.param(Broyden(0.0), id="BFGS"), pytest.param(Broyden(1.0), id="DFP")]
+    MODES = [pytest.param(NoTransform(), id="plain"), pytest.param(ImageTransform(), id="Im"),
+             pytest.param(NormalEqWindow(1), id="IP(d=1)"),
+             pytest.param(NormalEqWindow(2), id="IP(d=2)")]
+
+    @staticmethod
+    def config(rule, mode, n, seed, **kw):
+        x0 = np.random.default_rng(100 + seed).standard_normal(n)
+        return SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=mode, x0=x0, **kw)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_tracking_changes_no_iterate(self, rule, mode):
+        # the direction always comes from H; the tracked B is only measured
+        plain = minimize(random_spd_quadratic(12, seed=1), self.config(rule, mode, 12, 1))
+        tracked = minimize(random_spd_quadratic(12, seed=1),
+                           self.config(rule, mode, 12, 1, record_matrix_error=True))
+        assert (tracked.status, tracked.iterations) == (plain.status, plain.iterations)
+        assert [r.x.tobytes() for r in tracked.records] == [r.x.tobytes() for r in plain.records]
+        assert all(r.matrix_error is not None for r in tracked.records)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_tracked_b_is_the_inverse_of_h(self, rule, mode, monkeypatch):
+        # the rule's update of B and the dual update of H stay inverses
+        residuals = []
+
+        class Checked(solvers._DenseModel):
+            def update(self, pair):
+                super().update(pair)
+                n = self.H.shape[0]
+                residuals.append(np.linalg.norm(self.H @ self.B - np.eye(n)) / np.sqrt(n))
+
+        monkeypatch.setattr(solvers, "_DenseModel", Checked)
+        for n in (4, 8, 12):
+            for seed in range(5):
+                p = random_spd_quadratic(n, spectrum=(0.5, 10.0), seed=seed)
+                trace = minimize(p, self.config(rule, mode, n, seed, record_matrix_error=True))
+                assert trace.status == "converged", (n, seed)
+        assert residuals and max(residuals) <= 1e-12
+
+    @pytest.mark.parametrize("rule", [Broyden(0.0), Broyden(1.0), Broyden(0.5), GeneralizedPSB()],
+                             ids=["BFGS", "DFP", "Broyden(0.5)", "PSB"])
+    @pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+    def test_singular_matrix_b0_is_breakdown(self, rule, track):
+        # inverting b0 when the model was built raised LinAlgError from minimize
+        cfg = SolverConfig(rule=rule, stop=GradNorm(1e-8), b0=np.zeros((4, 4)),
+                           x0=np.ones(4), record_matrix_error=track)
+        trace = minimize(random_spd_quadratic(4, seed=0), cfg)
+        assert (trace.status, trace.iterations) == ("breakdown", 0)
+
+    @pytest.mark.parametrize("rule, iterations", [(Broyden(0.0), 55), (Broyden(1.0), 124)],
+                             ids=["BFGS", "DFP"])
+    def test_matrix_b0_runs_as_its_scalar(self, rule, iterations):
+        trace = minimize(quadratic_weighted_50(), dense_config(rule, 50.0 * np.eye(50)))
+        assert (trace.status, trace.iterations) == ("converged", iterations)
+
+
 class TestReferenceIterationCounts:
     # single-cell pins; the full benchmark grids live in the acceptance suite
     @pytest.mark.parametrize(
@@ -220,11 +281,14 @@ class TestRecordBits:
 
     A tier-1 slice of ``tools/record_digest.py``, which hashes the whole
     grid the same way in 5 to 12 s.  The cells cover the limited memory
-    with windows of m = 1 to 4, its plain and image two-loop, and the m = 1
+    with windows of m = 1 to 4, its plain and image two-loop, the dense
+    inverse H = B^-1 of BFGS and DFP, plain and image, and the m = 1
     window of each projection family: broyden (IP-DFP), gpsb (IP-PSB) and
-    bgm (IP-BGM).  The digests are those of the solvers before the
-    limited-memory fast paths (1 / s'y stored with each pair, ndarray.dot,
-    the scalar m = 1 window, the batched m = 3 determinants), recorded with
+    bgm (IP-BGM).  The limited-memory, PSB and BGM digests are those of the
+    solvers before the limited-memory fast paths (1 / s'y stored with each
+    pair, ndarray.dot, the scalar m = 1 window, the batched m = 3
+    determinants); the dense Broyden digests are those of the dual update
+    of H, which replaced an LU solve with B_k.  All were recorded with
     NumPy 2.4.6 on OpenBLAS 0.3.31; a BLAS build that sums a dot in
     another order gives other bits.
     """
@@ -236,7 +300,10 @@ class TestRecordBits:
         ("IP-LBFGS(N=5,d=4)", 50.0, quadratic_weighted_50, 85, "b48912ea866a43c0"),
         ("Im-LBFGS(N=3)", 50.0, quadratic_weighted_50, 32, "87f7bd6d8432a957"),
         ("LBFGS(N=10)", 50.0, quadratic_weighted_50, 81, "9b3a9dd72f030149"),
-        ("IP-DFP(d=1)", 50.0, quadratic_weighted_50, 100, "f59e3a6be36f4f98"),
+        ("IP-DFP(d=1)", 50.0, quadratic_weighted_50, 100, "7740c51e78f2646d"),
+        ("DFP", 50.0, quadratic_weighted_50, 124, "80777dd964c28515"),
+        ("BFGS", 50.0, quadratic_weighted_50, 55, "3a2363550c3dd196"),
+        ("Im-BFGS", 50.0, quadratic_weighted_50, 22, "b2747c6ea7c5db6b"),
         ("IP-PSB(d=1)", 50.0, quadratic_weighted_50, 71, "e1f249641d7e774f"),
         ("IP-BGM(d=1)", 1.0, SYSTEM_PROBLEMS["circle-cosine"], 51, "e9944b60558199da"),
         ("IP-BGM(d=1)", 1.0, SYSTEM_PROBLEMS["rosenbrock-10"], 5, "9554aaa2f9d44586"),
@@ -702,6 +769,20 @@ class TestSolverConfigValidation:
         calls = []
         with pytest.raises(ValueError, match="record"):
             driver(counted(problem(), calls), SolverConfig(**kw, **{flag: True}))
+        assert calls == []
+
+    @pytest.mark.parametrize("stop, x_star", [
+        pytest.param(IterateError(1e-7), None, id="IterateError-no-x_star"),
+        pytest.param(ResidualNorm(1e-7), np.zeros(4), id="ResidualNorm-SmoothProblem"),
+    ])
+    def test_unusable_stop_rule_refused_before_any_evaluation(self, stop, x_star):
+        # both raised from the threshold, after the start's gradient
+        p = random_spd_quadratic(4, seed=0)
+        p.x_star = x_star
+        calls = []
+        cfg = SolverConfig(rule=Broyden(0.0), stop=stop, x0=np.ones(4))
+        with pytest.raises(ValueError, match="stop"):
+            minimize(counted(p, calls), cfg)
         assert calls == []
 
 
