@@ -183,7 +183,7 @@ def run_example1():
     rows = []
     for label, theta in (("DFP", 1.0), ("BFGS", 0.0)):
         config = SolverConfig(rule=Broyden(theta), stop=GradNorm(setup["grad_rtol"]),
-                              b0=setup["b0"], max_iters=60000, record_angles=True)
+                              b0=setup["b0"], max_iters=60000, record="matrix")
         start = time.perf_counter()
         trace = minimize(problem, config)
         row = ResultRow(label, {"lambda": None}, trace.iterations, trace.status,

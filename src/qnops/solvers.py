@@ -12,22 +12,24 @@ a pair with s'y <= 0 (``minimize_lbfgs``); or a Jacobian solved by QR,
 BGM's B_k or the analytic one for Newton (``solve_system``).  A request a
 run cannot honour is refused with ``ValueError`` at entry: each driver
 checks its rule, mode, step and shapes, and the loop, before it evaluates
-the start, refuses a stop rule the problem cannot evaluate, and angle or
-matrix-error recording unless the model tracks a reference matrix (a dense
+the start, refuses a stop rule the problem cannot evaluate, and
+``record="matrix"`` unless the model tracks a reference matrix (a dense
 model of a problem with a ``hessian``).  A trace counts the iterations and
 the fallbacks (steps whose pair was replaced or refused): no pair is
-silently replaced.  At ``SolverConfig.record == "full"`` (the default) it
-keeps the initial state and one record per iteration; at ``"summary"``
-only the initial and the final record, so the records of a long run take
-constant memory.
+silently replaced.  ``SolverConfig.record`` is the one recording setting:
+at ``"full"`` (the default) the trace keeps the initial state and one
+record per iteration; at ``"matrix"`` each of those records also holds
+||B_k - A||_F and the step's angle to the near-kernel direction of B_k - A;
+at ``"summary"`` only the initial and the final record, so the records of a
+long run take constant memory.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
-scratch buffer besides it; a dense BFGS or DFP run that records angles or
-matrix errors holds and updates two n x n matrices, H_k and B_k.  The
-records that are kept hold the iterates the loop made, not copies.  Runs
-with the same configuration are bitwise reproducible (fixed evaluation
-order, no parallel reductions) at either recording level.
+scratch buffer besides it; a dense BFGS or DFP run at ``record="matrix"``
+holds and updates two n x n matrices, H_k and B_k.  The records that are
+kept hold the iterates the loop made, not copies.  Runs with the same
+configuration are bitwise reproducible (fixed evaluation order, no parallel
+reductions) at every recording level, and the level changes no iterate.
 
 Every run ends in one status: ``converged``, ``max-iters``, ``breakdown``
 (a singular solve, a singular matrix b0, or an update that refuses its
@@ -171,17 +173,13 @@ class SolverConfig:
     max_iters: int = 200000
     memory: int = 10  # L-BFGS only
     x0: Optional[np.ndarray] = None  # default: the problem's start
-    record_angles: bool = False
-    record_matrix_error: bool = False
-    # "full": every iteration's record; "summary": the initial and the final one
+    # "summary": the initial and the final record; "full": every iteration's;
+    # "matrix": every iteration's, each with its matrix_error and angle
     record: str = "full"
 
     def __post_init__(self):
-        if self.record not in ("full", "summary"):
-            raise ValueError(f"record must be 'full' or 'summary', got {self.record!r}")
-        if self.record == "summary" and (self.record_angles or self.record_matrix_error):
-            raise ValueError("angles and matrix errors live on per-iteration records; "
-                             "record them at record='full'")
+        if self.record not in ("summary", "full", "matrix"):
+            raise ValueError(f"record must be 'summary', 'full' or 'matrix', got {self.record!r}")
         # a matrix b0 is checked against the dimension by the driver
         if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
             raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
@@ -338,8 +336,8 @@ class _DenseModel:
     H is updated by the dual, the other end of the family on the swapped
     pair.  A scalar b0 seeds H_0 = (1 / b0) I; a matrix b0 is inverted by the
     first direction, so a singular one ends the run as ``breakdown``.  B_k
-    itself is carried beside H only when the run tracks a reference matrix,
-    and read only by ``error`` and ``angle``.  Generalized PSB and any other
+    itself is carried beside H only at ``record="matrix"``, and read only by
+    ``error`` and ``angle``.  Generalized PSB and any other
     theta (whose dual parameter depends on the pair) keep B_k and solve
     with it by LU.
     """
@@ -347,9 +345,8 @@ class _DenseModel:
     def __init__(self, rule, b0, n, problem, config):
         self.rule = rule
         self.family, self.minv2 = rule.family, getattr(rule, "minv2", None)
-        self.ref = problem.hessian if config.record_matrix_error or config.record_angles else None
+        self.ref = problem.hessian if config.record == "matrix" else None
         self.track = self.ref is not None
-        self.angles = config.record_angles
         theta = getattr(rule, "theta", None)
         self.dual = 1.0 - theta if theta in (0.0, 1.0) else None  # H's theta; None: LU on B
         self.H = (1.0 / b0) * np.eye(n) if self.dual is not None and np.isscalar(b0) else None
@@ -383,8 +380,7 @@ class _DenseModel:
         return euclidean_norm(self.B - self.ref)
 
     def angle(self, s):
-        if self.angles:
-            return angle_to_subspace(s, _near_kernel_direction(self.B - self.ref)[:, None])
+        return angle_to_subspace(s, _near_kernel_direction(self.B - self.ref)[:, None])
 
 
 class _LimitedMemory:
@@ -442,9 +438,9 @@ def _iterate(problem, evaluate, config, model, x):
     At ``config.record == "summary"`` each record replaces the previous
     step's, so the trace ends with the initial and the final record.
     """
-    if (config.record_angles or config.record_matrix_error) and not model.track:
-        raise ValueError("record_angles and record_matrix_error need a dense model "
-                         "of a problem with a hessian")
+    track = config.record == "matrix"
+    if track and not model.track:
+        raise ValueError("record='matrix' needs a dense model of a problem with a hessian")
     _check_stop(config.stop, problem)
     g = evaluate(x)
     mode = config.mode
@@ -452,7 +448,6 @@ def _iterate(problem, evaluate, config, model, x):
     raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
     threshold = _stop_threshold(config.stop, problem, x, g)
     x_star = problem.x_star if isinstance(config.stop, IterateError) else None
-    track = model.track
     summary = config.record == "summary"
 
     trace = IterationTrace()

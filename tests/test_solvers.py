@@ -185,7 +185,7 @@ class TestDenseInverse:
         # the direction always comes from H; the tracked B is only measured
         plain = minimize(random_spd_quadratic(12, seed=1), self.config(rule, mode, 12, 1))
         tracked = minimize(random_spd_quadratic(12, seed=1),
-                           self.config(rule, mode, 12, 1, record_matrix_error=True))
+                           self.config(rule, mode, 12, 1, record="matrix"))
         assert (tracked.status, tracked.iterations) == (plain.status, plain.iterations)
         assert [r.x.tobytes() for r in tracked.records] == [r.x.tobytes() for r in plain.records]
         assert all(r.matrix_error is not None for r in tracked.records)
@@ -206,17 +206,17 @@ class TestDenseInverse:
         for n in (4, 8, 12):
             for seed in range(5):
                 p = random_spd_quadratic(n, spectrum=(0.5, 10.0), seed=seed)
-                trace = minimize(p, self.config(rule, mode, n, seed, record_matrix_error=True))
+                trace = minimize(p, self.config(rule, mode, n, seed, record="matrix"))
                 assert trace.status == "converged", (n, seed)
         assert residuals and max(residuals) <= 1e-12
 
     @pytest.mark.parametrize("rule", [Broyden(0.0), Broyden(1.0), Broyden(0.5), GeneralizedPSB()],
                              ids=["BFGS", "DFP", "Broyden(0.5)", "PSB"])
-    @pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
-    def test_singular_matrix_b0_is_breakdown(self, rule, track):
+    @pytest.mark.parametrize("record", ["full", "matrix"], ids=["untracked", "tracked"])
+    def test_singular_matrix_b0_is_breakdown(self, rule, record):
         # inverting b0 when the model was built raised LinAlgError from minimize
         cfg = SolverConfig(rule=rule, stop=GradNorm(1e-8), b0=np.zeros((4, 4)),
-                           x0=np.ones(4), record_matrix_error=track)
+                           x0=np.ones(4), record=record)
         trace = minimize(random_spd_quadratic(4, seed=0), cfg)
         assert (trace.status, trace.iterations) == ("breakdown", 0)
 
@@ -341,10 +341,9 @@ class TestLbfgsDriver:
         with pytest.raises(ValueError, match="BFGS"):
             minimize_lbfgs(quadratic_weighted_50(), cfg)
 
-    @pytest.mark.parametrize("flag", ["record_angles", "record_matrix_error"])
-    def test_recording_rejected(self, flag):
-        # there is no matrix to record; the flags were ignored
-        cfg = SolverConfig(rule=None, stop=IterateError(1e-7), b0=50.0, memory=3, **{flag: True})
+    def test_recording_rejected(self):
+        # there is no matrix to record; the request was ignored
+        cfg = SolverConfig(rule=None, stop=IterateError(1e-7), b0=50.0, memory=3, record="matrix")
         with pytest.raises(ValueError, match="record"):
             minimize_lbfgs(quadratic_weighted_50(), cfg)
 
@@ -371,7 +370,7 @@ class TestAngleRecording:
             rule=Broyden(0.0),
             stop=GradNorm(setup["grad_rtol"]),
             b0=setup["b0"],
-            record_angles=True,
+            record="matrix",
         )
         trace = minimize(problem, cfg)
         assert trace.status == "converged"
@@ -387,7 +386,7 @@ class TestAngleRecording:
     def test_matrix_error_recording(self):
         p = random_spd_quadratic(4, spectrum=(1.0, 5.0), seed=2)
         cfg = SolverConfig(
-            rule=Broyden(0.0), stop=IterateError(1e-7), b0=2.0, record_matrix_error=True,
+            rule=Broyden(0.0), stop=IterateError(1e-7), b0=2.0, record="matrix",
             x0=np.ones(4),
         )
         trace = minimize(p, cfg)
@@ -505,7 +504,7 @@ class TestImageModeMechanics:
         p = random_spd_quadratic(6, spectrum=(0.5, 30.0), seed=5)
         cfg = SolverConfig(
             rule=Broyden(0.0), stop=GradNorm(1e-10, relative=False), b0=7.0,
-            mode=ImageTransform(), record_matrix_error=True, x0=np.ones(6),
+            mode=ImageTransform(), record="matrix", x0=np.ones(6),
         )
         trace = minimize(p, cfg)
         assert trace.status == "converged"
@@ -523,7 +522,7 @@ class TestImageModeMechanics:
                 p = random_spd_quadratic(n, seed=seed)
                 x0 = np.random.default_rng(100 + seed).standard_normal(n)
                 cfg = SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=ImageTransform(),
-                                   step=step, x0=x0, record_matrix_error=True)
+                                   step=step, x0=x0, record="matrix")
                 trace = minimize(p, cfg)
                 assert trace.status == "converged", (n, seed)
                 assert trace.iterations <= n + 1, (n, seed)
@@ -667,12 +666,23 @@ class TestRecordingLevels:
         assert full.status != "converged"
         self.assert_same_run(full, run("summary"))
 
-    @pytest.mark.parametrize("kw", [dict(record="events"), dict(record=None),
-                                    dict(record="summary", record_angles=True),
-                                    dict(record="summary", record_matrix_error=True)])
-    def test_invalid_levels_rejected(self, kw):
+    def test_matrix_level_adds_the_measurements_to_the_full_run(self):
+        problem, setup = motivating_quadratic_2d()
+
+        def run(record):
+            return minimize(problem, SolverConfig(rule=Broyden(0.0), b0=setup["b0"],
+                                                  stop=GradNorm(setup["grad_rtol"]), record=record))
+
+        full, matrix = run("full"), run("matrix")
+        assert [r.x.tobytes() for r in matrix.records] == [r.x.tobytes() for r in full.records]
+        assert all(r.matrix_error is None and r.angle is None for r in full.records)
+        assert all(r.matrix_error is not None for r in matrix.records)
+        assert [r.angle is None for r in matrix.records] == [True] + [False] * matrix.iterations
+
+    @pytest.mark.parametrize("record", ["events", None, "Full", "angles"])
+    def test_invalid_levels_rejected(self, record):
         with pytest.raises(ValueError, match="record"):
-            SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-7), **kw)
+            SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-7), record=record)
 
     def test_grid_cells_run_at_summary_and_run_label_at_full(self, monkeypatch):
         levels = []
@@ -760,15 +770,14 @@ class TestSolverConfigValidation:
             solve_system, circle_cosine_system, dict(rule=None, stop=ResidualNorm(1e-7))),
     }
 
-    @pytest.mark.parametrize("flag", ["record_angles", "record_matrix_error"])
     @pytest.mark.parametrize("name", list(REFUSED_RECORDING))
-    def test_unrecordable_request_refused_before_any_evaluation(self, name, flag):
+    def test_unrecordable_request_refused_before_any_evaluation(self, name):
         # minimize without a hessian and solve_system converged with every
         # matrix_error None and no angles
         driver, problem, kw = self.REFUSED_RECORDING[name]
         calls = []
         with pytest.raises(ValueError, match="record"):
-            driver(counted(problem(), calls), SolverConfig(**kw, **{flag: True}))
+            driver(counted(problem(), calls), SolverConfig(**kw, record="matrix"))
         assert calls == []
 
     @pytest.mark.parametrize("stop, x_star", [
