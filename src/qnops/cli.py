@@ -1,12 +1,15 @@
 """Benchmark harness: ``run`` reproduces the iteration-count tables, the 2-D
 angle example and the nonlinear-system comparisons; ``verify`` runs the
-oracle suites.  A method label becomes a config only in ``config_for_label``.
+oracle suites.  A method label becomes a config only in ``config_for_label``;
+``run_example1`` takes no labels and builds its own two configs, DFP and
+BFGS at ``record="matrix"``, which the angle table needs.
 
 Output is deterministic for a fixed experiment and seed: wall time is reported
 on stderr only, never in the emitted table, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 convergence failure (run), 2 oracle violation
-(verify), 3 usage error.
+(verify), 3 usage error, among them a selection flag (or ``--config`` key)
+that the experiment does not read.
 """
 
 import csv
@@ -47,6 +50,9 @@ from .solvers import (
 
 LAMBDAS = (50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0)
 EXPERIMENTS = ("table2", "table3", "example1", "systems")
+# the selection flags an experiment does not read, refused when given
+_UNREAD = {"example1": ("--methods", "--lambdas", "--d", "--n"),
+           "systems": ("--lambdas", "--d", "--n")}
 
 
 @dataclass
@@ -374,6 +380,10 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     """Run one experiment and emit its result table."""
     if experiment is None:
         raise click.UsageError("--experiment is required (flag or config file)")
+    given = {"--methods": methods, "--lambdas": lambdas, "--d": d, "--n": n}
+    unread = [flag for flag in _UNREAD.get(experiment, ()) if given[flag] is not None]
+    if unread:
+        raise click.UsageError(f"--experiment {experiment} reads no {', '.join(unread)}")
     if workers is None:  # an affinity mask, where the platform has one, may be narrower
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)

@@ -82,15 +82,11 @@ def secondary_secant(grad, x_next, u, t):
 
 
 def _beta_solve(G, rhs):
-    # Solve the m x m projection system, m >= 2.  The system is halved first;
-    # this is bit-neutral for the closed forms and the LU solve (exact binary
-    # scaling) and documented behavior for the m=3 determinant path.
+    # Solve the m x m projection system, m >= 2.  The closed forms divide by
+    # the determinant; a singular system is reported through non-finite
+    # entries, which the caller maps to the same fallback as a LinAlgError
+    # from the LU path.
     m = G.shape[0]
-    G = G / 2.0
-    rhs = rhs / 2.0
-    # The closed forms divide by the determinant; a singular system is
-    # reported through non-finite entries, which the caller maps to the
-    # same fallback as a LinAlgError from the LU path.
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 2:
             det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
@@ -101,7 +97,11 @@ def _beta_solve(G, rhs):
                 ]
             )
         if m == 3:
-            # Cramer's rule: det(G) and the three with rhs in column j, in one call
+            # Cramer's rule: det(G) and the three with rhs in column j, in one
+            # call, on the system halved.  np.linalg.det goes through log|det|
+            # and exp, so unlike in the other routes the halving moves this
+            # path's bits, and the pinned counts are measured with it.
+            G, rhs = G / 2.0, rhs / 2.0
             stack = np.stack([G] * 4)
             for j in range(3):
                 stack[j + 1, :, j] = rhs
@@ -111,11 +111,11 @@ def _beta_solve(G, rhs):
 
 
 def _scalar_beta(s, y, s0, y0, family, minv2):
-    # The m = 1 system in Python floats, halved as _beta_solve halves.
-    # NumPy computes each (1, n) @ (n, 1) product of the matrix path as
-    # 0 + ddot, the ddot that ndarray.dot calls; ``0.0 +`` restores the
-    # leading zero that dot leaves out at n = 1 (a -0.0 product).  A dot is
-    # symmetric in its operands, so the entry of S'Y + Y'S is sy + sy.
+    # The m = 1 system in Python floats.  NumPy computes each (1, n) @ (n, 1)
+    # product of the matrix path as 0 + ddot, the ddot that ndarray.dot
+    # calls; ``0.0 +`` restores the leading zero that dot leaves out at n = 1
+    # (a -0.0 product).  A dot is symmetric in its operands, so the entry of
+    # S'Y + Y'S is sy + sy.
     if family == "broyden":
         sy = 0.0 + float(s0.dot(y0))
         g = sy + sy
@@ -124,8 +124,7 @@ def _scalar_beta(s, y, s0, y0, family, minv2):
         ms0 = s0 if minv2 is None else minv2 @ s0
         g = 0.0 + float(s0.dot(ms0))
         r = 0.0 + float(ms0.dot(s))
-    g /= 2.0
-    return r / 2.0 / g if g != 0.0 else math.nan  # r / 0 is never finite
+    return r / g if g != 0.0 else math.nan  # r / 0 is never finite
 
 
 def normal_eq_projection(pair, raw, family, minv2=None):

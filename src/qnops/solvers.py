@@ -38,6 +38,7 @@ never counts as converged).
 """
 
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,6 +87,23 @@ __all__ = [
 ]
 
 
+def _count(name, value, low):
+    """``value`` as an int, refused unless it is an integer of at least ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return count
+
+
+def _check_tolerance(name, value):
+    # inf would converge at the start and NaN or a negative value never
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # configuration types; a rule's ``update`` looks its formula up as a module
 # global on every call, so a function swapped in here (a tracer) is the one run
@@ -132,8 +150,7 @@ class NormalEqWindow:
     d: int  # the number of most recent raw steps projected against
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"window size d must be at least 1, got {self.d!r}")
+        _count("window size d", self.d, 1)
 
 
 @dataclass(frozen=True)
@@ -152,15 +169,24 @@ class GradNorm:
     eps: float
     relative: bool = True
 
+    def __post_init__(self):
+        _check_tolerance("eps", self.eps)
+
 
 @dataclass(frozen=True)
 class IterateError:
     eps_rel: float
 
+    def __post_init__(self):
+        _check_tolerance("eps_rel", self.eps_rel)
+
 
 @dataclass(frozen=True)
 class ResidualNorm:
     eps: float
+
+    def __post_init__(self):
+        _check_tolerance("eps", self.eps)
 
 
 @dataclass
@@ -183,10 +209,8 @@ class SolverConfig:
         # a matrix b0 is checked against the dimension by the driver
         if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
             raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
-        if self.memory < 1:
-            raise ValueError(f"memory must be at least 1, got {self.memory!r}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters!r}")
+        self.memory = _count("memory", self.memory, 1)
+        self.max_iters = _count("max_iters", self.max_iters, 0)
 
 
 @dataclass

@@ -466,6 +466,40 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert pool_calls == []
 
+    @pytest.mark.parametrize("experiment, flags, config", [
+        # both exited 0 with the unfiltered output
+        ("systems", ["--lambdas", "5", "--d", "3", "--n", "7"], ""),
+        ("example1", ["--methods", "BFGS", "--lambdas", "9"], ""),
+        ("systems", ["--lambdas", "5"], ""),
+        ("systems", ["--d", "3"], ""),
+        ("systems", ["--n", "7"], ""),
+        ("example1", ["--methods", "BFGS"], ""),
+        ("example1", ["--d", "1"], ""),
+        ("example1", ["--n", "3"], ""),
+        ("systems", ["--lambdas"], "lambdas = 5\n"),
+        ("example1", ["--n"], "N = 3\n"),
+        ("example1", ["--methods"], "methods = DFP\n"),
+    ])
+    def test_flag_the_experiment_does_not_read_is_usage_error(self, experiment, flags, config,
+                                                             tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: ran.append(args))
+        monkeypatch.setattr(qcli, "run_example1", lambda: ran.append("example1"))
+        argv = ["run", "--experiment", experiment, "--workers", "1"]
+        if config:
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += flags
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert "Traceback" not in err
+        assert ran == []
+
     def test_success_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--experiment", "systems", "--methods", "Newton",

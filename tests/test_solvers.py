@@ -189,6 +189,8 @@ class TestDenseInverse:
         assert (tracked.status, tracked.iterations) == (plain.status, plain.iterations)
         assert [r.x.tobytes() for r in tracked.records] == [r.x.tobytes() for r in plain.records]
         assert all(r.matrix_error is not None for r in tracked.records)
+        assert [r.angle is None for r in tracked.records] == [True] + [False] * tracked.iterations
+        assert all(r.matrix_error is None and r.angle is None for r in plain.records)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("rule", RULES)
@@ -666,19 +668,6 @@ class TestRecordingLevels:
         assert full.status != "converged"
         self.assert_same_run(full, run("summary"))
 
-    def test_matrix_level_adds_the_measurements_to_the_full_run(self):
-        problem, setup = motivating_quadratic_2d()
-
-        def run(record):
-            return minimize(problem, SolverConfig(rule=Broyden(0.0), b0=setup["b0"],
-                                                  stop=GradNorm(setup["grad_rtol"]), record=record))
-
-        full, matrix = run("full"), run("matrix")
-        assert [r.x.tobytes() for r in matrix.records] == [r.x.tobytes() for r in full.records]
-        assert all(r.matrix_error is None and r.angle is None for r in full.records)
-        assert all(r.matrix_error is not None for r in matrix.records)
-        assert [r.angle is None for r in matrix.records] == [True] + [False] * matrix.iterations
-
     @pytest.mark.parametrize("record", ["events", None, "Full", "angles"])
     def test_invalid_levels_rejected(self, record):
         with pytest.raises(ValueError, match="record"):
@@ -729,6 +718,43 @@ class TestSolverConfigValidation:
     def test_negative_max_iters_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
             self.base(max_iters=-1)
+
+    @pytest.mark.parametrize("build, match", [
+        # GradNorm(inf) converged at 0 iterations; IterateError(nan) and (-1)
+        # ran 227 iterations past the minimizer into breakdown; max_iters=nan
+        # was ignored; NormalEqWindow(1.5) ran as d = 1; memory=2.5 raised a
+        # TypeError from a deque
+        (lambda: dict(stop=GradNorm(np.inf)), "eps"),
+        (lambda: dict(stop=GradNorm(np.inf, relative=False)), "eps"),
+        (lambda: dict(stop=GradNorm(np.nan)), "eps"),
+        (lambda: dict(stop=GradNorm(-1e-7)), "eps"),
+        (lambda: dict(stop=IterateError(np.nan)), "eps_rel"),
+        (lambda: dict(stop=IterateError(-1.0)), "eps_rel"),
+        (lambda: dict(stop=IterateError(np.inf)), "eps_rel"),
+        (lambda: dict(stop=ResidualNorm(np.nan)), "eps"),
+        (lambda: dict(stop=ResidualNorm(-1.0)), "eps"),
+        (lambda: dict(max_iters=np.nan), "max_iters"),
+        (lambda: dict(max_iters=10.0), "max_iters"),
+        (lambda: dict(memory=2.5), "memory"),
+        (lambda: dict(mode=NormalEqWindow(1.5)), "window size"),
+    ], ids=["GradNorm-inf", "GradNorm-inf-absolute", "GradNorm-nan", "GradNorm-negative",
+            "IterateError-nan", "IterateError-negative", "IterateError-inf",
+            "ResidualNorm-nan", "ResidualNorm-negative", "max_iters-nan", "max_iters-float",
+            "memory-fraction", "NormalEqWindow-fraction"])
+    def test_bad_parameter_refused_where_built(self, build, match):
+        calls = []
+        problem = counted(quadratic_weighted_50(), calls)
+        with pytest.raises(ValueError, match=match):
+            kw = dict(rule=Broyden(0.0), stop=IterateError(1e-7), b0=50.0)
+            kw.update(build())
+            minimize(problem, SolverConfig(**kw))
+        assert calls == []
+
+    def test_zero_tolerances_and_integer_counts_accepted(self):
+        assert GradNorm(0.0).eps == IterateError(0.0).eps_rel == ResidualNorm(0.0).eps == 0.0
+        cfg = self.base(memory=np.int64(3), max_iters=np.int64(5),
+                        mode=NormalEqWindow(np.int64(2)))
+        assert minimize_lbfgs(quadratic_weighted_50(), cfg).iterations == 5
 
     def test_boundary_values_accepted(self):
         cfg = self.base(b0=1e-300, memory=1, max_iters=0)
