@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import click
@@ -351,6 +350,9 @@ def _run_pool(cells, worker, workers):
     # no more processes than cells: the pool may start all of max_workers at once
     workers = min(workers, len(cells))
     if workers > 1:
+        # imported here, so that importing the CLI loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, cells))  # map preserves order
     return [worker(c) for c in cells]

@@ -87,20 +87,22 @@ def _beta_solve(G, rhs):
     # entries, which the caller maps to the same fallback as a LinAlgError
     # from the LU path.
     m = G.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 2:
-            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-            return np.array(
-                [
-                    (rhs[0] * G[1, 1] - G[0, 1] * rhs[1]) / det,
-                    (G[0, 0] * rhs[1] - rhs[0] * G[1, 0]) / det,
-                ]
-            )
-        if m == 3:
-            # Cramer's rule: det(G) and the three with rhs in column j, in one
-            # call, on the system halved.  np.linalg.det goes through log|det|
-            # and exp, so unlike in the other routes the halving moves this
-            # path's bits, and the pinned counts are measured with it.
+    if m == 2:
+        # In Python floats, whose products and sums round as NumPy's do and
+        # overflow to inf or NaN without a warning; only a division by zero
+        # raises, so a zero determinant gives the NaN pair directly.
+        (g00, g01), (g10, g11) = G.tolist()
+        r0, r1 = rhs.tolist()
+        det = g00 * g11 - g01 * g10
+        if det == 0.0:
+            return np.array([math.nan, math.nan])
+        return np.array([(r0 * g11 - g01 * r1) / det, (g00 * r1 - r0 * g10) / det])
+    if m == 3:
+        # Cramer's rule: det(G) and the three with rhs in column j, in one
+        # call, on the system halved.  np.linalg.det goes through log|det|
+        # and exp, so unlike in the other routes the halving moves this
+        # path's bits, and the pinned counts are measured with it.
+        with np.errstate(divide="ignore", invalid="ignore"):
             G, rhs = G / 2.0, rhs / 2.0
             stack = np.stack([G] * 4)
             for j in range(3):

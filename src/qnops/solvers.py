@@ -24,9 +24,12 @@ at ``"summary"`` only the initial and the final record, so the records of a
 long run take constant memory.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
-n-vectors and, for a dense rule, the new n x n matrix and at most one n x n
-scratch buffer besides it; a dense BFGS or DFP run at ``record="matrix"``
-holds and updates two n x n matrices, H_k and B_k.  The records that are
+n-vectors (x - x* among them, under ``IterateError``) and, for a dense
+rule, the new n x n matrix and at most one n x n scratch buffer besides it;
+a dense BFGS or DFP run at ``record="matrix"`` holds and updates two n x n
+matrices, H_k and B_k.  The loop's norms are Python floats, the square
+root of one ``ndarray.dot`` each, and it looks the model's methods and the
+step rule up once per run.  The records that are
 kept hold the iterates the loop made, not copies.  Runs with the same
 configuration are bitwise reproducible (fixed evaluation order, no parallel
 reductions) at every recording level, and the level changes no iterate.
@@ -163,6 +166,13 @@ class Backtracking:
     c1: float = 1e-4
     shrink: float = 0.5
 
+    def __post_init__(self):
+        for name in ("c1", "shrink"):
+            value = getattr(self, name)
+            # the Armijo search needs both in (0, 1); a NaN fails the test too
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in the open interval (0, 1), got {value!r}")
+
 
 @dataclass(frozen=True)
 class GradNorm:
@@ -209,6 +219,11 @@ class SolverConfig:
         # a matrix b0 is checked against the dimension by the driver
         if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
             raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
+        if not isinstance(self.mode, (NoTransform, ImageTransform, NormalEqWindow)):
+            raise ValueError("mode must be NoTransform(), ImageTransform() or NormalEqWindow(d), "
+                             f"got {self.mode!r}")
+        if not isinstance(self.step, (Unit, Backtracking)):
+            raise ValueError(f"step must be Unit() or Backtracking(), got {self.step!r}")
         self.memory = _count("memory", self.memory, 1)
         self.max_iters = _count("max_iters", self.max_iters, 0)
 
@@ -461,6 +476,10 @@ def _iterate(problem, evaluate, config, model, x):
     ``update-breakdown`` record, which counts as an iteration and a fallback.
     At ``config.record == "summary"`` each record replaces the previous
     step's, so the trace ends with the initial and the final record.
+
+    The norms the loop takes (of each gradient or residual, and of x - x*)
+    are ``math.sqrt(v.dot(v))`` on a contiguous 1-D vector: the dot and the
+    square root of ``euclidean_norm``, bit for bit, as a Python float.
     """
     track = config.record == "matrix"
     if track and not model.track:
@@ -473,31 +492,37 @@ def _iterate(problem, evaluate, config, model, x):
     threshold = _stop_threshold(config.stop, problem, x, g)
     x_star = problem.x_star if isinstance(config.stop, IterateError) else None
     summary = config.record == "summary"
+    max_iters, step = config.max_iters, config.step
+    direction, update = model.direction, model.update
 
     trace = IterationTrace()
     records = trace.records
-    gnorm = euclidean_norm(g)
+    gnorm = math.sqrt(g.dot(g))
     records.append(StepRecord(x, gnorm, matrix_error=model.error() if track else None))
 
     k = fallbacks = 0
     while True:
-        measure = gnorm if x_star is None else euclidean_norm(x - x_star)
-        status = _terminal_status(gnorm, measure, threshold, k, config.max_iters)
+        if x_star is None:
+            measure = gnorm
+        else:
+            e = x - x_star
+            measure = math.sqrt(e.dot(e))
+        status = _terminal_status(gnorm, measure, threshold, k, max_iters)
         if status is not None:
             break
         try:
-            p = model.direction(x, g)
+            p = direction(x, g)
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
         except ValueError:  # the QR solve refuses non-finite factors
             status = "nonfinite"
             break
-        alpha = line_search(problem, x, g, p, config.step)
+        alpha = line_search(problem, x, g, p, step)
         s = p if alpha == 1.0 else alpha * p
         xn = x + s
         gn = evaluate(xn)
-        gnorm = euclidean_norm(gn)
+        gnorm = math.sqrt(gn.dot(gn))
         y = gn - g
         pair = SecantPair(s, y)
 
@@ -511,7 +536,7 @@ def _iterate(problem, evaluate, config, model, x):
             raw_hist.append(s, y)
 
         try:
-            refused = model.update(pair)
+            refused = update(pair)
         except (CurvatureError, DegenerateUpdateError) as exc:
             status = "breakdown"
             record = StepRecord(xn, gnorm, pair, f"update-breakdown: {exc}")

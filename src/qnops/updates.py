@@ -59,14 +59,14 @@ def _outer(a, b, out=None):
 
 
 def _sym_rank2(B, a, b, c, den):
-    # B + (a b' + b a') / den - (c / den**2) * b b'
+    # B + (a b' + b a') / den - (c / den**2) * b b'; b a' is (a b').T exactly,
+    # since a floating-point product does not depend on the order of its factors
     T = _outer(a, b)
-    U = _outer(b, a)
-    T += U
-    T /= den
-    Bn = np.add(B, T, out=T)
-    np.multiply(c / den**2, _outer(b, b, out=U), out=U)
-    return np.subtract(Bn, U, out=Bn)
+    U = np.add(T, T.T)
+    U /= den
+    Bn = np.add(B, U, out=U)
+    np.multiply(c / den**2, _outer(b, b, out=T), out=T)
+    return np.subtract(Bn, T, out=Bn)
 
 
 def broyden_update(B, pair, theta):
@@ -93,7 +93,9 @@ def broyden_update(B, pair, theta):
     Bn += U
     if theta != 0.0:
         w = np.sqrt(sBs) * (y / sy - Bs / sBs)
-        np.multiply(theta, _outer(w, w, out=U), out=U)
+        _outer(w, w, out=U)
+        if theta != 1.0:  # 1.0 * x is x: DFP, and BFGS's dual on H, skip the pass
+            U *= theta
         Bn += U
     return Bn
 
@@ -158,14 +160,14 @@ def lbfgs_direction(history, g, h0_scale, rhos=None):
     is ``0.0 + ndarray.dot``, the value of ``@`` (dot omits the 0.0 at n = 1).
     """
     if rhos is None:
-        rhos = [1.0 / float(p.s.dot(p.y)) for p in history]
+        rhos = [1.0 / float(s.dot(y)) for s, y, _ in history]
     q = g.copy()
     alphas = []
-    for p, rho in zip(reversed(history), reversed(rhos)):
-        a = rho * (0.0 + float(p.s.dot(q)))
+    for (s, y, _), rho in zip(reversed(history), reversed(rhos)):
+        a = rho * (0.0 + float(s.dot(q)))
         alphas.append(a)
-        q -= a * p.y
+        q -= a * y
     r = h0_scale * q
-    for p, rho, a in zip(history, rhos, reversed(alphas)):
-        r += (a - rho * (0.0 + float(p.y.dot(r)))) * p.s
+    for (s, y, _), rho, a in zip(history, rhos, reversed(alphas)):
+        r += (a - rho * (0.0 + float(y.dot(r)))) * s
     return r

@@ -1,6 +1,11 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,9 +255,21 @@ class TestRunCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(qcli, "ProcessPoolExecutor", InProcessPool)
+        # _run_pool imports the pool class from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         assert qcli._run_pool(cells, str, workers) == [str(c) for c in cells]
         assert sizes == started
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        # the pool is imported where it is used: a run at --workers 1, the
+        # benchmark's worker and verify never start one
+        code = ("import sys, qnops.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+        src = str(Path(qcli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("affinity, expected", [({0}, 1), (None, 8)])
     def test_default_workers_are_the_usable_cpus(self, monkeypatch, affinity, expected):

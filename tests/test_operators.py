@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -473,3 +474,42 @@ class TestProjectionBitwiseEquivalence:
         pair = SecantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         _, beta, reason = normal_eq_projection(pair, raw, "broyden")
         assert reason == "singular" and beta.size == 0
+
+    @pytest.mark.parametrize("family", ["broyden", "gpsb", "bgm"])
+    def test_two_step_window_with_zero_determinant_is_singular(self, family):
+        # parallel steps: G = [[2, 4], [4, 8]] (broyden) or [[1, 2], [2, 4]],
+        # whose determinant is exactly zero; the 2 x 2 solve divides by none
+        raw = RawHistory(d=2)
+        raw.append(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        raw.append(np.array([2.0, 0.0]), np.array([2.0, 0.0]))
+        pair = SecantPair(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        out, beta, reason = normal_eq_projection(pair, raw, family)
+        assert reason == "singular" and beta.size == 0
+        assert out.transformed == "raw" and out.s is pair.s
+        with np.errstate(all="ignore"):
+            assert ref_normal_eq_projection(pair, raw, family)[2] == "singular"
+
+    @pytest.mark.parametrize("scales", [(1e100, 1e100), (1e100, 1e-100)],
+                             ids=["overflowing", "mixed"])
+    def test_two_step_window_near_1e200_matches_reference(self, scales):
+        # entries of G near 1e200: the products of the 2 x 2 solve overflow
+        # to inf and NaN (reported singular), or, beside entries near 1e-200,
+        # give a finite beta; no warning is raised either way
+        rng = np.random.default_rng(7)
+        A = random_spd_matrix(4, rng, spectrum=(0.5, 2.0))
+        raw = RawHistory(d=2)
+        for scale in scales:
+            s = scale * rng.standard_normal(4)
+            raw.append(s, A @ s)
+        s = 1e100 * rng.standard_normal(4)
+        pair = SecantPair(s, A @ s)
+        for family in ("broyden", "gpsb", "bgm"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gp, gbeta, greason = normal_eq_projection(pair, raw, family)
+            with np.errstate(all="ignore"):
+                wp, wbeta, wreason = ref_normal_eq_projection(pair, raw, family)
+            assert greason == wreason
+            assert (greason == "singular") == (scales[1] == 1e100)
+            assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
+            assert _same_bytes(gbeta, wbeta)

@@ -314,10 +314,15 @@ class TestRecordBits:
     @pytest.mark.parametrize("label, lam, problem, iterations, digest", CELLS,
                              ids=[f"{c[0]}-{c[2].__name__}" for c in CELLS])
     def test_records_are_unchanged(self, label, lam, problem, iterations, digest):
-        trace = run_label(label, lam, problem())
+        p = problem()
+        trace = run_label(label, lam, p)
         assert trace.status == "converged"
         assert trace.iterations == iterations
         assert records_digest(trace) == digest
+        # the loop takes its norms as Python floats, math.sqrt(v.dot(v))
+        evaluate = p.residual if isinstance(p, NonlinearSystem) else p.gradient
+        for r in trace.records:
+            assert np.float64(r.grad_norm).tobytes() == np.linalg.norm(evaluate(r.x)).tobytes()
 
 
 class TestLbfgsDriver:
@@ -737,10 +742,31 @@ class TestSolverConfigValidation:
         (lambda: dict(max_iters=10.0), "max_iters"),
         (lambda: dict(memory=2.5), "memory"),
         (lambda: dict(mode=NormalEqWindow(1.5)), "window size"),
+        # mode None, "image" or the class NormalEqWindow ran the plain method
+        # to converged; step None or "unit" raised AttributeError inside
+        # line_search after the start's gradient
+        (lambda: dict(mode=None), "mode"),
+        (lambda: dict(mode="image"), "mode"),
+        (lambda: dict(mode=NormalEqWindow), "mode"),
+        (lambda: dict(step=None), "step"),
+        (lambda: dict(step="unit"), "step"),
+        # on random_spd_quadratic(6) with BFGS, shrink=0 ended in breakdown,
+        # shrink=-0.5 took negative steps to converged, c1=-1 accepted every
+        # step and shrink=nan ended nonfinite
+        (lambda: dict(step=Backtracking(shrink=0.0)), "shrink"),
+        (lambda: dict(step=Backtracking(shrink=-0.5)), "shrink"),
+        (lambda: dict(step=Backtracking(shrink=1.0)), "shrink"),
+        (lambda: dict(step=Backtracking(shrink=np.nan)), "shrink"),
+        (lambda: dict(step=Backtracking(c1=-1.0)), "c1"),
+        (lambda: dict(step=Backtracking(c1=0.0)), "c1"),
+        (lambda: dict(step=Backtracking(c1=1.0)), "c1"),
+        (lambda: dict(step=Backtracking(c1=np.nan)), "c1"),
     ], ids=["GradNorm-inf", "GradNorm-inf-absolute", "GradNorm-nan", "GradNorm-negative",
             "IterateError-nan", "IterateError-negative", "IterateError-inf",
             "ResidualNorm-nan", "ResidualNorm-negative", "max_iters-nan", "max_iters-float",
-            "memory-fraction", "NormalEqWindow-fraction"])
+            "memory-fraction", "NormalEqWindow-fraction", "mode-None", "mode-str",
+            "mode-class", "step-None", "step-str", "shrink-zero", "shrink-negative",
+            "shrink-one", "shrink-nan", "c1-negative", "c1-zero", "c1-one", "c1-nan"])
     def test_bad_parameter_refused_where_built(self, build, match):
         calls = []
         problem = counted(quadratic_weighted_50(), calls)
@@ -757,7 +783,8 @@ class TestSolverConfigValidation:
         assert minimize_lbfgs(quadratic_weighted_50(), cfg).iterations == 5
 
     def test_boundary_values_accepted(self):
-        cfg = self.base(b0=1e-300, memory=1, max_iters=0)
+        cfg = self.base(b0=1e-300, memory=1, max_iters=0,
+                        step=Backtracking(c1=0.999, shrink=1e-300))
         trace = minimize_lbfgs(quadratic_weighted_50(), cfg)
         assert trace.status == "max-iters"
         assert trace.iterations == 0
