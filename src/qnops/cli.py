@@ -25,6 +25,9 @@ import click
 import numpy as np
 
 from . import lab
+# ``run`` maps its cells through the module global ``_run_pool``, which
+# perfbench/cli_probe.py replaces to time the pool
+from .pool import default_workers, run_pool as _run_pool
 from .problems import (
     circle_cosine_system,
     modified_rosenbrock_10,
@@ -346,16 +349,7 @@ def _filter_methods(labels, methods):
     return picked
 
 
-def _run_pool(cells, worker, workers):
-    # no more processes than cells: the pool may start all of max_workers at once
-    workers = min(workers, len(cells))
-    if workers > 1:
-        # imported here, so that importing the CLI loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, cells))  # map preserves order
-    return [worker(c) for c in cells]
+_WORKERS_HELP = "worker processes (default: one per CPU this process may run on)"
 
 
 @click.group()
@@ -373,8 +367,7 @@ def cli():
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               callback=_check_out_dir, help="output path (default: stdout)")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="worker processes (default: one per CPU this process may run on)")
+@click.option("--workers", type=click.IntRange(min=1), default=None, help=_WORKERS_HELP)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               is_eager=True, expose_value=False, callback=_load_config_file,
               help="key=value file; flags override it")
@@ -386,9 +379,8 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     unread = [flag for flag in _UNREAD.get(experiment, ()) if given[flag] is not None]
     if unread:
         raise click.UsageError(f"--experiment {experiment} reads no {', '.join(unread)}")
-    if workers is None:  # an affinity mask, where the platform has one, may be narrower
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+    if workers is None:
+        workers = default_workers()
     lam_list = _parse_lambdas(lambdas) if lambdas else list(LAMBDAS)
     d_list = _parse_sizes(d, "--d") if d else None
     n_list = _parse_sizes(n, "--n") if n else None
@@ -434,10 +426,11 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
 @cli.command()
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
-def verify(seed, trials):
+@click.option("--workers", type=click.IntRange(min=1), default=None, help=_WORKERS_HELP)
+def verify(seed, trials, workers):
     """Run every oracle suite and report one line per suite."""
     start = time.perf_counter()
-    rows = lab.verify_all(seed=seed, trials=trials)
+    rows = lab.verify_all(seed=seed, trials=trials, workers=workers)
     for row in rows:
         click.echo(str(row))
     bad = sum(r.violations for r in rows)

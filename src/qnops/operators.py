@@ -83,9 +83,10 @@ def secondary_secant(grad, x_next, u, t):
 
 def _beta_solve(G, rhs):
     # Solve the m x m projection system, m >= 2.  The closed forms divide by
-    # the determinant; a singular system is reported through non-finite
-    # entries, which the caller maps to the same fallback as a LinAlgError
-    # from the LU path.
+    # the determinant; a singular system (a zero determinant) is reported
+    # through non-finite entries, which the caller maps to the same fallback
+    # as a LinAlgError from the LU path.  A determinant that overflows says
+    # nothing about singularity, so that system goes to the LU path.
     m = G.shape[0]
     if m == 2:
         # In Python floats, whose products and sums round as NumPy's do and
@@ -96,19 +97,21 @@ def _beta_solve(G, rhs):
         det = g00 * g11 - g01 * g10
         if det == 0.0:
             return np.array([math.nan, math.nan])
-        return np.array([(r0 * g11 - g01 * r1) / det, (g00 * r1 - r0 * g10) / det])
-    if m == 3:
+        if math.isfinite(det):
+            return np.array([(r0 * g11 - g01 * r1) / det, (g00 * r1 - r0 * g10) / det])
+    elif m == 3:
         # Cramer's rule: det(G) and the three with rhs in column j, in one
         # call, on the system halved.  np.linalg.det goes through log|det|
         # and exp, so unlike in the other routes the halving moves this
         # path's bits, and the pinned counts are measured with it.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            G, rhs = G / 2.0, rhs / 2.0
-            stack = np.stack([G] * 4)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            half_g, half_rhs = G / 2.0, rhs / 2.0
+            stack = np.stack([half_g] * 4)
             for j in range(3):
-                stack[j + 1, :, j] = rhs
+                stack[j + 1, :, j] = half_rhs
             dets = np.linalg.det(stack)
-            return dets[1:] / dets[0]
+            if np.isfinite(dets[0]):
+                return dets[1:] / dets[0]
     return np.linalg.solve(G, rhs)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qnops
-from qnops import cli, solvers
+from qnops import cli, lab, solvers
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qnops.__path__))
 
@@ -35,6 +35,11 @@ def test_package_all_resolves_and_star_import_works():
 # the benchmark's hooks: perfbench/ patches package functions by (module,
 # attribute); a renamed or inlined one would stop its probe clock or empty its
 # trace without any other test failing
+
+
+class _NoClock:
+    def tick(self):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +85,12 @@ def test_traced_grid_cell_counts_its_iterations_and_line_searches(perfbench):
     assert row.iterations == 124
     assert layers["solvers.iterations"][0] == layers["solvers.line_search.calls"][0] == 124
     assert layers["updates.broyden_update.calls"][0] == 124
+
+
+def test_traced_verify_pickles_its_pool_tasks(perfbench):
+    # the pool pickles each task by name; a task the tracer or the probe
+    # clock replaced in lab would no longer be the function under its name
+    spans, worker = perfbench
+    serial = lab.verify_all(seed=0, trials=5, workers=1)
+    with spans.Tracer().installed(), worker.ticking(_NoClock(), worker.TICK_POINTS["verify"]):
+        assert lab.verify_all(seed=0, trials=5, workers=2) == serial

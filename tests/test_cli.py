@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qnops import cli as qcli
+from qnops import cli as qcli, lab
 from qnops.cli import (
     LAMBDAS,
     SYSTEM_LABELS,
@@ -26,6 +27,7 @@ from qnops.cli import (
     table2_labels,
     table3_labels,
 )
+from qnops.pool import run_pool
 from qnops.solvers import (
     BGM,
     Broyden,
@@ -38,6 +40,13 @@ from qnops.solvers import (
 
 
 runner = CliRunner()
+
+
+def _fail_on_two(cell):
+    # a pool worker: top level, so the pool can pickle it
+    if cell == 2:
+        raise ArithmeticError(f"cell {cell}")
+    return cell
 
 
 def parse_table(text):
@@ -255,30 +264,36 @@ class TestRunCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        # _run_pool imports the pool class from concurrent.futures when it runs
+        # run_pool imports the pool class from concurrent.futures when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        assert qcli._run_pool(cells, str, workers) == [str(c) for c in cells]
+        assert run_pool(cells, str, workers) == [str(c) for c in cells]
         assert sizes == started
 
+    def test_no_pool_process_outlives_a_failing_cell(self):
+        with pytest.raises(ArithmeticError, match="cell 2"):
+            run_pool([1, 2, 3, 4], _fail_on_two, 2)
+        assert multiprocessing.active_children() == []
+
     def test_importing_the_cli_loads_no_multiprocessing(self):
-        # the pool is imported where it is used: a run at --workers 1, the
-        # benchmark's worker and verify never start one
-        code = ("import sys, qnops.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+        # the pool is imported only when one starts, so importing the lab or
+        # the CLI, and a run or verify at --workers 1, load no multiprocessing
         src = str(Path(qcli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        for module in ("qnops.lab", "qnops.cli"):
+            code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'multiprocessing'))")
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == "[]", module
 
     @pytest.mark.parametrize("affinity, expected", [({0}, 1), (None, 8)])
     def test_default_workers_are_the_usable_cpus(self, monkeypatch, affinity, expected):
         # the default was os.cpu_count(), more workers than an affinity mask allows
-        monkeypatch.setattr(qcli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         if affinity is None:  # a platform without sched_getaffinity
-            monkeypatch.delattr(qcli.os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
-            monkeypatch.setattr(qcli.os, "sched_getaffinity", lambda pid: affinity)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         asked = []
 
         def pool(cells, worker, workers):
@@ -540,6 +555,34 @@ class TestVerifySubcommand:
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "--seed" in err
+        assert "Traceback" not in err
+
+    def test_report_is_independent_of_workers(self):
+        runs = [runner.invoke(cli, ["verify", "--trials", "40", "--workers", workers])
+                for workers in ("1", "2")]
+        assert runs[0].exit_code == runs[1].exit_code == 0
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        asked = []
+
+        def pool(cells, worker, workers, order=None):
+            asked.append(workers)
+            return [worker(c) for c in cells]
+
+        monkeypatch.setattr(lab, "run_pool", pool)
+        result = runner.invoke(cli, ["verify", "--trials", "2"])
+        assert result.exit_code == 0
+        assert asked == [3]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", "--workers", workers])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "--workers" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -1,9 +1,12 @@
+import concurrent.futures
 import importlib.util
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnops import lab
 from qnops.lab import (
     KernelGrowthReport,
     ProcessConfig,
@@ -441,6 +444,46 @@ class TestVerifyAll:
             f"informational hunt: {k} breaches without the ordering hypothesis" for k in (32, 35)
         ]
         assert all(type(r.violations) is int and type(r.skipped) is int for r in rows)
+
+    def test_rows_are_the_same_on_a_pool(self):
+        assert verify_all(seed=0, trials=40, workers=2) == verify_all(seed=0, trials=40, workers=1)
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_all started a pool at workers=1")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert [r.name for r in verify_all(seed=0, trials=5, workers=1)] == SUITE_NAMES
+
+    def test_a_pool_takes_the_longest_suites_first(self, monkeypatch):
+        submitted = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                submitted.extend(runner.__name__ for runner, _ in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        rows = verify_all(seed=0, trials=5, workers=2)
+        assert submitted[:3] == ["_suite_image_gain", "_suite_termination",
+                                 "_suite_projection_gain"]
+        assert len(submitted) == len(lab._LONGEST_FIRST)
+        assert rows == verify_all(seed=0, trials=5, workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            verify_all(seed=0, trials=5, workers=workers)
 
     def test_row_format(self):
         row = SuiteRow(name="demo", trials=10, violations=0, max_residual=1.5e-12)

@@ -372,7 +372,7 @@ def ref_beta_solve(G, rhs):
     return np.linalg.solve(G, rhs)
 
 
-def ref_normal_eq_projection(pair, raw, family, minv2=None):
+def ref_normal_eq_projection(pair, raw, family, minv2=None, beta_solve=ref_beta_solve):
     s, y = pair.s, pair.y
     m = len(raw)
     if m == 0:
@@ -393,7 +393,7 @@ def ref_normal_eq_projection(pair, raw, family, minv2=None):
         G = S.T @ S
         rhs = S.T @ s
     try:
-        beta = ref_beta_solve(G, rhs)
+        beta = beta_solve(G, rhs)
     except np.linalg.LinAlgError:
         return SecantPair(s, y, "raw"), np.empty(0), "singular"
     if not np.all(np.isfinite(beta)):
@@ -492,9 +492,11 @@ class TestProjectionBitwiseEquivalence:
     @pytest.mark.parametrize("scales", [(1e100, 1e100), (1e100, 1e-100)],
                              ids=["overflowing", "mixed"])
     def test_two_step_window_near_1e200_matches_reference(self, scales):
-        # entries of G near 1e200: the products of the 2 x 2 solve overflow
-        # to inf and NaN (reported singular), or, beside entries near 1e-200,
-        # give a finite beta; no warning is raised either way
+        # entries of G near 1e200: the determinant of the 2 x 2 solve
+        # overflows, so the system goes to the LU solve, where the first form
+        # reported it singular; beside entries near 1e-200 the closed form
+        # gives a finite beta; no warning is raised either way
+        overflowing = scales[1] == 1e100
         rng = np.random.default_rng(7)
         A = random_spd_matrix(4, rng, spectrum=(0.5, 2.0))
         raw = RawHistory(d=2)
@@ -503,13 +505,34 @@ class TestProjectionBitwiseEquivalence:
             raw.append(s, A @ s)
         s = 1e100 * rng.standard_normal(4)
         pair = SecantPair(s, A @ s)
+        reference = np.linalg.solve if overflowing else ref_beta_solve
         for family in ("broyden", "gpsb", "bgm"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 gp, gbeta, greason = normal_eq_projection(pair, raw, family)
             with np.errstate(all="ignore"):
-                wp, wbeta, wreason = ref_normal_eq_projection(pair, raw, family)
+                wp, wbeta, wreason = ref_normal_eq_projection(pair, raw, family,
+                                                              beta_solve=reference)
             assert greason == wreason
-            assert (greason == "singular") == (scales[1] == 1e100)
+            assert greason != "singular"
             assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
             assert _same_bytes(gbeta, wbeta)
+
+    @pytest.mark.parametrize("family", ["broyden", "gpsb", "bgm"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_window_with_overflowing_determinant_is_solved(self, m, family):
+        # s_i = y_i = 1.2e77 e_i: G is diagonal near 1e154, whose determinant
+        # overflows at m >= 2.  s lies in the window's span, so every m must
+        # discard it; m = 2 returned beta = 0 and a projected pair, m = 3
+        # reported singular with an overflow warning
+        raw = RawHistory(d=m)
+        for i in range(m):
+            raw.append(1.2e77 * np.eye(m)[i], 1.2e77 * np.eye(m)[i])
+        pair = SecantPair(np.ones(m), np.ones(m))
+        minv2 = np.diag(np.linspace(0.5, 2.0, m)) if family == "gpsb" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, beta, reason = normal_eq_projection(pair, raw, family, minv2)
+        assert reason == "discard"
+        assert out.transformed == "raw" and out.s is pair.s
+        assert np.isfinite(beta).all() and (beta > 0).all()

@@ -14,9 +14,9 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   ``pair.y``;
 * systems: ``x`` and ``float64(grad_norm)`` of every record of the six
   ``systems`` cells (problem outer, label inner, lambda 1.0);
-* lab: during ``verify_all(seed=0, trials=500)``, the name and the result of
-  every call of ``oracle_error_reduction``, ``oracle_image_operator_gain``,
-  ``oracle_projection_gain``, ``run_process`` (a trace as ``[matrices,
+* lab: during ``verify_all(seed=0, trials=500, workers=1)``, the name and
+  the result of every call of ``oracle_error_reduction``,
+  ``oracle_image_operator_gain``, ``oracle_projection_gain``, ``run_process`` (a trace as ``[matrices,
   steps, errors, check_kernel_growth(trace).dims, status]``) and
   ``weighted_frobenius_error``, and of every trial of a ``lab._LEMMAS``
   generator (as ``lemma/<id>``), then every row as ``[name, trials,
@@ -24,7 +24,9 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   keeps only the worst residual, and the least-change lemma's competitor
   term is never its worst.  Arrays hash as float64 C-order bytes, floats as
   ``float.hex``, anything else by ``repr``, so a count that leaks as a
-  NumPy integer changes the digest.
+  NumPy integer changes the digest.  The hooks see only calls made in
+  this process, in the order made, so the suites run here at
+  ``workers=1``, in row order, and never on a pool.
 
 One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
 Xeon in its fast state and 10-12 s in its slow one (its speed swings about
@@ -110,7 +112,7 @@ def lab_digest():
         setattr(lab, name, hashed(name, fn))
     lab._LEMMAS.update((which, hashed(f"lemma/{which}", gen)) for which, gen in lemmas.items())
     try:
-        rows = lab.verify_all(seed=0, trials=500)
+        rows = lab.verify_all(seed=0, trials=500, workers=1)
     finally:
         for name, fn in originals.items():
             setattr(lab, name, fn)
