@@ -6,11 +6,16 @@ theory into seeded numerical oracles: per-update error-reduction bounds,
 image-operator gain, projection gain with angle identities, the
 supporting lemmas, and finite termination of the approximation sequence.
 
-Each family is its update formula plus one inner-product weight W,
-<u, v>_W = u' W v: W = A for the Broyden family, W = M^-2 for generalized
-PSB, and W = I for PSB and BGM.  The image operator maps s to
-W^-1 (B - A)' s, and the orthogonalized source and the kernel-growth check
-measure orthogonality in the same W.
+A process runs one of the solvers' update rules, ``Broyden(theta)``,
+``GeneralizedPSB(minv2)`` or ``BGM()``, and measures in the rule's
+inner-product weight W, <u, v>_W = u' W v: W = A for the Broyden family,
+W = M^-2 (``minv2``) for generalized PSB, and W = I for PSB and BGM.  The
+image operator maps s to W^-1 (B - A)' s, and the orthogonalized source and
+the kernel-growth check measure orthogonality in the same W.  DFP appears
+twice: as ``Broyden(1.0)`` and as ``GeneralizedPSB(minv2=A)``.  On the exact
+pairs y = A s direct DFP is the least-change update weighted by A (Dennis and
+More, SIAM Rev. 19, 1977), and the second form is the direct DFP formula bit
+for bit, since its ``minv2 @ s`` is the product ``a @ s`` that made y.
 
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
@@ -20,12 +25,13 @@ reports one row per suite.
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .linalg import (
     KERNEL_TOL,
+    ORTHO_TOL,
     euclidean_norm,
     kernel_basis,
     weighted_frobenius_error,
@@ -33,7 +39,12 @@ from .linalg import (
 )
 from .pool import default_workers, run_pool
 from .problems import random_spd_matrix
-from .updates import SecantPair, bgm_update, broyden_update, dfp_direct_update, gpsb_update
+from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
+from .updates import SecantPair, bgm_update, gpsb_update
+
+# the lab no longer calls these two; they stay importable here because the
+# benchmark's span tracer wraps them under these names
+from .updates import broyden_update, dfp_direct_update  # noqa: F401
 
 __all__ = [
     "SLACK",
@@ -94,9 +105,7 @@ def _w_residual(s, basis, wmat):
 class ProcessConfig:
     a: np.ndarray
     b0: np.ndarray
-    family: str  # broyden | dfp | psb | gpsb | bgm
-    theta: float = 0.0  # broyden only
-    m_weight: Optional[np.ndarray] = None  # SPD M for the gpsb family
+    rule: Union[Broyden, GeneralizedPSB, BGM]
     direction_source: str = "random"  # random | image | orthogonalized
     directions: Optional[Sequence[np.ndarray]] = None  # replaces the base draws of any source
     max_steps: Optional[int] = None  # default: n
@@ -108,7 +117,6 @@ class ProcessTrace:
     matrices: List[np.ndarray] = field(default_factory=list)
     steps: List[np.ndarray] = field(default_factory=list)
     errors: List[float] = field(default_factory=list)
-    weighted_errors: Optional[List[float]] = None
     events: List[str] = field(default_factory=list)
     weight: Optional[np.ndarray] = None  # inner-product matrix (None = identity)
     target: Optional[np.ndarray] = None  # the fixed A, kept for post-hoc analysis
@@ -129,37 +137,19 @@ class KernelGrowthReport:
         return not self.violations
 
 
-def _family(config):
-    """A family as (update, W, M): its update formula, its inner-product
-    weight W (A for broyden and dfp, M^-2 for gpsb, None = I for psb and
-    bgm) and the gpsb M, kept for the weighted error."""
-    name, w, m = config.family, None, None
-    if name == "gpsb":
-        if config.m_weight is None:
-            raise ValueError("the gpsb family needs m_weight (the SPD M)")
-        m = config.m_weight
-        w = np.linalg.inv(m @ m)
-    elif name in ("broyden", "dfp"):
-        w = config.a
-    elif name not in ("psb", "bgm"):
-        raise ValueError(f"unknown family {name!r}")
-    # each formula is looked up as a module global when it runs
-    update = {
-        "broyden": lambda B, pair: broyden_update(B, pair, config.theta),
-        "dfp": lambda B, pair: dfp_direct_update(B, pair),
-        "bgm": lambda B, pair: bgm_update(B, pair),
-    }.get(name, lambda B, pair: gpsb_update(B, pair, w))  # psb and gpsb
-    return update, w, m
-
-
 def run_process(config):
-    """Drive the update family toward A with exact pairs (s, As).
+    """Drive the update rule toward A with exact pairs (s, As).
 
     Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
     on an exhausted step budget (``exhausted``), or on a recorded update
-    breakdown (``breakdown``).  A direction source other than ``random``,
-    ``image`` or ``orthogonalized`` raises ``ValueError``.
+    breakdown (``breakdown``).  ``ValueError`` refuses a rule other than
+    ``Broyden``, ``GeneralizedPSB`` or ``BGM``, a ``minv2`` that is not
+    n x n, a ``max_steps`` that is not an integer of at least 0, and a
+    direction source other than ``random``, ``image`` or ``orthogonalized``.
     """
+    rule = config.rule
+    if not isinstance(rule, (Broyden, GeneralizedPSB, BGM)):
+        raise ValueError(f"rule must be Broyden, GeneralizedPSB or BGM, not {rule!r}")
     if config.direction_source not in ("random", "image", "orthogonalized"):
         raise ValueError(f"unknown direction source {config.direction_source!r}")
     a = np.asarray(config.a, dtype=float)
@@ -167,21 +157,19 @@ def run_process(config):
     B = np.asarray(config.b0, dtype=float).copy()
     if B.shape != a.shape:
         raise ValueError("A and B0 must be conformable")
-    update, w, m = _family(config)
+    if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
+        _check_square("minv2", rule.minv2, n)
+    max_steps = n if config.max_steps is None else _count("max_steps", config.max_steps, 0)
+    # the rule's inner-product weight W (None = I)
+    w = a if isinstance(rule, Broyden) else getattr(rule, "minv2", None)
     rng = np.random.default_rng(config.seed)
-    max_steps = config.max_steps if config.max_steps is not None else n
     halt = HALT_RTOL * euclidean_norm(a)
 
     trace = ProcessTrace(weight=w, target=a)
-    if m is not None:
-        trace.weighted_errors = []
 
     def record_state():
-        E = B - a
         trace.matrices.append(B.copy())
-        trace.errors.append(euclidean_norm(E))
-        if trace.weighted_errors is not None:
-            trace.weighted_errors.append(weighted_frobenius_error(E, m))
+        trace.errors.append(euclidean_norm(B - a))
 
     def base_direction(k):
         if config.directions is not None:
@@ -225,7 +213,7 @@ def run_process(config):
         else:
             s = s0
         try:
-            B = update(B, SecantPair(s, a @ s))
+            B = rule.update(B, SecantPair(s, a @ s))
         except ArithmeticError as exc:
             trace.events.append(f"step {k}: breakdown: {exc}")
             trace.status = "breakdown"
@@ -248,10 +236,10 @@ def _kernel_basis_scaled(E, tol, scale):
     return kernel_basis(E, tol)
 
 
-def check_kernel_growth(trace, tol=KERNEL_TOL, ortho_tol=1e-8):
+def check_kernel_growth(trace, tol=KERNEL_TOL):
     """Kernel dimensions of B_k - A must never shrink, and must grow
     strictly whenever the step was W-orthogonal to the whole current
-    kernel (within ortho_tol, relative).
+    kernel (within ORTHO_TOL, relative).
 
     A step that merely leans away from the kernel does not force growth:
     the update evicts the kernel slice the step is W-correlated with while
@@ -278,7 +266,7 @@ def check_kernel_growth(trace, tol=KERNEL_TOL, ortho_tol=1e-8):
         s_norm = np.sqrt(s @ ws)
         if basis.shape[1]:
             cols_w = np.sqrt(np.einsum("ij,ij->j", basis, basis if w is None else w @ basis))
-            ortho = np.all(np.abs(basis.T @ ws) <= ortho_tol * s_norm * cols_w)
+            ortho = np.all(np.abs(basis.T @ ws) <= ORTHO_TOL * s_norm * cols_w)
         else:
             ortho = True
         if ortho and dims[j] < basis.shape[0] and dims[j + 1] <= dims[j]:
@@ -723,24 +711,30 @@ def _sin_to_complement(s, basis, wmat):
     return np.sqrt(max(0.0, weighted_inner(resid, resid, wmat) / weighted_inner(s, s, wmat)))
 
 
+def _gpsb_rule(rng, n):
+    # generalized PSB in the norm of a random SPD M: minv2 = M^-2
+    m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    return GeneralizedPSB(np.linalg.inv(m @ m))
+
+
 def _suite_termination(seed, instances=100):
     rows = []
-    cases = [("broyden", 0.0), ("broyden", 1.0), ("psb", 0.0), ("gpsb", 0.0), ("bgm", 0.0)]
-    for fi, (family, theta) in enumerate(cases):
+    # None: generalized PSB, with a fresh M drawn for each instance
+    cases = [("broyden-theta0", Broyden(0.0)), ("broyden-theta1", Broyden(1.0)),
+             ("psb", GeneralizedPSB()), ("gpsb", None), ("bgm", BGM())]
+    for fi, (tag, rule) in enumerate(cases):
         for source in ("image", "orthogonalized"):
 
             def trial(rng, t):
                 n = 2 + t % 9
                 a = random_spd_matrix(n, rng)
-                m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0)) if family == "gpsb" else None
                 trace = run_process(ProcessConfig(
-                    a=a, b0=np.eye(n), family=family, theta=theta, m_weight=m,
-                    direction_source=source, seed=seed + t, max_steps=n,
+                    a=a, b0=np.eye(n), rule=rule or _gpsb_rule(rng, n),
+                    direction_source=source, seed=seed + t,
                 ))
                 rel = trace.errors[-1] / euclidean_norm(a)
                 return rel, rel > 1e-8 or len(trace.steps) > n
 
-            tag = f"broyden-theta{int(theta)}" if family == "broyden" else family
             # both sources replay the same seeded instances
             rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial))
     return rows
@@ -749,15 +743,13 @@ def _suite_termination(seed, instances=100):
 def _suite_kernel_growth(seed, instances=50):
     def trial(rng, t):
         n = 2 + t % 9
-        family = ("dfp", "psb", "bgm", "gpsb")[t % 4]
         source = ("random", "image", "orthogonalized")[t % 3]
         a = random_spd_matrix(n, rng)
-        m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0)) if family == "gpsb" else None
-        config = ProcessConfig(
-            a=a, b0=np.eye(n), family=family, direction_source=source,
-            m_weight=m, seed=seed + t, max_steps=n,
-        )
-        trace = run_process(config)
+        # direct DFP, PSB, BGM, generalized PSB
+        rule = (GeneralizedPSB(minv2=a), GeneralizedPSB(), BGM(), None)[t % 4] or _gpsb_rule(rng, n)
+        trace = run_process(ProcessConfig(
+            a=a, b0=np.eye(n), rule=rule, direction_source=source, seed=seed + t,
+        ))
         reports = [check_kernel_growth(trace, tol) for tol in (KERNEL_TOL, 10 * KERNEL_TOL)]
         return 0.0, sum(len(report.violations) for report in reports)
 
@@ -767,13 +759,12 @@ def _suite_kernel_growth(seed, instances=50):
 def _suite_span_inclusion(seed, instances=50):
     def trial(rng, t):
         n = 2 + t % 9
-        family, theta = (("broyden", 0.0), ("dfp", 0.0), ("psb", 0.0), ("bgm", 0.0))[t % 4]
         a = random_spd_matrix(n, rng)
-        config = ProcessConfig(
-            a=a, b0=np.eye(n), family=family, theta=theta,
-            direction_source="orthogonalized", seed=seed + t, max_steps=n,
-        )
-        trace = run_process(config)
+        # BFGS, direct DFP, PSB, BGM
+        rule = (Broyden(0.0), GeneralizedPSB(minv2=a), GeneralizedPSB(), BGM())[t % 4]
+        trace = run_process(ProcessConfig(
+            a=a, b0=np.eye(n), rule=rule, direction_source="orthogonalized", seed=seed + t,
+        ))
         halt = HALT_RTOL * euclidean_norm(a)
         worst, violations = 0.0, 0
         for k in range(1, len(trace.matrices)):

@@ -17,6 +17,9 @@ __all__ = [
 
 #: default relative tolerance for rank decisions in kernel_basis
 KERNEL_TOL = 1e-8
+#: relative W-inner product below which a step counts as W-orthogonal to a
+#: kernel direction (lab.check_kernel_growth)
+ORTHO_TOL = 1e-8
 
 
 def euclidean_norm(v):

@@ -105,6 +105,9 @@ def dfp_direct_update(B, pair):
 
     B+ = B + [(y - Bs) y' + y (y - Bs)'] / s'y - [(y - Bs)'s / (s'y)^2] y y'.
     Independent of broyden_update(theta=1); the two agree to roundoff.
+    On a pair y = A s it is ``gpsb_update(B, pair, minv2=A)`` bit for bit,
+    which is how the lab runs it; nothing in the package calls this
+    function, which stays for the benchmark's span tracer.
     """
     s, y = pair.s, pair.y
     sy = s @ y

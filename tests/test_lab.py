@@ -22,6 +22,7 @@ from qnops.lab import (
 )
 from qnops.linalg import weighted_frobenius_error
 from qnops.problems import random_spd_matrix
+from qnops.solvers import BGM, Broyden, GeneralizedPSB
 from qnops.updates import SecantPair, gpsb_update
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -31,10 +32,19 @@ def spd(n, seed, spectrum=(0.5, 5.0)):
     return random_spd_matrix(n, np.random.default_rng(seed), spectrum=spectrum)
 
 
+def rule_for(family, A, m_seed):
+    """The update rule of a family; gpsb weighs by M = spd(n, m_seed)."""
+    if family == "gpsb":
+        M = spd(A.shape[0], m_seed, spectrum=(0.5, 2.0))
+        return GeneralizedPSB(np.linalg.inv(M @ M))
+    return {"broyden": Broyden(0.0), "dfp": Broyden(1.0), "dfp-direct": GeneralizedPSB(minv2=A),
+            "psb": GeneralizedPSB(), "bgm": BGM()}[family]
+
+
 class TestRunProcess:
     def test_exact_start_terminates_immediately(self):
         A = spd(4, 0)
-        trace = run_process(ProcessConfig(a=A, b0=A.copy(), family="dfp"))
+        trace = run_process(ProcessConfig(a=A, b0=A.copy(), rule=Broyden(1.0)))
         assert trace.terminated
         assert trace.steps == []
         assert check_kernel_growth(trace).dims[0] == 4
@@ -44,7 +54,7 @@ class TestRunProcess:
         A = spd(3, 1)
         B0 = spd(3, 2)
         trace = run_process(
-            ProcessConfig(a=A, b0=B0, family="dfp", direction_source="image", seed=5)
+            ProcessConfig(a=A, b0=B0, rule=Broyden(1.0), direction_source="image", seed=5)
         )
         assert trace.terminated
         assert len(trace.steps) <= 3
@@ -56,7 +66,7 @@ class TestRunProcess:
             ProcessConfig(
                 a=A,
                 b0=np.eye(3),
-                family="bgm",
+                rule=BGM(),
                 direction_source="random",
                 directions=list(np.eye(3).T),
                 max_steps=3,
@@ -69,7 +79,8 @@ class TestRunProcess:
     def test_orthogonalized_source_cycles_basis(self):
         A = spd(4, 4)
         trace = run_process(
-            ProcessConfig(a=A, b0=2.0 * np.eye(4), family="psb", direction_source="orthogonalized")
+            ProcessConfig(a=A, b0=2.0 * np.eye(4), rule=GeneralizedPSB(),
+                          direction_source="orthogonalized")
         )
         assert trace.terminated
         # W is Euclidean here, so the steps are mutually orthogonal
@@ -80,35 +91,42 @@ class TestRunProcess:
     def test_exhausted_budget(self):
         A = spd(6, 6)
         trace = run_process(
-            ProcessConfig(a=A, b0=np.eye(6), family="dfp", direction_source="random", max_steps=2)
+            ProcessConfig(a=A, b0=np.eye(6), rule=Broyden(1.0), direction_source="random",
+                          max_steps=2)
         )
         assert trace.status == "exhausted"
         assert len(trace.steps) == 2
-
-    def test_gpsb_needs_weight(self):
-        A = spd(3, 7)
-        with pytest.raises(ValueError):
-            run_process(ProcessConfig(a=A, b0=np.eye(3), family="gpsb"))
 
     def test_gpsb_tracks_weighted_errors(self):
         A = spd(3, 8)
         M = spd(3, 9, spectrum=(0.5, 2.0))
         trace = run_process(
             ProcessConfig(
-                a=A, b0=np.eye(3), family="gpsb", m_weight=M, direction_source="image"
+                a=A, b0=np.eye(3), rule=GeneralizedPSB(np.linalg.inv(M @ M)),
+                direction_source="image",
             )
         )
         assert trace.terminated
-        assert trace.weighted_errors is not None
-        assert len(trace.weighted_errors) == len(trace.errors)
-        # the weighted error is what the update contracts monotonically
-        assert all(
-            b <= a * (1 + 1e-10) for a, b in zip(trace.weighted_errors, trace.weighted_errors[1:])
-        )
+        weighted = [weighted_frobenius_error(Bk - A, M) for Bk in trace.matrices]
+        # the weighted error ||M (B_k - A) M||_F is what the update contracts monotonically
+        assert all(b <= a * (1 + 1e-10) for a, b in zip(weighted, weighted[1:]))
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            run_process(ProcessConfig(a=np.eye(2), b0=np.eye(2), family="sr1"))
+    @pytest.mark.parametrize("field, value, match", [
+        ("rule", "dfp", "rule"),
+        ("rule", None, "rule"),
+        ("rule", Broyden, "rule"),  # the class, not a rule
+        ("rule", GeneralizedPSB(np.eye(2)), "minv2"),
+        ("rule", GeneralizedPSB(np.ones(3)), "minv2"),
+        ("max_steps", -1, "max_steps"),
+        ("max_steps", 2.5, "max_steps"),
+        ("max_steps", "3", "max_steps"),
+    ], ids=["rule-string", "rule-none", "rule-class", "minv2-2x2", "minv2-vector",
+            "steps-negative", "steps-float", "steps-string"])
+    def test_bad_input_is_refused(self, field, value, match):
+        config = ProcessConfig(a=np.eye(3), b0=2 * np.eye(3), rule=Broyden(1.0))
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=match):
+            run_process(config)
 
     def test_zero_user_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +134,7 @@ class TestRunProcess:
                 ProcessConfig(
                     a=np.eye(2),
                     b0=2 * np.eye(2),
-                    family="dfp",
+                    rule=Broyden(1.0),
                     direction_source="random",
                     directions=[np.zeros(2)],
                 )
@@ -127,20 +145,18 @@ class TestRunProcess:
         # a typo must not run as the random source, with or without directions
         for kw in ({}, {"directions": [np.ones(2)]}):
             with pytest.raises(ValueError, match="direction source"):
-                run_process(ProcessConfig(a=np.eye(2), b0=2 * np.eye(2), family="dfp",
+                run_process(ProcessConfig(a=np.eye(2), b0=2 * np.eye(2), rule=Broyden(1.0),
                                           direction_source=source, **kw))
 
-    @pytest.mark.parametrize("family", ["broyden", "dfp", "psb", "bgm", "gpsb"])
+    @pytest.mark.parametrize("family", ["broyden", "dfp", "dfp-direct", "psb", "bgm", "gpsb"])
     @pytest.mark.parametrize("source", ["image", "orthogonalized"])
     def test_every_family_terminates_in_n(self, family, source):
         n = 5
         A = spd(n, 11)
-        kw = {}
-        if family == "gpsb":
-            kw["m_weight"] = spd(n, 12, spectrum=(0.5, 2.0))
         trace = run_process(
             ProcessConfig(
-                a=A, b0=spd(n, 13), family=family, direction_source=source, seed=3, **kw
+                a=A, b0=spd(n, 13), rule=rule_for(family, A, 12), direction_source=source,
+                seed=3,
             )
         )
         assert trace.terminated
@@ -152,7 +168,7 @@ class TestKernelGrowth:
     def test_terminated_trace_reaches_full_dimension(self):
         A = spd(5, 20)
         trace = run_process(
-            ProcessConfig(a=A, b0=spd(5, 21), family="dfp", direction_source="image")
+            ProcessConfig(a=A, b0=spd(5, 21), rule=Broyden(1.0), direction_source="image")
         )
         report = check_kernel_growth(trace)
         assert isinstance(report, KernelGrowthReport)
@@ -162,7 +178,7 @@ class TestKernelGrowth:
     def test_image_source_grows_every_step(self):
         A = spd(5, 22)
         trace = run_process(
-            ProcessConfig(a=A, b0=spd(5, 23), family="psb", direction_source="image")
+            ProcessConfig(a=A, b0=spd(5, 23), rule=GeneralizedPSB(), direction_source="image")
         )
         report = check_kernel_growth(trace)
         assert report.ok
@@ -173,7 +189,7 @@ class TestKernelGrowth:
         A = spd(6, 24)
         trace = run_process(
             ProcessConfig(
-                a=A, b0=spd(6, 25), family="dfp", direction_source="random", max_steps=12
+                a=A, b0=spd(6, 25), rule=Broyden(1.0), direction_source="random", max_steps=12
             )
         )
         report = check_kernel_growth(trace)
@@ -184,7 +200,7 @@ class TestKernelGrowth:
         # hand-built trace: fake a dimension drop
         A = np.eye(2)
         trace = run_process(
-            ProcessConfig(a=A, b0=2 * np.eye(2), family="dfp", direction_source="random",
+            ProcessConfig(a=A, b0=2 * np.eye(2), rule=Broyden(1.0), direction_source="random",
                           max_steps=1)
         )
         trace.matrices = [A + np.diag([0.0, 1.0]), A + np.eye(2)]
@@ -193,7 +209,7 @@ class TestKernelGrowth:
         assert not report.ok
         assert "fell" in report.violations[0]
 
-    @pytest.mark.parametrize("family", ["broyden", "dfp", "psb", "gpsb", "bgm"])
+    @pytest.mark.parametrize("family", ["broyden", "dfp", "dfp-direct", "psb", "gpsb", "bgm"])
     @pytest.mark.parametrize("source", ["random", "image", "orthogonalized", "user"])
     def test_kernel_dims_match_the_growth_check(self, family, source):
         # "user": the random source with its base draws given as directions
@@ -201,10 +217,10 @@ class TestKernelGrowth:
         kw = {}
         if source == "user":
             source, kw["directions"] = "random", list(spd(n, 31))
-        if family == "gpsb":
-            kw["m_weight"] = spd(n, 32, spectrum=(0.5, 2.0))
+        A = spd(n, 33)
         trace = run_process(ProcessConfig(
-            a=spd(n, 33), b0=np.eye(n), family=family, direction_source=source, seed=4, **kw
+            a=A, b0=np.eye(n), rule=rule_for(family, A, 32), direction_source=source, seed=4,
+            **kw
         ))
         dims = check_kernel_growth(trace).dims
         assert len(dims) == len(trace.matrices)
@@ -493,10 +509,13 @@ class TestVerifyAll:
 
 
 class TestLabDigest:
-    def test_lab_results_match_the_recorded_digest(self):
-        # the lab's bit contract: every oracle result of verify_all(0, 500)
+    # the bit contracts of the lab (every oracle result of verify_all(0, 500))
+    # and of the six systems cells; the grid line takes seconds, so only
+    # tools/record_digest.py checks it
+    @pytest.mark.parametrize("name", ["systems", "lab"])
+    def test_results_match_the_recorded_digest(self, name):
         spec = importlib.util.spec_from_file_location("record_digest", TOOLS / "record_digest.py")
         record_digest = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(record_digest)
         expected = dict(line.split() for line in (TOOLS / "DIGESTS").read_text().splitlines())
-        assert record_digest.lab_digest() == expected["lab"]
+        assert getattr(record_digest, f"{name}_digest")() == expected[name]

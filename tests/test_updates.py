@@ -112,6 +112,16 @@ class TestDfpAndInverse:
             b = broyden_update(B, pair, 1.0)
             assert np.linalg.norm(d - b, "fro") <= 1e-10 * np.linalg.norm(b, "fro")
 
+    def test_direct_dfp_is_gpsb_weighted_by_a(self):
+        # on exact pairs y = A s the least-change update weighted by A is
+        # direct DFP bit for bit: its minv2 @ s is the product A @ s that made y
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            B = random_spd_matrix(n, rng)
+            pair, A = curvature_pair(rng, n)
+            assert_bitwise(gpsb_update(B, pair, A), ref_dfp_direct_update(B, pair))
+
     def test_inverse_fixed_point(self):
         rng = np.random.default_rng(3)
         A = random_spd_matrix(4, rng)
