@@ -74,23 +74,9 @@ class ResultRow:
 # ---------------------------------------------------------------------------
 # method labels <-> solver configs
 
-_LABEL_RE = re.compile(r"^(?:(Im|IP)-)?(DFP|BFGS|PSB|LBFGS|BGM|Newton)(?:\(([^)]*)\))?$")
-
-
-def parse_method_label(label):
-    """Decode a method label like ``IP-LBFGS(N=3,d=2)`` into its parts."""
-    m = _LABEL_RE.match(label)
-    if m is None:
-        raise ValueError(f"unrecognized method label {label!r}")
-    prefix, base, args = m.groups()
-    parts = {"base": base, "mode": {None: None, "Im": "im", "IP": "ip"}[prefix]}
-    if args:
-        for item in args.split(","):
-            key, _, value = item.partition("=")
-            parts[key.strip()] = int(value)
-    if parts["mode"] == "ip" and "d" not in parts:
-        raise ValueError(f"projection label {label!r} is missing d")
-    return parts
+# a label's parts; config_for_label refuses those method_label would not write
+_LABEL_RE = re.compile(r"(?:(?P<mode>Im|IP)-)?(?P<base>DFP|BFGS|PSB|LBFGS|BGM|Newton)"
+                       r"(?:\((?:N=(?P<N>\d+))?,?(?:d=(?P<d>\d+))?\))?")
 
 
 def method_label(base, mode=None, n=None, d=None):
@@ -105,10 +91,17 @@ def method_label(base, mode=None, n=None, d=None):
 
 def config_for_label(label, lam):
     """Label + lambda -> (driver kind, SolverConfig); the inverse of
-    method_label over the experiment grids and the systems labels."""
-    parts = parse_method_label(label)
-    base, mode = parts["base"], parts["mode"]
-    transform = (NormalEqWindow(parts["d"]) if mode == "ip"
+    method_label.  ``ValueError`` refuses a label that method_label would
+    not write back identically, and an LBFGS label without N or another
+    with one."""
+    match = _LABEL_RE.fullmatch(label)
+    if match is None:
+        raise ValueError(f"unrecognized method label {label!r}")
+    base, mode = match["base"], match["mode"] and match["mode"].lower()
+    n, d = (None if v is None else int(v) for v in match.group("N", "d"))
+    if (base == "LBFGS") != (n is not None) or method_label(base, mode, n, d) != label:
+        raise ValueError(f"method label {label!r} breaks the label grammar")
+    transform = (NormalEqWindow(d) if mode == "ip"
                  else ImageTransform() if mode == "im" else NoTransform())
     kwargs = dict(b0=lam, mode=transform, max_iters=200000)
     if base in ("Newton", "BGM"):
@@ -117,7 +110,7 @@ def config_for_label(label, lam):
     kwargs["stop"] = IterateError(1e-7)
     if base == "LBFGS":
         kwargs["max_iters"] = 60000
-        return "lbfgs", SolverConfig(rule=None, memory=parts["N"], **kwargs)
+        return "lbfgs", SolverConfig(rule=None, memory=n, **kwargs)
     rule = {"DFP": Broyden(1.0), "BFGS": Broyden(0.0), "PSB": GeneralizedPSB()}[base]
     return "dense", SolverConfig(rule=rule, **kwargs)
 

@@ -25,7 +25,7 @@ reports one row per suite.
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -107,8 +107,6 @@ class ProcessConfig:
     b0: np.ndarray
     rule: Union[Broyden, GeneralizedPSB, BGM]
     direction_source: str = "random"  # random | image | orthogonalized
-    directions: Optional[Sequence[np.ndarray]] = None  # replaces the base draws of any source
-    max_steps: Optional[int] = None  # default: n
     seed: int = 0
 
 
@@ -138,20 +136,21 @@ class KernelGrowthReport:
 
 
 def run_process(config):
-    """Drive the update rule toward A with exact pairs (s, As).
+    """Drive the update rule toward A with exact pairs (s, As), one step per
+    dimension at most.
 
     Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
-    on an exhausted step budget (``exhausted``), or on a recorded update
-    breakdown (``breakdown``).  ``ValueError`` refuses a rule other than
-    ``Broyden``, ``GeneralizedPSB`` or ``BGM``, a ``minv2`` that is not
-    n x n, a ``max_steps`` that is not an integer of at least 0, and a
+    after n steps (``exhausted``), or on a recorded update breakdown
+    (``breakdown``).  ``ValueError`` refuses a rule other than ``Broyden``,
+    ``GeneralizedPSB`` or ``BGM``, a ``minv2`` that is not n x n, and a
     direction source other than ``random``, ``image`` or ``orthogonalized``.
     """
     rule = config.rule
     if not isinstance(rule, (Broyden, GeneralizedPSB, BGM)):
         raise ValueError(f"rule must be Broyden, GeneralizedPSB or BGM, not {rule!r}")
-    if config.direction_source not in ("random", "image", "orthogonalized"):
-        raise ValueError(f"unknown direction source {config.direction_source!r}")
+    source = config.direction_source
+    if source not in ("random", "image", "orthogonalized"):
+        raise ValueError(f"unknown direction source {source!r}")
     a = np.asarray(config.a, dtype=float)
     n = a.shape[0]
     B = np.asarray(config.b0, dtype=float).copy()
@@ -159,7 +158,6 @@ def run_process(config):
         raise ValueError("A and B0 must be conformable")
     if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
         _check_square("minv2", rule.minv2, n)
-    max_steps = n if config.max_steps is None else _count("max_steps", config.max_steps, 0)
     # the rule's inner-product weight W (None = I)
     w = a if isinstance(rule, Broyden) else getattr(rule, "minv2", None)
     rng = np.random.default_rng(config.seed)
@@ -171,47 +169,32 @@ def run_process(config):
         trace.matrices.append(B.copy())
         trace.errors.append(euclidean_norm(B - a))
 
-    def base_direction(k):
-        if config.directions is not None:
-            if k >= len(config.directions):
-                return None
-            d = np.asarray(config.directions[k], dtype=float)
-            if euclidean_norm(d) == 0.0:
-                raise ValueError("direction vectors must be nonzero")
-            return d
-        if config.direction_source == "orthogonalized":
-            return np.eye(n)[:, k % n]
-        return rng.standard_normal(n)
-
     record_state()
     ortho_hist: List[np.ndarray] = []
-    k = 0
-    while k < max_steps:
+    for k in range(n):
         if trace.errors[-1] <= halt:
             trace.status = "terminated"
             return trace
-        s0 = base_direction(k)
-        if s0 is None:
-            break
         event = ""
-        if config.direction_source == "image":
-            # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
-            s = (B - a).T @ s0
-            s = s if w is None else np.linalg.solve(w, s)
-            if euclidean_norm(s) <= 1e-14 * euclidean_norm(s0):
-                event = "degenerate-image"
-                s = s0
-        elif config.direction_source == "orthogonalized":
+        if source == "orthogonalized":
+            s0 = np.eye(n)[:, k]
             s = s0.copy()
             for h in ortho_hist:
                 s = s - (weighted_inner(s, h, w) / weighted_inner(h, h, w)) * h
             if euclidean_norm(s) <= 1e-12 * euclidean_norm(s0):
                 trace.events.append(f"step {k}: dependent direction skipped")
-                k += 1
                 continue
             ortho_hist.append(s)
+        elif source == "image":
+            # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
+            s0 = rng.standard_normal(n)
+            s = (B - a).T @ s0
+            s = s if w is None else np.linalg.solve(w, s)
+            if euclidean_norm(s) <= 1e-14 * euclidean_norm(s0):
+                event = "degenerate-image"
+                s = s0
         else:
-            s = s0
+            s = rng.standard_normal(n)
         try:
             B = rule.update(B, SecantPair(s, a @ s))
         except ArithmeticError as exc:
@@ -222,7 +205,6 @@ def run_process(config):
         if event:
             trace.events.append(f"step {k}: {event}")
         record_state()
-        k += 1
     trace.status = "terminated" if trace.errors[-1] <= halt else "exhausted"
     return trace
 
@@ -568,9 +550,19 @@ _LEMMAS = {
 }
 
 
+def _check_trials(trials, seed):
+    # no trial would run at trials < 1, and default_rng refuses a negative seed
+    return _count("trials", trials, 1), _count("seed", seed, 0)
+
+
 def oracle_lemmas(which, trials=500, seed=0):
-    """Seeded verification of one supporting lemma; see _LEMMAS for ids."""
+    """Seeded verification of one supporting lemma; see _LEMMAS for ids.
+    ``ValueError`` refuses an unknown id, ``trials`` below 1 and a negative
+    ``seed``, and any of them that is not an integer."""
+    if which not in _LEMMAS:
+        raise ValueError(f"unknown lemma {which!r}; the ids are {', '.join(_LEMMAS)}")
     gen = _LEMMAS[which]
+    trials, seed = _check_trials(trials, seed)
 
     def trial(rng, t):
         res = gen(rng)
@@ -839,12 +831,12 @@ def verify_all(seed=0, trials=500, workers=None):
     they run as separate tasks on up to ``workers`` processes, by default one
     per CPU this process may run on (``pool.default_workers``).  The rows, in
     order and value, are the same for every ``workers``; at ``workers=1`` no
-    pool starts and the tasks run here in row order.
+    pool starts and the tasks run here in row order.  ``ValueError`` refuses
+    ``trials`` or ``workers`` below 1 and a negative ``seed``, and any of them
+    that is not an integer, before a suite runs.
     """
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    trials, seed = _check_trials(trials, seed)
+    workers = default_workers() if workers is None else _count("workers", workers, 1)
     tasks = [(_suite_error_reduction, (seed, trials)), (_suite_image_gain, (seed, trials)),
              (_suite_projection_gain, (seed, trials))]
     tasks += [(_lemma_suite, (which, trials, seed + 30)) for which in _LEMMAS]

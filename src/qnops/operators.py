@@ -83,21 +83,18 @@ def secondary_secant(grad, x_next, u, t):
 
 def _beta_solve(G, rhs):
     # Solve the m x m projection system, m >= 2.  The closed forms divide by
-    # the determinant; a singular system (a zero determinant) is reported
-    # through non-finite entries, which the caller maps to the same fallback
-    # as a LinAlgError from the LU path.  A determinant that overflows says
-    # nothing about singularity, so that system goes to the LU path.
+    # the determinant, so they run only where it is finite and nonzero: one
+    # that overflows or underflows says nothing about singularity, and that
+    # system goes to the LU path, whose LinAlgError the caller maps to the
+    # ``singular`` fallback.
     m = G.shape[0]
     if m == 2:
         # In Python floats, whose products and sums round as NumPy's do and
-        # overflow to inf or NaN without a warning; only a division by zero
-        # raises, so a zero determinant gives the NaN pair directly.
+        # overflow to inf or NaN without a warning.
         (g00, g01), (g10, g11) = G.tolist()
         r0, r1 = rhs.tolist()
         det = g00 * g11 - g01 * g10
-        if det == 0.0:
-            return np.array([math.nan, math.nan])
-        if math.isfinite(det):
+        if det != 0.0 and math.isfinite(det):
             return np.array([(r0 * g11 - g01 * r1) / det, (g00 * r1 - r0 * g10) / det])
     elif m == 3:
         # Cramer's rule: det(G) and the three with rhs in column j, in one
@@ -110,7 +107,7 @@ def _beta_solve(G, rhs):
             for j in range(3):
                 stack[j + 1, :, j] = half_rhs
             dets = np.linalg.det(stack)
-            if np.isfinite(dets[0]):
+            if dets[0] != 0.0 and np.isfinite(dets[0]):
                 return dets[1:] / dets[0]
     return np.linalg.solve(G, rhs)
 

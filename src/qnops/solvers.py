@@ -41,6 +41,7 @@ never counts as converged).
 """
 
 import math
+import numbers
 import operator
 import warnings
 from collections import deque
@@ -116,6 +117,12 @@ def _check_tolerance(name, value):
 class Broyden:
     theta: float = 0.0
     family = "broyden"
+
+    def __post_init__(self):
+        # a string or None fails inside NumPy once a run has started, and a
+        # NaN or infinite theta runs on to a nonfinite matrix
+        if not (isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)):
+            raise ValueError(f"theta must be a finite real number, got {self.theta!r}")
 
     def update(self, B, pair):
         return broyden_update(B, pair, self.theta)

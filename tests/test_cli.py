@@ -23,7 +23,6 @@ from qnops.cli import (
     emit_table,
     main,
     method_label,
-    parse_method_label,
     table2_labels,
     table3_labels,
 )
@@ -59,27 +58,41 @@ class TestMethodLabels:
     def test_round_trip_over_all_grids(self):
         labels = set(table2_labels()) | set(table3_labels()) | set(SYSTEM_LABELS)
         assert len(labels) > 25
+        bases = {Broyden(1.0): "DFP", Broyden(0.0): "BFGS", GeneralizedPSB(): "PSB", BGM(): "BGM"}
+        modes = {NoTransform(): None, ImageTransform(): "im"}
         for label in labels:
-            parts = parse_method_label(label)
-            rebuilt = method_label(
-                parts["base"], parts["mode"], parts.get("N"), parts.get("d")
-            )
-            assert rebuilt == label
+            kind, cfg = config_for_label(label, 50.0)
+            base = "LBFGS" if kind == "lbfgs" else bases.get(cfg.rule, "Newton")
+            mode = modes.get(cfg.mode, "ip")
+            n = cfg.memory if kind == "lbfgs" else None
+            d = cfg.mode.d if mode == "ip" else None
+            assert method_label(base, mode, n, d) == label
 
-    def test_parse_plain(self):
-        assert parse_method_label("DFP") == {"base": "DFP", "mode": None}
+    def test_decode_plain(self):
+        kind, cfg = config_for_label("DFP", 50.0)
+        assert kind == "dense" and cfg.mode == NoTransform()
 
-    def test_parse_projection_with_window(self):
-        parts = parse_method_label("IP-LBFGS(N=3,d=2)")
-        assert parts == {"base": "LBFGS", "mode": "ip", "N": 3, "d": 2}
+    def test_decode_projection_with_window(self):
+        kind, cfg = config_for_label("IP-LBFGS(N=3,d=2)", 50.0)
+        assert kind == "lbfgs"
+        assert cfg.memory == 3 and cfg.mode == NormalEqWindow(2)
 
     def test_projection_requires_window(self):
         with pytest.raises(ValueError):
-            parse_method_label("IP-DFP")
+            config_for_label("IP-DFP", 50.0)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            parse_method_label("SR1")
+            config_for_label("SR1", 50.0)
+
+    @pytest.mark.parametrize("label", [
+        "LBFGS", "Im-LBFGS", "BFGS(N=3)", "DFP(q=2)", "IP-BFGS(d=1,d=2)", "Newton(d=1)",
+        "BGM(N=2)", "IP-BFGS",
+    ])
+    def test_labels_outside_the_grammar_are_refused(self, label):
+        # N on LBFGS and nowhere else, d on IP- and nowhere else, each once
+        with pytest.raises(ValueError, match="label"):
+            config_for_label(label, 50.0)
 
     def test_label_formatting(self):
         assert method_label("LBFGS", "ip", n=3, d=1) == "IP-LBFGS(N=3,d=1)"

@@ -61,19 +61,13 @@ class TestRunProcess:
         assert trace.errors[-1] <= 1e-8 * np.linalg.norm(A, "fro")
 
     def test_bgm_standard_basis_is_exact_in_n(self):
+        # BGM weighs with W = I, so the orthogonalized source takes e1, e2, e3
         A = spd(3, 3)
         trace = run_process(
-            ProcessConfig(
-                a=A,
-                b0=np.eye(3),
-                rule=BGM(),
-                direction_source="random",
-                directions=list(np.eye(3).T),
-                max_steps=3,
-            )
+            ProcessConfig(a=A, b0=np.eye(3), rule=BGM(), direction_source="orthogonalized")
         )
         assert trace.terminated
-        assert len(trace.steps) == 3
+        assert np.array_equal(np.column_stack(trace.steps), np.eye(3))
         assert trace.errors[-1] <= 1e-12 * np.linalg.norm(A, "fro")
 
     def test_orthogonalized_source_cycles_basis(self):
@@ -89,13 +83,26 @@ class TestRunProcess:
         assert np.linalg.norm(off, "fro") <= 1e-10
 
     def test_exhausted_budget(self):
+        # random steps need not terminate: the budget is n steps
         A = spd(6, 6)
         trace = run_process(
-            ProcessConfig(a=A, b0=np.eye(6), rule=Broyden(1.0), direction_source="random",
-                          max_steps=2)
+            ProcessConfig(a=A, b0=np.eye(6), rule=Broyden(1.0), direction_source="random")
         )
         assert trace.status == "exhausted"
-        assert len(trace.steps) == 2
+        assert len(trace.steps) == 6
+        assert trace.errors[-1] > 1e-3 * np.linalg.norm(A, "fro")
+
+    def test_events_name_the_failing_step(self):
+        # W = A is indefinite: e1 has s'y = 1, e2 has s'y = -1, which BFGS refuses
+        trace = run_process(ProcessConfig(
+            a=np.diag([1.0, -1.0]), b0=np.eye(2), rule=Broyden(0.0),
+            direction_source="orthogonalized",
+        ))
+        assert trace.status == "breakdown"
+        assert len(trace.steps) == 1
+        assert trace.events == [
+            "step 1: breakdown: s'y = -1.000e+00 fails the curvature condition"
+        ]
 
     def test_gpsb_tracks_weighted_errors(self):
         A = spd(3, 8)
@@ -117,36 +124,26 @@ class TestRunProcess:
         ("rule", Broyden, "rule"),  # the class, not a rule
         ("rule", GeneralizedPSB(np.eye(2)), "minv2"),
         ("rule", GeneralizedPSB(np.ones(3)), "minv2"),
-        ("max_steps", -1, "max_steps"),
-        ("max_steps", 2.5, "max_steps"),
-        ("max_steps", "3", "max_steps"),
-    ], ids=["rule-string", "rule-none", "rule-class", "minv2-2x2", "minv2-vector",
-            "steps-negative", "steps-float", "steps-string"])
+    ], ids=["rule-string", "rule-none", "rule-class", "minv2-2x2", "minv2-vector"])
     def test_bad_input_is_refused(self, field, value, match):
         config = ProcessConfig(a=np.eye(3), b0=2 * np.eye(3), rule=Broyden(1.0))
         setattr(config, field, value)
         with pytest.raises(ValueError, match=match):
             run_process(config)
 
-    def test_zero_user_direction_rejected(self):
-        with pytest.raises(ValueError):
-            run_process(
-                ProcessConfig(
-                    a=np.eye(2),
-                    b0=2 * np.eye(2),
-                    rule=Broyden(1.0),
-                    direction_source="random",
-                    directions=[np.zeros(2)],
-                )
-            )
+    @pytest.mark.parametrize("theta", ["x", None, np.nan, np.inf])
+    def test_theta_must_be_a_finite_real(self, theta):
+        # "x" and None raised a UFuncTypeError in the first update; NaN and
+        # inf ran to exhausted with NaN errors
+        with pytest.raises(ValueError, match="theta"):
+            run_process(ProcessConfig(a=np.eye(3), b0=2 * np.eye(3), rule=Broyden(theta)))
 
     @pytest.mark.parametrize("source", ["user", "Image", "orthogonal", ""])
     def test_unknown_direction_source_rejected(self, source):
-        # a typo must not run as the random source, with or without directions
-        for kw in ({}, {"directions": [np.ones(2)]}):
-            with pytest.raises(ValueError, match="direction source"):
-                run_process(ProcessConfig(a=np.eye(2), b0=2 * np.eye(2), rule=Broyden(1.0),
-                                          direction_source=source, **kw))
+        # a typo must not run as the random source
+        with pytest.raises(ValueError, match="direction source"):
+            run_process(ProcessConfig(a=np.eye(2), b0=2 * np.eye(2), rule=Broyden(1.0),
+                                      direction_source=source))
 
     @pytest.mark.parametrize("family", ["broyden", "dfp", "dfp-direct", "psb", "bgm", "gpsb"])
     @pytest.mark.parametrize("source", ["image", "orthogonalized"])
@@ -188,9 +185,7 @@ class TestKernelGrowth:
     def test_random_directions_never_shrink(self):
         A = spd(6, 24)
         trace = run_process(
-            ProcessConfig(
-                a=A, b0=spd(6, 25), rule=Broyden(1.0), direction_source="random", max_steps=12
-            )
+            ProcessConfig(a=A, b0=spd(6, 25), rule=Broyden(1.0), direction_source="random")
         )
         report = check_kernel_growth(trace)
         assert report.ok
@@ -200,8 +195,7 @@ class TestKernelGrowth:
         # hand-built trace: fake a dimension drop
         A = np.eye(2)
         trace = run_process(
-            ProcessConfig(a=A, b0=2 * np.eye(2), rule=Broyden(1.0), direction_source="random",
-                          max_steps=1)
+            ProcessConfig(a=A, b0=2 * np.eye(2), rule=Broyden(1.0), direction_source="random")
         )
         trace.matrices = [A + np.diag([0.0, 1.0]), A + np.eye(2)]
         trace.steps = [np.array([1.0, 0.0])]
@@ -210,17 +204,12 @@ class TestKernelGrowth:
         assert "fell" in report.violations[0]
 
     @pytest.mark.parametrize("family", ["broyden", "dfp", "dfp-direct", "psb", "gpsb", "bgm"])
-    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized", "user"])
+    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized"])
     def test_kernel_dims_match_the_growth_check(self, family, source):
-        # "user": the random source with its base draws given as directions
         n = 5
-        kw = {}
-        if source == "user":
-            source, kw["directions"] = "random", list(spd(n, 31))
         A = spd(n, 33)
         trace = run_process(ProcessConfig(
             a=A, b0=np.eye(n), rule=rule_for(family, A, 32), direction_source=source, seed=4,
-            **kw
         ))
         dims = check_kernel_growth(trace).dims
         assert len(dims) == len(trace.matrices)
@@ -385,8 +374,16 @@ class TestLemmaOracles:
         assert row.max_residual <= 1e-9
 
     def test_unknown_lemma_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no-such-lemma"):
             oracle_lemmas("no-such-lemma", trials=1)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"trials": 0}, "trials"), ({"trials": -3}, "trials"), ({"trials": 2.5}, "trials"),
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+    ], ids=["trials-zero", "trials-negative", "trials-float", "seed-negative", "seed-float"])
+    def test_bad_counts_are_refused(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            oracle_lemmas("image-ratio", **kw)
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_stacked_competitors_match_the_one_at_a_time_loop(self, dual):
@@ -496,10 +493,19 @@ class TestVerifyAll:
         assert len(submitted) == len(lab._LONGEST_FIRST)
         assert rows == verify_all(seed=0, trials=5, workers=1)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_are_refused(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            verify_all(seed=0, trials=5, workers=workers)
+    @pytest.mark.parametrize("kw, match", [
+        ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
+        ({"workers": 2.5}, "workers"), ({"trials": 0}, "trials"),
+        ({"trials": -3}, "trials"), ({"trials": 2.5}, "trials"), ({"seed": -1}, "seed"),
+    ], ids=["workers-zero", "workers-negative", "workers-float", "trials-zero",
+            "trials-negative", "trials-float", "seed-negative"])
+    def test_bad_input_is_refused_before_a_suite_runs(self, kw, match, monkeypatch):
+        def refuse(task):
+            raise AssertionError(f"verify_all ran {task[0].__name__} before its checks")
+
+        monkeypatch.setattr(lab, "_run_suite", refuse)
+        with pytest.raises(ValueError, match=match):
+            verify_all(**{"seed": 0, "trials": 5, "workers": 1, **kw})
 
     def test_row_format(self):
         row = SuiteRow(name="demo", trials=10, violations=0, max_residual=1.5e-12)

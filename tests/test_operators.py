@@ -348,6 +348,8 @@ def ref_gram_schmidt_transform(pair, window, family, minv2=None):
 
 
 def ref_beta_solve(G, rhs):
+    # a zero determinant of the 2 x 2 or 3 x 3 system leaves it to the LU
+    # solve: rounding can zero the determinant of a system that LU solves
     m = G.shape[0]
     G = G / 2.0
     rhs = rhs / 2.0
@@ -356,19 +358,21 @@ def ref_beta_solve(G, rhs):
             return rhs / G[0, 0]
         if m == 2:
             det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-            return np.array(
-                [
-                    (rhs[0] * G[1, 1] - G[0, 1] * rhs[1]) / det,
-                    (G[0, 0] * rhs[1] - rhs[0] * G[1, 0]) / det,
-                ]
-            )
+            if det != 0.0:
+                return np.array(
+                    [
+                        (rhs[0] * G[1, 1] - G[0, 1] * rhs[1]) / det,
+                        (G[0, 0] * rhs[1] - rhs[0] * G[1, 0]) / det,
+                    ]
+                )
         if m == 3:
             d0 = np.linalg.det(G)
-            cols = [
-                np.column_stack([rhs if jj == j else G[:, jj] for jj in range(3)])
-                for j in range(3)
-            ]
-            return np.array([np.linalg.det(c) for c in cols]) / d0
+            if d0 != 0.0:
+                cols = [
+                    np.column_stack([rhs if jj == j else G[:, jj] for jj in range(3)])
+                    for j in range(3)
+                ]
+                return np.array([np.linalg.det(c) for c in cols]) / d0
     return np.linalg.solve(G, rhs)
 
 
@@ -536,3 +540,22 @@ class TestProjectionBitwiseEquivalence:
         assert reason == "discard"
         assert out.transformed == "raw" and out.s is pair.s
         assert np.isfinite(beta).all() and (beta > 0).all()
+
+    @pytest.mark.parametrize("family", ["broyden", "gpsb", "bgm"])
+    @pytest.mark.parametrize("m, c", [(2, 1e-85), (3, 1e-80), (4, 1e-80)])
+    def test_window_with_underflowing_determinant_is_solved(self, m, c, family):
+        # s_i = y_i = c e_i: G is diagonal near c^2, whose closed-form
+        # determinant underflows to 0 at m = 2 and 3.  s lies in the window's
+        # span, so every m must discard it with beta = 1; m = 2 and 3 reported
+        # singular
+        raw = RawHistory(d=m)
+        for i in range(m):
+            raw.append(c * np.eye(m)[i], c * np.eye(m)[i])
+        pair = SecantPair(c * np.ones(m), c * np.ones(m))
+        minv2 = np.diag(np.linspace(0.5, 2.0, m)) if family == "gpsb" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, beta, reason = normal_eq_projection(pair, raw, family, minv2)
+        assert reason == "discard"
+        assert out.transformed == "raw" and out.s is pair.s
+        assert np.array_equal(beta, np.ones(m))

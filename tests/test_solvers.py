@@ -776,6 +776,20 @@ class TestSolverConfigValidation:
             minimize(problem, SolverConfig(**kw))
         assert calls == []
 
+    @pytest.mark.parametrize("theta", ["x", None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("driver", [minimize, minimize_lbfgs])
+    def test_theta_must_be_a_finite_real(self, driver, theta):
+        # "x" and None raised a UFuncTypeError after the start's gradient; NaN
+        # and inf ended minimize as nonfinite after 2 iterations
+        calls = []
+        with pytest.raises(ValueError, match="theta"):
+            driver(counted(quadratic_weighted_50(), calls),
+                   SolverConfig(rule=Broyden(theta), stop=IterateError(1e-7), b0=50.0))
+        assert calls == []
+
+    def test_real_thetas_accepted(self):
+        assert [Broyden(t).theta for t in (0, 0.5, np.float64(1.0), -2)] == [0, 0.5, 1.0, -2]
+
     def test_zero_tolerances_and_integer_counts_accepted(self):
         assert GradNorm(0.0).eps == IterateError(0.0).eps_rel == ResidualNorm(0.0).eps == 0.0
         cfg = self.base(memory=np.int64(3), max_iters=np.int64(5),
