@@ -8,8 +8,8 @@ Output is deterministic for a fixed experiment and seed: wall time is reported
 on stderr only, never in the emitted table, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 convergence failure (run), 2 oracle violation
-(verify), 3 usage error, among them a selection flag (or ``--config`` key)
-that the experiment does not read.
+(verify), 3 usage error, among them a selection flag that the experiment
+does not read.
 """
 
 import csv
@@ -278,43 +278,6 @@ def _parse_lambdas(text):
     return lams
 
 
-def _read_config_file(path):
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise click.UsageError(f"config file {path!r} is not UTF-8 text") from None
-    if any("\x00" in line for line in lines):  # no path or flag can hold one
-        raise click.UsageError(f"config file {path!r} holds a NUL character")
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise click.UsageError(f"malformed config line: {line!r}")
-        values[key.strip()] = value.strip()
-    return values
-
-
-_CONFIG_KEYS = {
-    "experiment": "experiment", "methods": "methods", "lambdas": "lambdas", "d": "d",
-    "N": "n", "format": "fmt", "out": "out", "workers": "workers",
-}
-
-
-def _load_config_file(ctx, param, path):
-    # eager: the file's values become the options' defaults, so flags still
-    # win and each value goes through its option's own type and checks
-    if path:
-        values = _read_config_file(path)
-        for key in values:
-            if key not in _CONFIG_KEYS:
-                raise click.UsageError(f"unknown config key {key!r}")
-        ctx.default_map = {_CONFIG_KEYS[key]: value for key, value in values.items()}
-
-
 def _check_out_dir(ctx, param, path):
     # click.Path checks only a file that exists; a missing or read-only
     # directory would otherwise fail after every cell has run
@@ -327,7 +290,7 @@ def _check_out_dir(ctx, param, path):
 
 
 def _filter_methods(labels, methods):
-    if not methods:
+    if methods is None:
         return labels
     # label arguments contain commas inside parentheses (IP-LBFGS(N=4,d=3)),
     # so a comma separates labels only outside parentheses
@@ -338,7 +301,7 @@ def _filter_methods(labels, methods):
         if any(low == w or low.startswith(w + "(") for w in wanted):
             picked.append(label)
     if not picked:
-        raise click.UsageError(f"no methods match {methods!r}")
+        raise click.UsageError(f"--methods {methods!r} matches no method")
     return picked
 
 
@@ -351,32 +314,28 @@ def cli():
 
 
 @cli.command()
-@click.option("--experiment", type=click.Choice(EXPERIMENTS), default=None)
+@click.option("--experiment", type=click.Choice(EXPERIMENTS), required=True)
 @click.option("--methods", default=None, help="comma-separated method labels")
 @click.option("--lambdas", default=None, help="comma-separated B0 scales")
 @click.option("--d", default=None, help="comma-separated window sizes")
-@click.option("--n", "--N", "n", default=None, help="comma-separated memory sizes")
+@click.option("--n", default=None, help="comma-separated memory sizes")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               callback=_check_out_dir, help="output path (default: stdout)")
 @click.option("--workers", type=click.IntRange(min=1), default=None, help=_WORKERS_HELP)
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-              is_eager=True, expose_value=False, callback=_load_config_file,
-              help="key=value file; flags override it")
 def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     """Run one experiment and emit its result table."""
-    if experiment is None:
-        raise click.UsageError("--experiment is required (flag or config file)")
     given = {"--methods": methods, "--lambdas": lambdas, "--d": d, "--n": n}
     unread = [flag for flag in _UNREAD.get(experiment, ()) if given[flag] is not None]
     if unread:
         raise click.UsageError(f"--experiment {experiment} reads no {', '.join(unread)}")
     if workers is None:
         workers = default_workers()
-    lam_list = _parse_lambdas(lambdas) if lambdas else list(LAMBDAS)
-    d_list = _parse_sizes(d, "--d") if d else None
-    n_list = _parse_sizes(n, "--n") if n else None
+    # an empty value (--d=) is refused, not read as the default
+    lam_list = _parse_lambdas(lambdas) if lambdas is not None else list(LAMBDAS)
+    d_list = _parse_sizes(d, "--d") if d is not None else None
+    n_list = _parse_sizes(n, "--n") if n is not None else None
 
     start = time.perf_counter()
     if experiment == "example1":

@@ -142,7 +142,8 @@ def run_process(config):
     Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
     after n steps (``exhausted``), or on a recorded update breakdown
     (``breakdown``).  ``ValueError`` refuses a rule other than ``Broyden``,
-    ``GeneralizedPSB`` or ``BGM``, a ``minv2`` that is not n x n, and a
+    ``GeneralizedPSB`` or ``BGM``, a target A that is not square, a ``minv2``
+    that is not n x n, a seed that is not an integer of at least 0, and a
     direction source other than ``random``, ``image`` or ``orthogonalized``.
     """
     rule = config.rule
@@ -152,7 +153,8 @@ def run_process(config):
     if source not in ("random", "image", "orthogonalized"):
         raise ValueError(f"unknown direction source {source!r}")
     a = np.asarray(config.a, dtype=float)
-    n = a.shape[0]
+    n = a.shape[0] if a.ndim else 0
+    _check_square("a", a, n)
     B = np.asarray(config.b0, dtype=float).copy()
     if B.shape != a.shape:
         raise ValueError("A and B0 must be conformable")
@@ -160,7 +162,7 @@ def run_process(config):
         _check_square("minv2", rule.minv2, n)
     # the rule's inner-product weight W (None = I)
     w = a if isinstance(rule, Broyden) else getattr(rule, "minv2", None)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_count("seed", config.seed, 0))
     halt = HALT_RTOL * euclidean_norm(a)
 
     trace = ProcessTrace(weight=w, target=a)

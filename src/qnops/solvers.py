@@ -104,7 +104,7 @@ def _count(name, value, low):
 
 def _check_tolerance(name, value):
     # inf would converge at the start and NaN or a negative value never
-    if not (math.isfinite(value) and value >= 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
@@ -177,7 +177,7 @@ class Backtracking:
         for name in ("c1", "shrink"):
             value = getattr(self, name)
             # the Armijo search needs both in (0, 1); a NaN fails the test too
-            if not 0.0 < value < 1.0:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie in the open interval (0, 1), got {value!r}")
 
 
@@ -188,6 +188,9 @@ class GradNorm:
 
     def __post_init__(self):
         _check_tolerance("eps", self.eps)
+        # any truthy value would read as relative
+        if not isinstance(self.relative, bool):
+            raise ValueError(f"relative must be True or False, got {self.relative!r}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,6 @@ class SolverConfig:
     step: Union[Unit, Backtracking] = Unit()
     max_iters: int = 200000
     memory: int = 10  # L-BFGS only
-    x0: Optional[np.ndarray] = None  # default: the problem's start
     # "summary": the initial and the final record; "full": every iteration's;
     # "matrix": every iteration's, each with its matrix_error and angle
     record: str = "full"
@@ -224,7 +226,8 @@ class SolverConfig:
         if self.record not in ("summary", "full", "matrix"):
             raise ValueError(f"record must be 'summary', 'full' or 'matrix', got {self.record!r}")
         # a matrix b0 is checked against the dimension by the driver
-        if np.isscalar(self.b0) and not (math.isfinite(self.b0) and self.b0 > 0):
+        if np.isscalar(self.b0) and not (isinstance(self.b0, numbers.Real)
+                                         and math.isfinite(self.b0) and self.b0 > 0):
             raise ValueError(f"b0 must be finite and positive, got {self.b0!r}")
         if not isinstance(self.mode, (NoTransform, ImageTransform, NormalEqWindow)):
             raise ValueError("mode must be NoTransform(), ImageTransform() or NormalEqWindow(d), "
@@ -563,11 +566,12 @@ def _iterate(problem, evaluate, config, model, x):
     return trace
 
 
-def _start(x0, problem):
-    x = np.asarray(x0 if x0 is not None else problem.x0, dtype=float).copy()
+def _start(problem):
+    # a run starts from the problem's x0; another start is replace(problem, x0=...)
+    x = np.asarray(problem.x0, dtype=float).copy()
     if x.shape != (problem.n,):  # a missing start reads as a NaN scalar
-        raise ValueError(f"start of shape {x.shape} does not match dimension {problem.n}; "
-                         "give SolverConfig.x0 or the problem's x0")
+        raise ValueError(f"the problem's x0 of shape {x.shape} does not match "
+                         f"dimension {problem.n}")
     return x
 
 
@@ -576,7 +580,7 @@ def minimize(problem, config):
     rule = config.rule
     if not isinstance(rule, (Broyden, GeneralizedPSB)):  # BGM runs in solve_system
         raise ValueError(f"minimize takes a Broyden or GeneralizedPSB rule, not {rule!r}")
-    x = _start(config.x0, problem)
+    x = _start(problem)
     if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
         _check_square("minv2", rule.minv2, x.size)
     model = _DenseModel(rule, config.b0, x.size, problem, config)
@@ -598,7 +602,7 @@ def minimize_lbfgs(problem, config):
         raise ValueError("L-BFGS seeding expects b0 = lambda * I (scalar lambda)")
     if isinstance(config.mode, NormalEqWindow) and config.mode.d > config.memory - 1:
         raise ValueError("projection window d must be at most N - 1")
-    x = _start(config.x0, problem)
+    x = _start(problem)
     model = _LimitedMemory(config.memory, 1.0 / config.b0)
     return _iterate(problem, problem.gradient, config, model, x)
 
@@ -621,7 +625,7 @@ def solve_system(system, config):
         raise ValueError("Newton mode needs an analytic Jacobian")
     if not isinstance(config.mode, NoTransform if rule is None else (NoTransform, NormalEqWindow)):
         raise ValueError("Newton takes no transform, BGM only a NormalEqWindow")
-    x = _start(config.x0, system)
+    x = _start(system)
     B = None if rule is None else _b0_matrix(config.b0, x.size)
     model = _Jacobian(rule, B, system.jacobian)
     return _iterate(system, system.residual, config, model, x)

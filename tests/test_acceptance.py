@@ -11,6 +11,7 @@ erratum, and the evidence for the correction is a test in this file.
 """
 
 from collections import deque
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -241,8 +242,9 @@ def _bgm_circle_cosine(x0=None):
     Returns the trace and ||F|| re-evaluated at the returned iterate.
     """
     system = circle_cosine_system()
-    config = SolverConfig(rule=BGM(), stop=ResidualNorm(1e-7), b0=1.0,
-                          max_iters=200000, x0=x0)
+    if x0 is not None:
+        system = replace(system, x0=x0)
+    config = SolverConfig(rule=BGM(), stop=ResidualNorm(1e-7), b0=1.0, max_iters=200000)
     trace = solve_system(system, config)
     return trace, float(np.linalg.norm(system.residual(trace.x)))
 

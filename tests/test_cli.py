@@ -387,83 +387,6 @@ class TestRunCommand:
         assert grid.stdout.splitlines()[0] == "| Method | 50 | 100 | 200 | 500 | 1000 | 5000 |"
 
 
-class TestConfigFile:
-    def test_file_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text(
-            "# single cell\nexperiment = table2\nmethods = DFP\nlambdas = 50\nworkers = 1\n",
-            encoding="utf-8",
-        )
-        result = runner.invoke(cli, ["run", "--config", str(cfg)])
-        assert result.exit_code == 0
-        _, rows = parse_table(result.stdout)
-        assert rows == [["DFP", "50", "124", "converged", "0"]]
-
-    def test_explicit_flag_wins(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text(
-            "experiment = table2\nmethods = DFP\nlambdas = 50\nworkers = 1\n",
-            encoding="utf-8",
-        )
-        result = runner.invoke(cli, ["run", "--config", str(cfg), "--lambdas", "100"])
-        assert result.exit_code == 0
-        _, rows = parse_table(result.stdout)
-        assert rows == [["DFP", "100", "235", "converged", "0"]]
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("experiment = table2\nturbo = yes\n", encoding="utf-8")
-        result = runner.invoke(cli, ["run", "--config", str(cfg)])
-        assert result.exit_code != 0
-
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("experiment table2\n", encoding="utf-8")
-        result = runner.invoke(cli, ["run", "--config", str(cfg)])
-        assert result.exit_code != 0
-
-    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
-        # was a UnicodeDecodeError traceback
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_bytes(b"experiment = table2\n\xff\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg)])
-        assert exc.value.code == 3
-        err = capsys.readouterr().err
-        assert "bench.cfg" in err and "UTF-8" in err
-        assert "Traceback" not in err
-
-    def test_nul_character_is_usage_error(self, tmp_path, capsys):
-        # an out path with a NUL ended in a ValueError traceback from os.stat
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_bytes(b"experiment = systems\nout = a\x00b\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg), "--workers", "1"])
-        assert exc.value.code == 3
-        assert "Traceback" not in capsys.readouterr().err
-
-    def test_seed_key_is_removed(self, tmp_path):
-        # seed was read only by the removed lab experiment; verify --seed replaces it
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("experiment = systems\nseed = 0\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg), "--workers", "1"])
-        assert exc.value.code == 3
-
-    @pytest.mark.parametrize("line", ["experiment = bogus", "format = xml", "workers = abc",
-                                      "workers = 0", "trials = 5"])
-    def test_file_values_are_checked_like_flags(self, line, tmp_path, capsys):
-        # bogus ran the lab suite and exited 0; xml and abc were tracebacks;
-        # workers=0 was accepted; trials was read and then ignored
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text(f"methods = DFP\nlambdas = 50\n{line}\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg)] + ([] if "experiment" in line
-                                                   else ["--experiment", "table2"]))
-        assert exc.value.code == 3
-        assert "Traceback" not in capsys.readouterr().err
-
-
 class TestExitCodeContract:
     def test_usage_error_is_three(self):
         with pytest.raises(SystemExit) as exc:
@@ -487,63 +410,55 @@ class TestExitCodeContract:
             main(["run", "--experiment", "lab"])
         assert exc.value.code == 3
 
-    @pytest.mark.parametrize("via_config", [False, True])
     @pytest.mark.parametrize("parent", ["missing", "file"])
-    def test_out_outside_a_directory_is_usage_error(self, parent, via_config, tmp_path,
-                                                   monkeypatch, capsys):
+    def test_out_outside_a_directory_is_usage_error(self, parent, tmp_path, monkeypatch,
+                                                   capsys):
         # ran the whole experiment, then ended in a FileNotFoundError traceback
         (tmp_path / "file").write_text("", encoding="utf-8")
         target = tmp_path / parent / "x.csv"
         pool_calls = []
         monkeypatch.setattr(qcli, "_run_pool", lambda *args: pool_calls.append(args))
-        argv = ["run", "--experiment", "systems", "--workers", "1"]
-        if via_config:
-            cfg = tmp_path / "bench.cfg"
-            cfg.write_text(f"out = {target}\n", encoding="utf-8")
-            argv += ["--config", str(cfg)]
-        else:
-            argv += ["--out", str(target)]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["run", "--experiment", "systems", "--workers", "1", "--out", str(target)])
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "--out" in err
         assert "Traceback" not in err
         assert pool_calls == []
 
-    @pytest.mark.parametrize("experiment, flags, config", [
+    @pytest.mark.parametrize("experiment, flags", [
         # both exited 0 with the unfiltered output
-        ("systems", ["--lambdas", "5", "--d", "3", "--n", "7"], ""),
-        ("example1", ["--methods", "BFGS", "--lambdas", "9"], ""),
-        ("systems", ["--lambdas", "5"], ""),
-        ("systems", ["--d", "3"], ""),
-        ("systems", ["--n", "7"], ""),
-        ("example1", ["--methods", "BFGS"], ""),
-        ("example1", ["--d", "1"], ""),
-        ("example1", ["--n", "3"], ""),
-        ("systems", ["--lambdas"], "lambdas = 5\n"),
-        ("example1", ["--n"], "N = 3\n"),
-        ("example1", ["--methods"], "methods = DFP\n"),
+        ("systems", ["--lambdas", "5", "--d", "3", "--n", "7"]),
+        ("example1", ["--methods", "BFGS", "--lambdas", "9"]),
+        ("systems", ["--lambdas", "5"]),
+        ("systems", ["--d", "3"]),
+        ("systems", ["--n", "7"]),
+        ("example1", ["--methods", "BFGS"]),
+        ("example1", ["--d", "1"]),
+        ("example1", ["--n", "3"]),
     ])
-    def test_flag_the_experiment_does_not_read_is_usage_error(self, experiment, flags, config,
-                                                             tmp_path, monkeypatch, capsys):
+    def test_flag_the_experiment_does_not_read_is_usage_error(self, experiment, flags,
+                                                             monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(qcli, "_run_pool", lambda *args: ran.append(args))
         monkeypatch.setattr(qcli, "run_example1", lambda: ran.append("example1"))
-        argv = ["run", "--experiment", experiment, "--workers", "1"]
-        if config:
-            cfg = tmp_path / "bench.cfg"
-            cfg.write_text(config, encoding="utf-8")
-            argv += ["--config", str(cfg)]
-        else:
-            argv += flags
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["run", "--experiment", experiment, "--workers", "1"] + flags)
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags if flag.startswith("--"))
         assert "Traceback" not in err
         assert ran == []
+
+    def test_option_names_are_pinned(self):
+        # flags are the one input channel (no config file), each with one
+        # spelling; a second way into a setting would show up here
+        def names(command):
+            return [opt for p in command.params for opt in p.opts + p.secondary_opts]
+
+        assert names(qcli.run) == ["--experiment", "--methods", "--lambdas", "--d", "--n",
+                                   "--format", "--out", "--workers"]
+        assert names(qcli.verify) == ["--seed", "--trials", "--workers"]
 
     def test_success_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -639,6 +554,19 @@ class TestLambdaValidation:
         assert argv[2] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--methods", "--lambdas", "--d", "--n"])
+    def test_empty_selection_is_usage_error(self, flag, monkeypatch, capsys):
+        # each ran the full default list and exited 0 (1 under --lambdas=)
+        ran = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "table3", f"{flag}=", "--workers", "1"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        assert ran == []
+
     def test_unparsable_list_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--experiment", "table2", "--lambdas", "fifty", "--workers", "1"])
@@ -658,16 +586,13 @@ class TestBoundaryFuzz:
         workers=st.sampled_from(["1", "0", "abc"]),
         fmt=st.sampled_from(["csv", "markdown", "xml"]),
         out=st.sampled_from([None, "tmp", "/nonexistent/dir/x.csv"]),
-        config=st.one_of(st.none(), st.binary(max_size=64)),
     )
     @example(experiment="systems", methods="Newton", lambdas=None, d=None, n=None,
-             workers="1", fmt="csv", out="/nonexistent/dir/x.csv", config=None)
-    @example(experiment="systems", methods=None, lambdas=None, d=None, n=None,
-             workers="1", fmt="csv", out=None, config=b"experiment = systems\n\xff\n")
+             workers="1", fmt="csv", out="/nonexistent/dir/x.csv")
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_run_ends_in_a_documented_exit_code(self, tmp_path, capsys, experiment, methods,
-                                                lambdas, d, n, workers, fmt, out, config):
+                                                lambdas, d, n, workers, fmt, out):
         argv = ["run", "--workers", workers, "--format", fmt]
         for flag, value in (("--experiment", experiment), ("--methods", methods),
                             ("--lambdas", lambdas), ("--d", d), ("--n", n)):
@@ -675,10 +600,6 @@ class TestBoundaryFuzz:
                 argv += [flag, value]
         if out is not None:
             argv += ["--out", str(tmp_path / "rows.csv") if out == "tmp" else out]
-        if config is not None:
-            cfg = tmp_path / "bench.cfg"
-            cfg.write_bytes(config)
-            argv += ["--config", str(cfg)]
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnops import lab
+from qnops import lab, solvers
 from qnops.lab import (
     KernelGrowthReport,
     ProcessConfig,
@@ -130,6 +130,20 @@ class TestRunProcess:
         setattr(config, field, value)
         with pytest.raises(ValueError, match=match):
             run_process(config)
+
+    @pytest.mark.parametrize("a, seed, match", [
+        (np.ones((2, 3)), 0, "a shape"),
+        (np.ones(3), 0, "a shape"),
+        (np.eye(3), 2.5, "seed"),
+    ], ids=["a-2x3", "a-vector", "seed-fraction"])
+    def test_bad_target_or_seed_is_refused_before_a_step(self, a, seed, match, monkeypatch):
+        # with b0 equal to a, a 2 x 3 or vector a ended terminated after 0
+        # steps (any other b0 failed in a matmul); seed=2.5 raised TypeError
+        updates = []
+        monkeypatch.setattr(solvers, "broyden_update", lambda *args: updates.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_process(ProcessConfig(a=a, b0=a.copy(), rule=Broyden(1.0), seed=seed))
+        assert updates == []
 
     @pytest.mark.parametrize("theta", ["x", None, np.nan, np.inf])
     def test_theta_must_be_a_finite_real(self, theta):

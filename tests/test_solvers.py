@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,17 +176,17 @@ class TestDenseInverse:
              pytest.param(NormalEqWindow(2), id="IP(d=2)")]
 
     @staticmethod
-    def config(rule, mode, n, seed, **kw):
-        x0 = np.random.default_rng(100 + seed).standard_normal(n)
-        return SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=mode, x0=x0, **kw)
+    def run(problem, rule, mode, seed, **kw):
+        x0 = np.random.default_rng(100 + seed).standard_normal(problem.n)
+        return minimize(replace(problem, x0=x0),
+                        SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=mode, **kw))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("rule", RULES)
     def test_tracking_changes_no_iterate(self, rule, mode):
         # the direction always comes from H; the tracked B is only measured
-        plain = minimize(random_spd_quadratic(12, seed=1), self.config(rule, mode, 12, 1))
-        tracked = minimize(random_spd_quadratic(12, seed=1),
-                           self.config(rule, mode, 12, 1, record="matrix"))
+        plain = self.run(random_spd_quadratic(12, seed=1), rule, mode, 1)
+        tracked = self.run(random_spd_quadratic(12, seed=1), rule, mode, 1, record="matrix")
         assert (tracked.status, tracked.iterations) == (plain.status, plain.iterations)
         assert [r.x.tobytes() for r in tracked.records] == [r.x.tobytes() for r in plain.records]
         assert all(r.matrix_error is not None for r in tracked.records)
@@ -208,7 +209,7 @@ class TestDenseInverse:
         for n in (4, 8, 12):
             for seed in range(5):
                 p = random_spd_quadratic(n, spectrum=(0.5, 10.0), seed=seed)
-                trace = minimize(p, self.config(rule, mode, n, seed, record="matrix"))
+                trace = self.run(p, rule, mode, seed, record="matrix")
                 assert trace.status == "converged", (n, seed)
         assert residuals and max(residuals) <= 1e-12
 
@@ -217,9 +218,8 @@ class TestDenseInverse:
     @pytest.mark.parametrize("record", ["full", "matrix"], ids=["untracked", "tracked"])
     def test_singular_matrix_b0_is_breakdown(self, rule, record):
         # inverting b0 when the model was built raised LinAlgError from minimize
-        cfg = SolverConfig(rule=rule, stop=GradNorm(1e-8), b0=np.zeros((4, 4)),
-                           x0=np.ones(4), record=record)
-        trace = minimize(random_spd_quadratic(4, seed=0), cfg)
+        cfg = SolverConfig(rule=rule, stop=GradNorm(1e-8), b0=np.zeros((4, 4)), record=record)
+        trace = minimize(replace(random_spd_quadratic(4, seed=0), x0=np.ones(4)), cfg)
         assert (trace.status, trace.iterations) == ("breakdown", 0)
 
     @pytest.mark.parametrize("rule, iterations", [(Broyden(0.0), 55), (Broyden(1.0), 124)],
@@ -358,11 +358,10 @@ class TestLbfgsDriver:
         # with memory covering every pair, the two-loop recursion is the
         # inverse-form update: iterates agree to rounding with the dense
         # direct form
-        p = random_spd_quadratic(5, spectrum=(0.5, 10.0), seed=9)
+        p = replace(random_spd_quadratic(5, spectrum=(0.5, 10.0), seed=9), x0=np.ones(5))
         lam = 10.0
-        x0 = np.ones(5)
-        dense = minimize(p, dense_config(Broyden(0.0), lam, x0=x0))
-        cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=lam, memory=100, x0=x0)
+        dense = minimize(p, dense_config(Broyden(0.0), lam))
+        cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=lam, memory=100)
         lm = minimize_lbfgs(p, cfg)
         assert dense.status == lm.status == "converged"
         assert abs(dense.iterations - lm.iterations) <= 1
@@ -391,11 +390,8 @@ class TestAngleRecording:
         assert angles.min() >= 0.0
 
     def test_matrix_error_recording(self):
-        p = random_spd_quadratic(4, spectrum=(1.0, 5.0), seed=2)
-        cfg = SolverConfig(
-            rule=Broyden(0.0), stop=IterateError(1e-7), b0=2.0, record="matrix",
-            x0=np.ones(4),
-        )
+        p = replace(random_spd_quadratic(4, spectrum=(1.0, 5.0), seed=2), x0=np.ones(4))
+        cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=2.0, record="matrix")
         trace = minimize(p, cfg)
         errs = [r.matrix_error for r in trace.records]
         assert all(e is not None for e in errs)
@@ -491,8 +487,8 @@ class TestSolveSystem:
 
 class TestImageModeMechanics:
     def test_quadratic_pairs_are_tagged(self):
-        p = random_spd_quadratic(5, spectrum=(0.5, 10.0), seed=4)
-        cfg = dense_config(Broyden(1.0), 20.0, ImageTransform(), x0=np.ones(5))
+        p = replace(random_spd_quadratic(5, spectrum=(0.5, 10.0), seed=4), x0=np.ones(5))
+        cfg = dense_config(Broyden(1.0), 20.0, ImageTransform())
         trace = minimize(p, cfg)
         tagged = [r.pair.transformed for r in trace.records if r.pair is not None]
         assert "image" in tagged
@@ -508,10 +504,10 @@ class TestImageModeMechanics:
 
     def test_quadratic_termination_dense(self):
         # n+1 updates suffice once every image direction has been absorbed
-        p = random_spd_quadratic(6, spectrum=(0.5, 30.0), seed=5)
+        p = replace(random_spd_quadratic(6, spectrum=(0.5, 30.0), seed=5), x0=np.ones(6))
         cfg = SolverConfig(
             rule=Broyden(0.0), stop=GradNorm(1e-10, relative=False), b0=7.0,
-            mode=ImageTransform(), record="matrix", x0=np.ones(6),
+            mode=ImageTransform(), record="matrix",
         )
         trace = minimize(p, cfg)
         assert trace.status == "converged"
@@ -526,10 +522,10 @@ class TestImageModeMechanics:
         # iterations and ends with B = A
         for n in range(2, 13):
             for seed in range(5):
-                p = random_spd_quadratic(n, seed=seed)
                 x0 = np.random.default_rng(100 + seed).standard_normal(n)
+                p = replace(random_spd_quadratic(n, seed=seed), x0=x0)
                 cfg = SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=1.0, mode=ImageTransform(),
-                                   step=step, x0=x0, record="matrix")
+                                   step=step, record="matrix")
                 trace = minimize(p, cfg)
                 assert trace.status == "converged", (n, seed)
                 assert trace.iterations <= n + 1, (n, seed)
@@ -546,11 +542,14 @@ class TestImageModeMechanics:
     def test_hessian_free_image_pairs_match_the_exact_ones(self, driver, rule, seed):
         # without a hessian v is the difference quotient of the gradient,
         # which is A u up to roundoff on a quadratic
+        def problem():
+            return replace(random_spd_quadratic(6, spectrum=(0.5, 10.0), seed=seed),
+                           x0=np.ones(6))
+
         cfg = SolverConfig(rule=rule, stop=GradNorm(1e-10), b0=2.0, mode=ImageTransform(),
-                           memory=5, x0=np.ones(6))
-        exact = driver(random_spd_quadratic(6, spectrum=(0.5, 10.0), seed=seed), cfg)
-        free = driver(without_hessian(random_spd_quadratic(6, spectrum=(0.5, 10.0), seed=seed)),
-                      cfg)
+                           memory=5)
+        exact = driver(problem(), cfg)
+        free = driver(without_hessian(problem()), cfg)
         assert any(r.pair.transformed == "image" for r in free.records[1:])
         assert (free.status, free.iterations) == (exact.status, exact.iterations)
         assert np.linalg.norm(free.x - exact.x) <= 1e-12
@@ -761,12 +760,21 @@ class TestSolverConfigValidation:
         (lambda: dict(step=Backtracking(c1=0.0)), "c1"),
         (lambda: dict(step=Backtracking(c1=1.0)), "c1"),
         (lambda: dict(step=Backtracking(c1=np.nan)), "c1"),
+        # each raised TypeError, and relative="no" was read as relative
+        (lambda: dict(stop=GradNorm("x")), "eps"),
+        (lambda: dict(stop=GradNorm(1e-6, relative="no")), "relative"),
+        (lambda: dict(stop=IterateError(None)), "eps_rel"),
+        (lambda: dict(stop=ResidualNorm("1e-7")), "eps"),
+        (lambda: dict(step=Backtracking(c1="x")), "c1"),
+        (lambda: dict(b0="x"), "b0"),
     ], ids=["GradNorm-inf", "GradNorm-inf-absolute", "GradNorm-nan", "GradNorm-negative",
             "IterateError-nan", "IterateError-negative", "IterateError-inf",
             "ResidualNorm-nan", "ResidualNorm-negative", "max_iters-nan", "max_iters-float",
             "memory-fraction", "NormalEqWindow-fraction", "mode-None", "mode-str",
             "mode-class", "step-None", "step-str", "shrink-zero", "shrink-negative",
-            "shrink-one", "shrink-nan", "c1-negative", "c1-zero", "c1-one", "c1-nan"])
+            "shrink-one", "shrink-nan", "c1-negative", "c1-zero", "c1-one", "c1-nan",
+            "GradNorm-str", "GradNorm-relative-str", "IterateError-None", "ResidualNorm-str",
+            "c1-str", "b0-str"])
     def test_bad_parameter_refused_where_built(self, build, match):
         calls = []
         problem = counted(quadratic_weighted_50(), calls)
@@ -807,9 +815,9 @@ class TestSolverConfigValidation:
     def test_start_must_match_the_dimension(self, x0):
         # random_spd_quadratic has no start: minimize raised a matmul error
         # from inside the first gradient on a NaN scalar start
-        cfg = SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-8), x0=x0)
-        with pytest.raises(ValueError, match="start of shape"):
-            minimize(random_spd_quadratic(4), cfg)
+        cfg = SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-8))
+        with pytest.raises(ValueError, match="problem's x0 of shape"):
+            minimize(replace(random_spd_quadratic(4), x0=x0), cfg)
 
     def test_matrix_b0_shape_checked_by_the_driver(self):
         cfg = SolverConfig(rule=Broyden(0.0), stop=IterateError(1e-7), b0=np.eye(3))
@@ -826,8 +834,9 @@ class TestSolverConfigValidation:
 
     REFUSED_RECORDING = {
         "minimize-no-hessian": (
-            minimize, lambda: without_hessian(random_spd_quadratic(4, seed=0)),
-            dict(rule=Broyden(0.0), stop=GradNorm(1e-8), x0=np.ones(4))),
+            minimize,
+            lambda: without_hessian(replace(random_spd_quadratic(4, seed=0), x0=np.ones(4))),
+            dict(rule=Broyden(0.0), stop=GradNorm(1e-8))),
         "minimize_lbfgs": (
             minimize_lbfgs, quadratic_weighted_50,
             dict(rule=None, stop=IterateError(1e-7), b0=50.0, memory=3)),
@@ -853,10 +862,9 @@ class TestSolverConfigValidation:
     ])
     def test_unusable_stop_rule_refused_before_any_evaluation(self, stop, x_star):
         # both raised from the threshold, after the start's gradient
-        p = random_spd_quadratic(4, seed=0)
-        p.x_star = x_star
+        p = replace(random_spd_quadratic(4, seed=0), x0=np.ones(4), x_star=x_star)
         calls = []
-        cfg = SolverConfig(rule=Broyden(0.0), stop=stop, x0=np.ones(4))
+        cfg = SolverConfig(rule=Broyden(0.0), stop=stop)
         with pytest.raises(ValueError, match="stop"):
             minimize(counted(p, calls), cfg)
         assert calls == []
@@ -887,8 +895,9 @@ def solver_draw(draw):
         rule=rule, stop=GradNorm(1e-10), b0=10.0 ** draw(st.floats(-8.0, 8.0)), mode=mode,
         step=draw(st.sampled_from([Unit(), Backtracking()])), memory=draw(st.integers(1, 6)),
         max_iters=draw(st.integers(0, 200)),
-        x0=np.random.default_rng(100 + seed).standard_normal(n) if draw(st.integers(0, 7)) else None,
     )
+    if draw(st.integers(0, 7)):
+        problem = replace(problem, x0=np.random.default_rng(100 + seed).standard_normal(n))
     return driver, problem, config
 
 
