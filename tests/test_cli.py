@@ -410,6 +410,25 @@ class TestExitCodeContract:
             main(["run", "--experiment", "lab"])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "bench.cfg"),  # the config-file channel is gone
+        ("--N", "3"),               # the alias of --n is gone
+        ("--seed", "0"),            # seed belongs to verify only
+    ])
+    def test_removed_run_option_is_usage_error(self, flag, value, tmp_path, monkeypatch,
+                                               capsys):
+        (tmp_path / "bench.cfg").write_text("experiment = systems\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        pool_calls = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: pool_calls.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "systems", "--workers", "1", flag, value])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert f"No such option '{flag}'" in err
+        assert "Traceback" not in err
+        assert pool_calls == []
+
     @pytest.mark.parametrize("parent", ["missing", "file"])
     def test_out_outside_a_directory_is_usage_error(self, parent, tmp_path, monkeypatch,
                                                    capsys):
