@@ -281,11 +281,13 @@ def _parse_lambdas(text):
 def _check_out_dir(ctx, param, path):
     # click.Path checks only a file that exists; a missing or read-only
     # directory would otherwise fail after every cell has run
-    if path:
-        parent = os.path.dirname(os.path.abspath(path))
-        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            raise click.BadParameter(f"directory {parent!r} is missing or not writable",
-                                     ctx, param)
+    if path is None:
+        return None
+    if not path:  # --out= is refused, not read as stdout
+        raise click.BadParameter("an empty path names no file", ctx, param)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise click.BadParameter(f"directory {parent!r} is missing or not writable", ctx, param)
     return path
 
 
@@ -366,7 +368,7 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
         headers, body = table(rows, columns, key, show)
 
     text = emit_table(headers, body, fmt)
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:

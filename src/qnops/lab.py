@@ -347,8 +347,10 @@ def _image_gain(setup, s):
     # the gain comparison of oracle_image_operator_gain without its gate
     E, apply_w, (base_ratio, ratio) = setup
     ws = apply_w(s)
-    scale = euclidean_norm(E) * euclidean_norm(s)
-    if euclidean_norm(ws) <= 1e-13 * max(scale, 1e-300):
+    s_norm = euclidean_norm(s)
+    scale = euclidean_norm(E) * s_norm
+    # an s whose sum of squares underflows leaves the base ratio 0 / 0
+    if s_norm == 0.0 or euclidean_norm(ws) <= 1e-13 * max(scale, 1e-300):
         return 0.0, 0.0, "degenerate"
     base = base_ratio(s)
     improved = ratio(ws)
@@ -361,7 +363,8 @@ def oracle_image_operator_gain(family, a, b, m, s):
 
     Returns (base, improved, holds); ``holds`` is True/False or one of the
     strings ``"hypothesis not met"`` / ``"degenerate"`` (neither counts as
-    a violation).  For the bfgs variants ``b`` is the inverse
+    a violation); a step is degenerate when Ws vanishes relative to
+    ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs variants ``b`` is the inverse
     approximation H and ``s`` plays the role of y.  The ordered variants
     need SPD A and B with B - A (H - A^-1 for bfgs) one-signed.
     """
@@ -384,8 +387,12 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
     ker(B - A): family ``gpsb`` (W = M^-2, m=None meaning M=I) or ``bgm``
     (Euclidean).  Returns (base, improved, holds, angle_identity_residual)
     where the identity is base = sin^2(angle(s, subspace)) * improved.
+    ``ValueError`` refuses an s whose norm is 0, all zeros or so small that
+    its sum of squares underflows: both ratios would divide by it.
     """
     s = np.asarray(s, dtype=float)
+    if euclidean_norm(s) == 0.0:
+        raise ValueError("s must have a nonzero norm: both gain ratios divide by it")
     E = b - a
     if family == "gpsb":
         wmat = None if m is None else np.linalg.inv(m @ m)

@@ -5,6 +5,8 @@ Everything here operates on plain numpy arrays (square real matrices,
 product throughout.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -23,14 +25,20 @@ ORTHO_TOL = 1e-8
 
 
 def euclidean_norm(v):
-    """||v||_2 of a real vector (||v||_F of a matrix), bit for bit np.linalg.norm(v).
+    """||v||_2 of a real vector (||v||_F of a matrix) as a Python float,
+    bit for bit np.linalg.norm(v) on float64 input.
 
-    The same ravel, dot and sqrt that ``np.linalg.norm`` runs for ``ord=None``,
-    without its argument handling.  ``order="K"`` keeps its summation order for
-    strided views and Fortran-ordered matrices.
+    The same ravel and dot that ``np.linalg.norm`` runs for ``ord=None``,
+    without its argument handling, and ``math.sqrt`` in place of ``np.sqrt``:
+    both square roots are correctly rounded, so the value is the same, and a
+    Python float spares the caller NumPy scalar arithmetic.  ``order="K"``
+    keeps the summation order for strided views and Fortran-ordered
+    matrices.  An empty input gives 0.0, a sum of squares that overflows
+    gives inf, and a NaN entry gives NaN.  Dividing by the result follows
+    Python's rules: a zero divisor raises ``ZeroDivisionError``.
     """
     v = v.ravel(order="K")
-    return np.sqrt(v.dot(v))
+    return math.sqrt(v.dot(v))
 
 
 def weighted_inner(a, b, w=None):

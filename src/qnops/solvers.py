@@ -21,7 +21,9 @@ at ``"full"`` (the default) the trace keeps the initial state and one
 record per iteration; at ``"matrix"`` each of those records also holds
 ||B_k - A||_F and the step's angle to the near-kernel direction of B_k - A;
 at ``"summary"`` only the initial and the final record, so the records of a
-long run take constant memory.
+long run take constant memory.  At that level the loop builds no per-step
+record: it keeps the latest step's fields in locals and builds the final
+record once, when the run ends.
 
 The drivers are single-threaded.  Each iteration allocates a handful of
 n-vectors (x - x* among them, under ``IterateError``) and, for a dense
@@ -29,8 +31,8 @@ rule, the new n x n matrix and at most one n x n scratch buffer besides it;
 a dense BFGS or DFP run at ``record="matrix"`` holds and updates two n x n
 matrices, H_k and B_k.  The loop's norms are Python floats, the square
 root of one ``ndarray.dot`` each, and it looks the model's methods and the
-step rule up once per run.  The records that are
-kept hold the iterates the loop made, not copies.  Runs with the same
+step rule up once per run.  The records that are kept hold the iterates
+the loop made, not copies.  Runs with the same
 configuration are bitwise reproducible (fixed evaluation order, no parallel
 reductions) at every recording level, and the level changes no iterate.
 
@@ -484,12 +486,14 @@ def _iterate(problem, evaluate, config, model, x):
     transform fallback or a pair the model refuses is the record's event; an
     update that raises ends the run as ``breakdown`` with an
     ``update-breakdown`` record, which counts as an iteration and a fallback.
-    At ``config.record == "summary"`` each record replaces the previous
-    step's, so the trace ends with the initial and the final record.
+    At ``config.record == "summary"`` the loop keeps the latest step's
+    fields in locals and builds no record per iteration; the final record is
+    built from them once the loop ends, so the trace holds the initial and
+    the final record.
 
     The norms the loop takes (of each gradient or residual, and of x - x*)
-    are ``math.sqrt(v.dot(v))`` on a contiguous 1-D vector: the dot and the
-    square root of ``euclidean_norm``, bit for bit, as a Python float.
+    are ``math.sqrt(v.dot(v))`` on a contiguous 1-D vector: ``euclidean_norm``
+    inlined without its call and ravel, bit for bit the same Python float.
     """
     track = config.record == "matrix"
     if track and not model.track:
@@ -549,19 +553,21 @@ def _iterate(problem, evaluate, config, model, x):
             refused = update(pair)
         except (CurvatureError, DegenerateUpdateError) as exc:
             status = "breakdown"
-            record = StepRecord(xn, gnorm, pair, f"update-breakdown: {exc}")
+            event = f"update-breakdown: {exc}"
+            error = angle = None
         else:
-            record = StepRecord(xn, gnorm, pair, event or refused,
-                                model.error() if track else None, angle)
+            event = event or refused
+            error = model.error() if track else None
         k += 1
-        fallbacks += record.event is not None
-        if summary and k > 1:
-            records[1] = record
-        else:
-            records.append(record)
+        fallbacks += event is not None
+        if not summary:
+            records.append(StepRecord(xn, gnorm, pair, event, error, angle))
         if status is not None:
             break
         x, g = xn, gn
+    if summary and k:
+        # no tracking at this level, so no matrix_error or angle to keep
+        records.append(StepRecord(xn, gnorm, pair, event))
     trace.status, trace.iterations, trace.fallbacks = status, k, fallbacks
     return trace
 

@@ -445,6 +445,20 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert pool_calls == []
 
+    def test_empty_out_is_usage_error(self, monkeypatch, capsys):
+        # printed the table to stdout and exited 0, as if --out were absent
+        pool_calls = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: pool_calls.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "systems", "--methods", "Newton", "--out=",
+                  "--workers", "1"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and "empty path" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert pool_calls == []
+
     @pytest.mark.parametrize("experiment, flags", [
         # both exited 0 with the unfiltered output
         ("systems", ["--lambdas", "5", "--d", "3", "--n", "7"]),

@@ -1,6 +1,7 @@
 import concurrent.futures
 import importlib.util
 import multiprocessing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,17 @@ class TestImageGainOracle:
         base, improved, holds = oracle_image_operator_gain("dfp", a, b, None, s)
         assert holds == "degenerate"
 
+    @pytest.mark.parametrize("family", ["gpsb", "dfp", "bgm"])
+    def test_step_whose_norm_underflows_is_degenerate(self, family):
+        # E s is representable but ||s||^2 underflows to 0: the base ratio was
+        # inf with a RuntimeWarning, a false violation
+        a = np.eye(3)
+        b = a + 1e12 * np.diag([1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = oracle_image_operator_gain(family, a, b, None, np.full(3, 1e-170))
+        assert out == (0.0, 0.0, "degenerate")
+
     def test_ordered_variant_gates_on_hypothesis(self):
         a = 2.0 * np.eye(2)
         b = a + np.diag([1.0, -1.0])  # indefinite gap: hypothesis violated
@@ -344,6 +356,18 @@ class TestProjectionGainOracle:
         s = np.array([1.0, 0.0])
         out = oracle_projection_gain("bgm", a, b, None, s[:, None], s)
         assert out[2] == "degenerate"
+
+    @pytest.mark.parametrize("family, m", [("gpsb", None), ("gpsb", 2.0 * np.eye(2)),
+                                           ("bgm", None)])
+    @pytest.mark.parametrize("s", [np.zeros(2), np.full(2, 1e-170)], ids=["zero", "underflow"])
+    def test_step_without_norm_refused_at_entry(self, family, m, s):
+        # both gain ratios divide by the norm of s; 0/0 is refused, not a NaN
+        a = np.eye(2)
+        b = a + np.diag([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonzero norm"):
+                oracle_projection_gain(family, a, b, m, np.array([[1.0], [0.0]]), s)
 
     def test_gpsb_weighted_identity(self):
         rng = np.random.default_rng(35)

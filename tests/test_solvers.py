@@ -647,6 +647,14 @@ class TestRecordingLevels:
             assert f.x.tobytes() == s.x.tobytes()
             assert np.float64(f.grad_norm).tobytes() == np.float64(s.grad_norm).tobytes()
             assert f.event == s.event
+            # the summary loop builds its final record from locals: the pair,
+            # its tag and the untracked fields must be the full run's too
+            assert (s.matrix_error, s.angle) == (f.matrix_error, f.angle) == (None, None)
+            assert (f.pair is None) == (s.pair is None)
+            if f.pair is not None:
+                assert f.pair.s.tobytes() == s.pair.s.tobytes()
+                assert f.pair.y.tobytes() == s.pair.y.tobytes()
+                assert f.pair.transformed == s.pair.transformed
 
     @pytest.mark.parametrize("label, lam, problem", [c[:3] for c in TestRecordBits.CELLS],
                              ids=[f"{c[0]}-{c[2].__name__}" for c in TestRecordBits.CELLS])

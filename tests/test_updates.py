@@ -486,6 +486,7 @@ class TestBitwiseEquivalence:
         view = v[::step]
         if flip:
             view = view[::-1]
+        assert type(euclidean_norm(view)) is float
         assert_bitwise(euclidean_norm(view), np.linalg.norm(view))
 
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
@@ -496,6 +497,7 @@ class TestBitwiseEquivalence:
             B = np.asfortranarray(B)
         if transpose:
             B = B.T
+        assert type(euclidean_norm(B)) is float
         assert_bitwise(euclidean_norm(B), np.linalg.norm(B, "fro"))
         assert_bitwise(euclidean_norm(B), np.linalg.norm(B))
 
@@ -506,6 +508,24 @@ class TestBitwiseEquivalence:
         for _ in range(200):
             v = rng.standard_normal(200)[::3]
             assert_bitwise(euclidean_norm(v), np.linalg.norm(v))
+
+    @pytest.mark.parametrize("v, want", [
+        (np.zeros(0), 0.0),
+        (np.zeros((0, 3)), 0.0),
+        (np.array([1e200, -1e200]), np.inf),  # the sum of squares overflows
+        (np.full((2, 2), 1e160), np.inf),
+        (np.array([1.0, np.nan, 2.0]), np.nan),
+        (np.array([np.inf, np.nan]), np.nan),
+        (np.array([-np.inf, 1.0]), np.inf),
+    ], ids=["empty", "empty-matrix", "overflow", "overflow-matrix", "nan", "inf-nan", "inf"])
+    def test_norm_is_a_python_float_at_the_edges(self, v, want):
+        # a Python float divided by another raises on 0 where NumPy warns,
+        # so callers rely on this type; the value stays np.linalg.norm's
+        with np.errstate(over="ignore"):  # the dot's own overflow warning
+            got, ref = euclidean_norm(v), np.linalg.norm(v)
+        assert type(got) is float
+        np.testing.assert_equal(got, want)  # NaN equals NaN here
+        assert_bitwise(got, ref)
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     @given(case=update_case())
