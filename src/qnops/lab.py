@@ -364,9 +364,10 @@ def oracle_image_operator_gain(family, a, b, m, s):
     Returns (base, improved, holds); ``holds`` is True/False or one of the
     strings ``"hypothesis not met"`` / ``"degenerate"`` (neither counts as
     a violation); a step is degenerate when Ws vanishes relative to
-    ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs variants ``b`` is the inverse
-    approximation H and ``s`` plays the role of y.  The ordered variants
-    need SPD A and B with B - A (H - A^-1 for bfgs) one-signed.
+    ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs
+    variants ``b`` is the inverse approximation H and ``s`` plays the role
+    of y.  The ordered variants need SPD A and B with B - A (H - A^-1 for
+    bfgs) one-signed.
     """
     s = np.asarray(s, dtype=float)
     setup = _image_setup(family, a, b, m)
