@@ -20,9 +20,14 @@ for bit, since its ``minv2 @ s`` is the product ``a @ s`` that made y.
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
 suite runs its seeded trials through one loop, ``_tally``; ``verify_all``
-reports one row per suite.
+reports one row per suite.  The image-gain and projection-gain suites hand
+``_tally`` chunks of trials: a chunk draws all its trials first, in the
+order one trial at a time would, then runs each group of one shape as a
+stack through the kernel that the public oracle runs on a stack of one, so
+every trial's result is bit for bit its result alone.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import List, Optional, Union
@@ -38,7 +43,7 @@ from .linalg import (
     weighted_inner,
 )
 from .pool import default_workers, run_pool
-from .problems import random_spd_matrix
+from .problems import _spd_build, _spd_draws, random_spd_matrix
 from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
 from .updates import SecantPair, bgm_update, gpsb_update
 
@@ -77,24 +82,69 @@ def _slacked(scale):
     return SLACK * max(1.0, abs(scale))
 
 
-def _m_ratio(E, m, v):
+# The stack helpers below run one BLAS or LAPACK call per slice of a (k, ...)
+# stack, the same call that the 2-D expression makes on that slice alone, so
+# each slice comes out bit for bit as it would alone.  A product A @ v keeps
+# A's per-slice strides, which select the BLAS kernel (a transposed A runs
+# another gemv), and a vector product is the (1, n) @ (n, 1) ddot of u @ v.
+
+
+def _mv(A, v):
+    # A_i v_i of each slice: (k, n, p) @ (k, p) -> (k, n)
+    return (A @ v[..., None])[..., 0]
+
+
+def _solve(A, v):
+    # A_i^-1 v_i of each slice
+    return np.linalg.solve(A, v[..., None])[..., 0]
+
+
+def _dots(u, v):
+    # u_i . v_i of each slice, as a NumPy array
+    return (u[:, None, :] @ v[:, :, None]).ravel()
+
+
+def _norms(x):
+    # euclidean_norm of each slice, as Python floats
+    f = x.reshape(len(x), -1)
+    return [math.sqrt(q) for q in _dots(f, f).tolist()]
+
+
+# The ratios below return numerators and denominators per slice; callers
+# divide trial by trial.  Squares of norms stay Python floats: Python's x ** 2
+# calls libm pow, which differs from NumPy's x ** 2 (x * x) in the last bit
+# on about 1 in 1,200 random doubles, and these ratios were always Python's.
+
+
+def _m_ratios(E, m, v):
     # ||M E v||^2 / ||M^-1 v||^2, the gpsb reduction functional (m=None: M=I)
-    ev = E @ v
-    num = euclidean_norm(ev if m is None else m @ ev) ** 2
-    den = euclidean_norm(v if m is None else np.linalg.solve(m, v)) ** 2
-    return num / den
+    ev = _mv(E, v)
+    num = _norms(ev if m is None else _mv(m, ev))
+    den = _norms(v if m is None else _solve(m, v))
+    return [q ** 2 for q in num], [q ** 2 for q in den]
 
 
-def _e_ratio(E, v):
+def _e_ratios(E, v):
     # ||E v||^2 / v'v, the Euclidean reduction functional
-    return euclidean_norm(E @ v) ** 2 / (v @ v)
+    return [q ** 2 for q in _norms(_mv(E, v))], _dots(v, v)
+
+
+def _ratio(ratios, *args):
+    # one ratio of a single E and v, as a stack of one
+    num, den = ratios(*(x if x is None else x[None] for x in args))
+    return num[0] / den[0]
 
 
 def _w_residual(s, basis, wmat):
-    # s minus its W-orthogonal projection onto span(basis)
+    # s minus its W-orthogonal projection onto span(basis), per slice
     wb = basis if wmat is None else wmat @ basis
-    coef = np.linalg.solve(basis.T @ wb, wb.T @ s)
-    return s - basis @ coef
+    coef = _solve(basis.swapaxes(-1, -2) @ wb, _mv(wb.swapaxes(-1, -2), s))
+    return s - _mv(basis, coef)
+
+
+def _w_dots(v, wmat):
+    # v'Wv of each slice (wmat=None: W=I)
+    return _dots(v, v if wmat is None else _mv(wmat, v))
 
 
 # ---------------------------------------------------------------------------
@@ -271,90 +321,136 @@ def oracle_error_reduction(family, a, b, m, s):
     family ``gpsb``: ||PSB_M(B,A,s) - A||_{M,F}^2 <= ||B - A||_{M,F}^2
     - ||M(B-A)s||^2 / ||M^-1 s||^2 (m=None means M=I).  family ``bgm``:
     the same statement with Euclidean norms holds as an exact identity.
-    Returns (lhs, rhs, holds).
+    Returns (lhs, rhs, holds).  ``ValueError`` refuses an s whose norm is
+    0, all zeros or so small that its sum of squares underflows: the
+    update and the ratio divide by it.
     """
     s = np.asarray(s, dtype=float)
+    if euclidean_norm(s) == 0.0:
+        raise ValueError("s must have a nonzero norm: the update and the ratio divide by it")
     y = a @ s
     E = b - a
     if family == "gpsb":
         minv2 = None if m is None else np.linalg.inv(m @ m)
         bplus = gpsb_update(b, SecantPair(s, y), minv2)
         lhs = weighted_frobenius_error(bplus - a, m) ** 2
-        rhs = weighted_frobenius_error(E, m) ** 2 - _m_ratio(E, m, s)
+        rhs = weighted_frobenius_error(E, m) ** 2 - _ratio(_m_ratios, E, m, s)
         return lhs, rhs, lhs <= rhs + _slacked(rhs)
     if family == "bgm":
         bplus = bgm_update(b, SecantPair(s, y))
         lhs = euclidean_norm(bplus - a) ** 2
-        rhs = euclidean_norm(E) ** 2 - _e_ratio(E, s)
+        rhs = euclidean_norm(E) ** 2 - _ratio(_e_ratios, E, s)
         return lhs, rhs, abs(lhs - rhs) <= BGM_IDENTITY_TOL * max(1.0, abs(rhs))
     raise ValueError(f"unknown family {family!r}")
 
 
+_ORDERED = ("dfp-ordered", "bfgs-ordered")
+
+
 def _image_setup(family, a, b, m):
-    """(E, apply_w, (base_ratio, improved_ratio)) for each image-gain
-    theorem; ``b`` is the inverse approximation H for the bfgs variants.
-    The two functionals coincide except for bgm, whose nonsymmetric E
-    needs the transpose on the base side."""
+    """(E, apply_w, (base_ratio, improved_ratio)) of each image-gain theorem
+    on stacks of k trials; ``b`` is the inverse approximation H for the
+    bfgs variants.  ``apply_w`` maps a (k, n) stack of steps, and a ratio
+    maps one to the numerators and denominators of its functional.  The two
+    functionals coincide except for bgm, whose nonsymmetric E needs the
+    transpose on the base side."""
     if family == "gpsb":
         E = b - a
         m2 = None if m is None else m @ m
 
         def apply_w(v):
-            return E @ v if m2 is None else m2 @ (E @ v)
+            ev = _mv(E, v)
+            return ev if m2 is None else _mv(m2, ev)
 
-        ratio = partial(_m_ratio, E, m)
+        ratio = partial(_m_ratios, E, m)
 
-    elif family in ("dfp", "dfp-ordered", "bfgs", "bfgs-ordered"):
+    elif family in ("dfp", "bfgs") + _ORDERED:
         # dfp weighs with W = A; bfgs is its dual, H against A^-1 with
         # W = A^-1, so A v and A^-1 v swap roles.  The ordered variants map
         # E v by B^-1 (H^-1) in place of W^-1.
-        a_v, ainv_v = partial(np.matmul, a), partial(np.linalg.solve, a)
+        a_v, ainv_v = partial(_mv, a), partial(_solve, a)
         dual = family.startswith("bfgs")
         w_v, winv_v = (ainv_v, a_v) if dual else (a_v, ainv_v)
         E = b - (np.linalg.inv(a) if dual else a)
-        map_v = partial(np.linalg.solve, b) if family.endswith("ordered") else winv_v
+        map_v = partial(_solve, b) if family in _ORDERED else winv_v
 
         def apply_w(v):
-            return map_v(E @ v)
+            return map_v(_mv(E, v))
 
         def ratio(v):
-            ev = E @ v
-            return (ev @ winv_v(ev)) / (v @ w_v(v))
+            ev = _mv(E, v)
+            return _dots(ev, winv_v(ev)), _dots(v, w_v(v))
 
     elif family == "bgm":
         E = b - a
-
-        def apply_w(v):
-            return E.T @ v
-
+        Et = E.swapaxes(-1, -2)
         # The Cauchy-Schwarz argument bounds ||E(E^T s)||^2/||E^T s||^2 from
         # below by ||E^T s||^2/||s||^2 (both are Rayleigh quotients of EE^T);
         # a base of ||Es||^2/||s||^2 would be false for nonsymmetric E, so
         # the base functional carries the transpose.
-        return E, apply_w, (partial(_e_ratio, E.T), partial(_e_ratio, E))
+        return E, partial(_mv, Et), (partial(_e_ratios, Et), partial(_e_ratios, E))
 
     else:
         raise ValueError(f"unknown family {family!r}")
     return E, apply_w, (ratio, ratio)
 
 
-def _one_signed(sym, tol):
-    w = np.linalg.eigvalsh(sym)
-    return np.all(w >= -tol) or np.all(w <= tol)
+def _ordering_met(a, b, E):
+    # the ordered variants' hypothesis on each slice: SPD A and B, and E
+    # one-signed up to 1e-12 of its norm (unit floor)
+    tol = np.array([1e-12 * max(1.0, q) for q in _norms(E)])[:, None]
+    w = np.linalg.eigvalsh(E)
+    not_spd = (np.linalg.eigvalsh(a) <= 0).any(-1) | (np.linalg.eigvalsh(b) <= 0).any(-1)
+    return ~not_spd & ((w >= -tol).all(-1) | (w <= tol).all(-1))
 
 
-def _image_gain(setup, s):
-    # the gain comparison of oracle_image_operator_gain without its gate
-    E, apply_w, (base_ratio, ratio) = setup
+def _rows(rows, *stacks):
+    # the slices ``rows`` of each stack; None stays None
+    return [x if x is None else x[rows] for x in stacks]
+
+
+def _image_gain_stack(family, a, b, m, s, gated=True):
+    """``oracle_image_operator_gain`` of each slice of a stack: a, b and s
+    (and m unless None) hold k trials of one n.  Returns the k results, each
+    bit for bit the trial's alone.  ``gated=False`` drops the ordered
+    variants' hypothesis check.  A trial that fails the hypothesis leaves
+    the stack before its steps are mapped (its B may be singular), and a
+    degenerate one before the ratios: the one-trial oracle never ran those
+    steps on them."""
+    out = [None] * len(s)
+    live = np.arange(len(s))
+    if gated and family in _ORDERED:
+        met = _ordering_met(a, b, _image_setup(family, a, b, m)[0])
+        if not met.all():
+            for i in live[~met]:
+                out[i] = (0.0, 0.0, "hypothesis not met")
+            if not met.any():
+                return out
+            live = live[met]
+            a, b, m, s = _rows(met, a, b, m, s)
+    E, apply_w, _ = setup = _image_setup(family, a, b, m)
     ws = apply_w(s)
-    s_norm = euclidean_norm(s)
-    scale = euclidean_norm(E) * s_norm
-    # an s whose sum of squares underflows leaves the base ratio 0 / 0
-    if s_norm == 0.0 or euclidean_norm(ws) <= 1e-13 * max(scale, 1e-300):
-        return 0.0, 0.0, "degenerate"
-    base = base_ratio(s)
-    improved = ratio(ws)
-    return base, improved, bool(improved >= base - _slacked(base))
+    keep = []
+    for j, (s_norm, e_norm, ws_norm) in enumerate(zip(_norms(s), _norms(E), _norms(ws))):
+        # an s whose sum of squares underflows leaves the base ratio 0 / 0
+        if s_norm == 0.0 or ws_norm <= 1e-13 * max(e_norm * s_norm, 1e-300):
+            out[live[j]] = (0.0, 0.0, "degenerate")
+        else:
+            keep.append(j)
+    if not keep:
+        return out
+    if len(keep) < len(live):
+        live, s, ws = live[keep], s[keep], ws[keep]
+        setup = _image_setup(family, *_rows(keep, a, b, m))
+    base_ratio, ratio = setup[2]
+    for i, bn, bd, n, d in zip(live, *base_ratio(s), *ratio(ws)):
+        base, improved = bn / bd, n / d
+        out[i] = (base, improved, bool(improved >= base - _slacked(base)))
+    return out
+
+
+def _stack_of_one(*arrays):
+    return [x if x is None else np.asarray(x, dtype=float)[None] for x in arrays]
 
 
 def oracle_image_operator_gain(family, a, b, m, s):
@@ -367,20 +463,39 @@ def oracle_image_operator_gain(family, a, b, m, s):
     ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs
     variants ``b`` is the inverse approximation H and ``s`` plays the role
     of y.  The ordered variants need SPD A and B with B - A (H - A^-1 for
-    bfgs) one-signed.
+    bfgs) one-signed.  The suites run the same kernel on stacks of trials.
     """
-    s = np.asarray(s, dtype=float)
-    setup = _image_setup(family, a, b, m)
-    if family in ("dfp-ordered", "bfgs-ordered"):
-        E = setup[0]  # B - A, or H - A^-1 for bfgs
-        tol = 1e-12 * max(1.0, euclidean_norm(E))
-        if (
-            np.any(np.linalg.eigvalsh(a) <= 0)
-            or np.any(np.linalg.eigvalsh(b) <= 0)
-            or not _one_signed(E, tol)
-        ):
-            return 0.0, 0.0, "hypothesis not met"
-    return _image_gain(setup, s)
+    return _image_gain_stack(family, *_stack_of_one(a, b, m, s))[0]
+
+
+def _projection_gain_stack(family, a, b, m, C, s):
+    """``oracle_projection_gain`` of each slice of a stack: a, b, the basis
+    C and s (and m unless None) hold k trials of one n and one basis width.
+    Returns the k results, each bit for bit the trial's alone."""
+    s_norms = _norms(s)
+    if 0.0 in s_norms:
+        raise ValueError("s must have a nonzero norm: both gain ratios divide by it")
+    E = b - a
+    if family == "gpsb":
+        wmat = None if m is None else np.linalg.inv(m @ m)
+        ratio = partial(_m_ratios, E, m)
+    elif family == "bgm":
+        wmat, ratio = None, partial(_e_ratios, E)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    stilde = s if C.shape[-1] == 0 else _w_residual(s, C, wmat)
+    out = []
+    for st_norm, s_norm, bn, bd, n, d, st_w, s_w in zip(
+        _norms(stilde), s_norms, *ratio(s), *ratio(stilde), _w_dots(stilde, wmat), _w_dots(s, wmat)
+    ):
+        base = bn / bd
+        if st_norm <= 1e-12 * s_norm:
+            out.append((base, 0.0, "degenerate", 0.0))
+            continue
+        improved = n / d
+        angle_residual = abs(base - st_w / s_w * improved) / max(1.0, abs(base))
+        out.append((base, improved, bool(improved >= base - _slacked(base)), angle_residual))
+    return out
 
 
 def oracle_projection_gain(family, a, b, m, subspace_basis, s):
@@ -389,32 +504,14 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
     (Euclidean).  Returns (base, improved, holds, angle_identity_residual)
     where the identity is base = sin^2(angle(s, subspace)) * improved.
     ``ValueError`` refuses an s whose norm is 0, all zeros or so small that
-    its sum of squares underflows: both ratios would divide by it.
+    its sum of squares underflows: both ratios would divide by it.  The
+    suites run the same kernel on stacks of trials.
     """
-    s = np.asarray(s, dtype=float)
-    if euclidean_norm(s) == 0.0:
-        raise ValueError("s must have a nonzero norm: both gain ratios divide by it")
-    E = b - a
-    if family == "gpsb":
-        wmat = None if m is None else np.linalg.inv(m @ m)
-        ratio = partial(_m_ratio, E, m)
-    elif family == "bgm":
-        wmat, ratio = None, partial(_e_ratio, E)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
     C = np.asarray(subspace_basis, dtype=float)
     if C.ndim == 1:
         C = C[:, None]
-    stilde = s if C.shape[1] == 0 else _w_residual(s, C, wmat)
-    if euclidean_norm(stilde) <= 1e-12 * euclidean_norm(s):
-        return ratio(s), 0.0, "degenerate", 0.0
-    base = ratio(s)
-    improved = ratio(stilde)
-    sin2 = weighted_inner(stilde, stilde, wmat) / weighted_inner(s, s, wmat)
-    angle_residual = abs(base - sin2 * improved) / max(1.0, abs(base))
-    holds = bool(improved >= base - _slacked(base))
-    return base, improved, holds, angle_residual
+    a, b, m, C, s = _stack_of_one(a, b, m, C, s)
+    return _projection_gain_stack(family, a, b, m, C, s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +543,43 @@ class SuiteRow:
         return self.violations == 0
 
 
-def _tally(name, trials, seed, trial):
-    """Run ``trial(rng, t)`` on one ``default_rng(seed)`` until ``trials``
-    trials count; ``t`` is the number counted so far.  A trial returns None
-    (skipped, not counted) or (residual, violations); the row keeps the
+def _tally(name, trials, seed, trial, chunked=False):
+    """Run seeded trials on one ``default_rng(seed)`` until ``trials`` count.
+    ``trial(rng, t)`` runs one trial, ``t`` the number counted so far; it
+    returns None (skipped, not counted) or (residual, violations).  A
+    ``chunked`` trial is ``trial(rng, c)``, which runs the next c trials and
+    returns their outcomes in order; it is asked for the ``trials - done``
+    still missing each time, all of which the one-at-a-time loop would run
+    too, since at most that many of them can count.  The row keeps the
     worst residual and the total of the violations."""
     rng = np.random.default_rng(seed)
     max_res = 0.0
     violations = skipped = done = 0
     while done < trials:
-        out = trial(rng, done)
-        if out is None:
-            skipped += 1
-            continue
-        res, bad = out
-        max_res = max(max_res, res)
-        violations += int(bad)
-        done += 1
+        for out in trial(rng, trials - done) if chunked else [trial(rng, done)]:
+            if out is None:
+                skipped += 1
+                continue
+            res, bad = out
+            max_res = max(max_res, res)
+            violations += int(bad)
+            done += 1
     return SuiteRow(name, trials, violations, max_res, skipped)
+
+
+def _by_shape(draws, run):
+    """``run(key, *stacks)`` once per group of ``draws`` that share a key,
+    with each field of the group's draws stacked; the results in draw order.
+    A draw is (key, fields), and ``run`` returns one result per slice."""
+    groups = {}
+    for i, (key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(draws)
+    for key, rows in groups.items():
+        stacks = [np.stack(field) for field in zip(*(draws[i][1] for i in rows))]
+        for i, result in zip(rows, run(key, *stacks)):
+            out[i] = result
+    return out
 
 
 def _rand_sym(rng, n):
@@ -471,20 +587,47 @@ def _rand_sym(rng, n):
     return (z + z.T) / 2.0
 
 
+def _diag(d):
+    # np.diag of each vector of a stack
+    D = np.zeros(d.shape + d.shape[-1:])
+    i = np.arange(d.shape[-1])
+    D[..., i, i] = d
+    return D
+
+
+# E with exactly a kd-dimensional kernel, symmetric or not, and U, an
+# orthonormal kernel basis: the draws of one, then the build of one draw or
+# of a stack of them
+
+
+def _sym_kernel_draws(rng, n, kd):
+    q = rng.standard_normal((n, n))
+    return q, rng.uniform(0.5, 2.0, n - kd) * rng.choice([-1.0, 1.0], n - kd)
+
+
+def _sym_kernel_build(z, d, kd):
+    q, _ = np.linalg.qr(z)
+    U, V = q[..., :kd], q[..., kd:]
+    return V @ _diag(d) @ V.swapaxes(-1, -2), U
+
+
+def _nonsym_kernel_draws(rng, n):
+    q = rng.standard_normal((n, n))
+    return q, rng.standard_normal((n, n)) + n * np.eye(n)
+
+
+def _nonsym_kernel_build(z, R, kd):
+    q, _ = np.linalg.qr(z)
+    U = q[..., :kd]
+    return R @ (np.eye(R.shape[-1]) - U @ U.swapaxes(-1, -2)), U
+
+
 def _sym_with_kernel(rng, n, kd):
-    """Symmetric E with exactly a kd-dimensional kernel; returns (E, U)
-    with U an orthonormal kernel basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    U, V = q[:, :kd], q[:, kd:]
-    d = rng.uniform(0.5, 2.0, n - kd) * rng.choice([-1.0, 1.0], n - kd)
-    return V @ np.diag(d) @ V.T, U
+    return _sym_kernel_build(*_sym_kernel_draws(rng, n, kd), kd)
 
 
 def _nonsym_with_kernel(rng, n, kd):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    U = q[:, :kd]
-    R = rng.standard_normal((n, n)) + n * np.eye(n)
-    return R @ (np.eye(n) - U @ U.T), U
+    return _nonsym_kernel_build(*_nonsym_kernel_draws(rng, n), kd)
 
 
 def _lemma_projected_contraction(rng):
@@ -494,7 +637,7 @@ def _lemma_projected_contraction(rng):
     P = np.eye(n) - np.outer(s, s) / (s @ s)
     D = P @ C @ P
     lhs = euclidean_norm(D) ** 2
-    rhs = euclidean_norm(C) ** 2 - _e_ratio(C, s)
+    rhs = euclidean_norm(C) ** 2 - _ratio(_e_ratios, C, s)
     return max(0.0, lhs - rhs) / max(1.0, abs(rhs))
 
 
@@ -506,7 +649,7 @@ def _lemma_image_ratio(rng):
     if euclidean_norm(bu) <= 1e-12 * euclidean_norm(u):
         return None
     l_u = euclidean_norm(bu) ** 2 / (u @ u)
-    l_bu = _e_ratio(B, bu)
+    l_bu = _ratio(_e_ratios, B, bu)
     return max(0.0, l_u - l_bu) / max(1.0, abs(l_u))
 
 
@@ -523,8 +666,8 @@ def _lemma_one_sided_ratio(rng):
     if euclidean_norm(ilu) <= 1e-10 * euclidean_norm(u):
         return None
     K = np.linalg.inv(L) - np.eye(n)
-    lhs = _e_ratio(K, ilu)
-    rhs = _e_ratio(K, u)
+    lhs = _ratio(_e_ratios, K, ilu)
+    rhs = _ratio(_e_ratios, K, u)
     return max(0.0, rhs - lhs) / max(1.0, abs(rhs))
 
 
@@ -609,64 +752,136 @@ def _suite_error_reduction(seed, trials):
     ]
 
 
-def _image_trial(family, rng):
+def _image_draws(kind, rng):
+    """One image-gain trial's draws, in the order the trial makes them, as
+    (n, fields); ``kind`` is a family or ``"hunt"``, the counterexample
+    hunt's pair of SPD matrices."""
     n = int(rng.integers(2, 9))
+    if kind == "gpsb":
+        fields = (_rand_sym(rng, n), _rand_sym(rng, n), *_spd_draws(n, rng, (0.5, 2.0)))
+    elif kind in ("dfp", "bfgs"):
+        fields = (*_spd_draws(n, rng), _rand_sym(rng, n))  # the symmetric one plays H for bfgs
+    elif kind in _ORDERED:
+        fields = (*_spd_draws(n, rng), rng.standard_normal((n, n)), rng.uniform(0.1, 1.0, n),
+                  rng.integers(2))
+    elif kind == "bgm":
+        fields = (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    else:
+        fields = (*_spd_draws(n, rng), *_spd_draws(n, rng))
+    return n, fields + (rng.standard_normal(n),)
+
+
+def _image_build(kind, fields):
+    # the (a, b, m, s) stacks of a group of _image_draws
+    *mats, s = fields
     m = None
-    if family == "gpsb":
-        a, b = _rand_sym(rng, n), _rand_sym(rng, n)
-        m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-    elif family in ("dfp", "bfgs"):
-        a = random_spd_matrix(n, rng)
-        b = _rand_sym(rng, n)  # plays H for bfgs
-    elif family in ("dfp-ordered", "bfgs-ordered"):
+    if kind == "gpsb":
+        a, b, z, lam = mats
+        m = _spd_build(z, lam)
+    elif kind in ("dfp", "bfgs"):
+        z, lam, b = mats
+        a = _spd_build(z, lam)
+    elif kind in _ORDERED:
         # B (H for bfgs) one-sidedly around its target A (A^-1 for bfgs)
-        a = random_spd_matrix(n, rng)
-        center = a if family == "dfp-ordered" else np.linalg.inv(a)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        pert = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
-        if rng.integers(2):
-            b = center + pert
-        else:
-            scale = 0.4 * np.linalg.eigvalsh(center)[0] / np.linalg.eigvalsh(pert)[-1]
-            b = center - scale * pert
-    else:  # bgm
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-    s = rng.standard_normal(n)
-    return oracle_image_operator_gain(family, a, b, m, s)
+        z, lam, qz, u, above = mats
+        a = _spd_build(z, lam)
+        center = a if kind == "dfp-ordered" else np.linalg.inv(a)
+        q, _ = np.linalg.qr(qz)
+        pert = q @ _diag(u) @ q.swapaxes(-1, -2)
+        scale = 0.4 * np.linalg.eigvalsh(center)[:, 0] / np.linalg.eigvalsh(pert)[:, -1]
+        b = np.where(above[:, None, None] != 0, center + pert, center - scale[:, None, None] * pert)
+    elif kind == "bgm":
+        a, b = mats
+    else:
+        a, b = _spd_build(*mats[:2]), _spd_build(*mats[2:])
+    return a, b, m, s
+
+
+def _image_gain_trials(family, rng, count):
+    """``oracle_image_operator_gain`` of the next ``count`` trials of the
+    image-gain row of ``family``, in trial order.  Every trial draws before
+    any is evaluated (no draw depends on a linalg result), and the trials of
+    one n run as one stack."""
+    draws = [_image_draws(family, rng) for _ in range(count)]
+    return _by_shape(draws, lambda n, *fields: _image_gain_stack(family, *_image_build(family, fields)))
+
+
+def _image_hunt_trials(family, rng, count):
+    # the same for the ordered family's counterexample hunt: two SPD
+    # matrices, no ordering hypothesis
+    draws = [_image_draws("hunt", rng) for _ in range(count)]
+    return _by_shape(draws, lambda n, *fields: _image_gain_stack(
+        family, *_image_build("hunt", fields), gated=False))
 
 
 def _suite_image_gain(seed, trials):
     rows = []
     for i, family in enumerate(["gpsb", "dfp", "dfp-ordered", "bfgs", "bfgs-ordered", "bgm"]):
 
-        def trial(rng, t):
-            base, improved, holds = _image_trial(family, rng)
-            if isinstance(holds, str):  # hypothesis not met, or degenerate
-                return None
-            return max(0.0, base - improved) / max(1.0, abs(base)), not holds
+        def trial(rng, count):
+            # hypothesis not met, or degenerate: skipped
+            return [None if isinstance(holds, str)
+                    else (max(0.0, base - improved) / max(1.0, abs(base)), not holds)
+                    for base, improved, holds in _image_gain_trials(family, rng, count)]
 
-        rows.append(_tally(f"image-gain/{family}", trials, seed + 10 + i, trial))
+        rows.append(_tally(f"image-gain/{family}", trials, seed + 10 + i, trial, chunked=True))
     # counterexample hunt: the ordered functionals evaluated WITHOUT their
     # ordering hypothesis.  Breaches are reported in the note, never as
     # violations.
-    for j, family in enumerate(["dfp-ordered", "bfgs-ordered"]):
+    for j, family in enumerate(_ORDERED):
 
-        def hunt(rng, t):
-            n = int(rng.integers(2, 9))
-            a = random_spd_matrix(n, rng)
-            b = random_spd_matrix(n, rng)
-            s = rng.standard_normal(n)
-            base, improved, holds = _image_gain(_image_setup(family, a, b, None), s)
-            if holds == "degenerate":
-                return None
-            breach = improved < base - _slacked(base)
-            return ((base - improved) / max(1.0, abs(base)) if breach else 0.0), breach
+        def hunt(rng, count):
+            outs = []
+            for base, improved, holds in _image_hunt_trials(family, rng, count):
+                if holds == "degenerate":
+                    outs.append(None)
+                    continue
+                breach = improved < base - _slacked(base)
+                outs.append((((base - improved) / max(1.0, abs(base)) if breach else 0.0), breach))
+            return outs
 
-        row = _tally(f"image-gain/{family}-unconstrained", trials, seed + 17 + j, hunt)
+        row = _tally(f"image-gain/{family}-unconstrained", trials, seed + 17 + j, hunt, chunked=True)
         note = f"informational hunt: {row.violations} breaches without the ordering hypothesis"
         rows.append(replace(row, violations=0, note=note))
     return rows
+
+
+def _projection_draws(family, proper, rng):
+    """One projection-gain trial's draws, in the order the trial makes them,
+    as ((n, kd, number of fields), fields): whether M is drawn is part of
+    the shape."""
+    n = int(rng.integers(3 if proper else 2, 9))
+    kd = int(rng.integers(2, n)) if proper else int(rng.integers(1, n))
+    if family == "gpsb":
+        fields = (_rand_sym(rng, n), *_sym_kernel_draws(rng, n, kd))
+        if rng.integers(3) != 0:
+            fields += _spd_draws(n, rng, (0.5, 2.0))
+    else:
+        fields = (rng.standard_normal((n, n)), *_nonsym_kernel_draws(rng, n))
+    return (n, kd, len(fields)), fields + (rng.standard_normal(n),)
+
+
+def _projection_gain_trials(family, proper, rng, count):
+    """(``oracle_projection_gain``, monotonicity gap) of the next ``count``
+    trials of the projection-gain row, in trial order, run as stacks as in
+    ``_image_gain_trials``.  The gap, sin theta - sin gamma of the
+    full-kernel and the subspace angle, is None for the kernel rows."""
+
+    def run(key, a, *fields):
+        kd = key[1]
+        *m, s = fields[2:]
+        m = _spd_build(*m) if m else None
+        build = _sym_kernel_build if family == "gpsb" else _nonsym_kernel_build
+        E, U = build(*fields[:2], kd)
+        basis = U[..., : kd - 1] if proper else U
+        results = _projection_gain_stack(family, a, a + E, m, basis, s)
+        if not proper:
+            return [(r, None) for r in results]
+        wmat = None if m is None else np.linalg.inv(m @ m)
+        sin_g, sin_t = (_sin_to_complement(s, C, wmat) for C in (basis, U))
+        return [(r, t - g) for r, g, t in zip(results, sin_g, sin_t)]
+
+    return _by_shape([_projection_draws(family, proper, rng) for _ in range(count)], run)
 
 
 def _suite_projection_gain(seed, trials):
@@ -674,43 +889,32 @@ def _suite_projection_gain(seed, trials):
     specs = [("gpsb", False), ("gpsb", True), ("bgm", False), ("bgm", True)]
     for i, (family, proper) in enumerate(specs):
 
-        def trial(rng, t):
-            n = int(rng.integers(3 if proper else 2, 9))
-            kd = int(rng.integers(2, n)) if proper else int(rng.integers(1, n))
-            if family == "gpsb":
-                a = _rand_sym(rng, n)
-                E, U = _sym_with_kernel(rng, n, kd)
-                m = None if rng.integers(3) == 0 else random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-            else:
-                a = rng.standard_normal((n, n))
-                E, U = _nonsym_with_kernel(rng, n, kd)
-                m = None
-            b = a + E
-            s = rng.standard_normal(n)
-            basis = U[:, : kd - 1] if proper else U
-            base, improved, holds, angle_res = oracle_projection_gain(family, a, b, m, basis, s)
-            if holds == "degenerate":
-                return None
-            res = max(max(0.0, base - improved) / max(1.0, abs(base)), angle_res)
-            if proper:
-                # monotonicity: the full-kernel angle is no larger than the
-                # subspace angle (sin theta <= sin gamma)
-                wmat = None if m is None else np.linalg.inv(m @ m)
-                sin_g = _sin_to_complement(s, basis, wmat)
-                sin_t = _sin_to_complement(s, U, wmat)
-                res = max(res, max(0.0, sin_t - sin_g))
-            return res, (not holds) or angle_res > ANGLE_SLACK
+        def trial(rng, count):
+            outs = []
+            for (base, improved, holds, angle_res), gap in _projection_gain_trials(
+                    family, proper, rng, count):
+                if holds == "degenerate":
+                    outs.append(None)
+                    continue
+                res = max(max(0.0, base - improved) / max(1.0, abs(base)), angle_res)
+                if proper:
+                    # monotonicity: the full-kernel angle is no larger than
+                    # the subspace angle (sin theta <= sin gamma)
+                    res = max(res, max(0.0, gap))
+                outs.append((res, (not holds) or angle_res > ANGLE_SLACK))
+            return outs
 
         tag = "subspace" if proper else "kernel"
-        rows.append(_tally(f"projection-gain/{family}-{tag}", trials, seed + 20 + i, trial))
+        rows.append(_tally(f"projection-gain/{family}-{tag}", trials, seed + 20 + i, trial,
+                           chunked=True))
     return rows
 
 
 def _sin_to_complement(s, basis, wmat):
-    """sin of the W-angle between s and span(basis): norm ratio of the
-    W-orthogonal residual of s against the basis."""
-    resid = _w_residual(s, basis, wmat)
-    return np.sqrt(max(0.0, weighted_inner(resid, resid, wmat) / weighted_inner(s, s, wmat)))
+    """sin of the W-angle between s and span(basis), per slice: norm ratio
+    of the W-orthogonal residual of s against the basis."""
+    ratios = _w_dots(_w_residual(s, basis, wmat), wmat) / _w_dots(s, wmat)
+    return [np.sqrt(max(0.0, q)) for q in ratios]
 
 
 def _gpsb_rule(rng, n):
@@ -828,10 +1032,10 @@ def _run_suite(task):
 
 
 # verify_all's tasks by their index in its list, longest first: at trials=500
-# on a 2-vCPU Xeon, image gain (1) takes about 0.6 s, termination (8) 0.45 s,
-# projection gain (2) 0.4 s, the least-change lemmas (7, 6) 0.15 s each and
-# every other task at most 0.09 s, 2.1 s in all
-_LONGEST_FIRST = (1, 8, 2, 7, 6, 11, 0, 9, 5, 10, 3, 4)
+# on a 2-vCPU Xeon, termination (8) takes about 0.32 s, image gain (1) 0.13 s,
+# the least-change lemmas (6, 7) 0.11 s each, projection gain (2) 0.09 s and
+# every other task at most 0.08 s, 1.04 s in all (serial, median of 7 runs)
+_LONGEST_FIRST = (8, 1, 6, 7, 2, 11, 0, 9, 5, 10, 3, 4)
 
 
 def verify_all(seed=0, trials=500, workers=None):

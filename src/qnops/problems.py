@@ -134,16 +134,33 @@ def modified_rosenbrock_10():
     )
 
 
-def random_spd_matrix(n, rng, spectrum=(1e-2, 1e2)):
-    """SPD matrix Q diag(lam) Q' with seeded random Q and log-uniform spectrum."""
+def _spd_draws(n, rng, spectrum=(1e-2, 1e2)):
+    """The draws of ``random_spd_matrix(n, rng, spectrum)``: the (n, n)
+    normal matrix whose Q factor becomes Q, then the n eigenvalues, drawn
+    log-uniform (all equal to ``lo`` when ``lo == hi``, which draws
+    nothing).  No draw depends on a linalg result, so a caller may draw
+    many matrices first and build them later as one stack."""
     lo, hi = spectrum
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    z = rng.standard_normal((n, n))
     if lo == hi:
-        lam = np.full(n, float(lo))
-    else:
-        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    A = (Q * lam) @ Q.T
-    return 0.5 * (A + A.T)
+        return z, np.full(n, float(lo))
+    return z, np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+def _spd_build(z, lam):
+    """The SPD matrix Q diag(lam) Q' of one draw of ``_spd_draws``, or of a
+    stack of them: z of shape (..., n, n) and lam of shape (..., n).  Each
+    matrix of a stack is bit for bit the one built alone, since the stacked
+    QR and matrix products run the same LAPACK and BLAS calls per slice."""
+    Q, _ = np.linalg.qr(z)
+    A = (Q * lam[..., None, :]) @ Q.swapaxes(-1, -2)
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def random_spd_matrix(n, rng, spectrum=(1e-2, 1e2)):
+    """SPD matrix Q diag(lam) Q' with seeded random Q and log-uniform
+    spectrum: ``_spd_build(*_spd_draws(n, rng, spectrum))``."""
+    return _spd_build(*_spd_draws(n, rng, spectrum))
 
 
 def random_spd_quadratic(n, spectrum=(1e-2, 1e2), seed=0):

@@ -2,6 +2,7 @@ import concurrent.futures
 import importlib.util
 import multiprocessing
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from qnops.lab import (
     verify_all,
     _least_change,
 )
-from qnops.linalg import weighted_frobenius_error
+from qnops.linalg import euclidean_norm, weighted_frobenius_error
 from qnops.problems import random_spd_matrix
 from qnops.solvers import BGM, Broyden, GeneralizedPSB
 from qnops.updates import SecantPair, gpsb_update
@@ -269,6 +270,17 @@ class TestErrorReductionOracle:
         with pytest.raises(ValueError):
             oracle_error_reduction("broyden-bad", np.eye(2), np.eye(2), None, np.ones(2))
 
+    @pytest.mark.parametrize("family, m", [("gpsb", None), ("gpsb", 2.0 * np.eye(2)),
+                                           ("bgm", None)])
+    @pytest.mark.parametrize("s", [np.zeros(2), np.full(2, 1e-170)], ids=["zero", "underflow"])
+    def test_step_without_norm_refused_at_entry(self, family, m, s):
+        # the update and the ratio divide by the norm of s: a ValueError at
+        # entry, not a DegenerateUpdateError from inside the update
+        a = np.eye(2)
+        b = a + np.diag([0.0, 1.0])
+        with pytest.raises(ValueError, match="nonzero norm"):
+            oracle_error_reduction(family, a, b, m, s)
+
 
 class TestImageGainOracle:
     def test_dfp_gain_holds(self):
@@ -336,6 +348,225 @@ class TestImageGainOracle:
             if holds == "degenerate":
                 continue
             assert holds is True
+
+
+def same_bits(x, y):
+    """Equal field by field: floats by float.hex, bools and None by identity."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(same_bits, x, y))
+    if isinstance(x, float):
+        return isinstance(y, float) and float.hex(x) == float.hex(y)
+    if isinstance(x, str):
+        return x == y
+    return x is y
+
+
+# The one-trial-at-a-time loops the suites ran before they ran stacks: 2-D
+# NumPy on each trial as it is drawn.  The stacked suites must give their
+# results bit for bit.
+
+
+def ref_m_ratio(E, m, v):
+    ev = E @ v
+    num = euclidean_norm(ev if m is None else m @ ev) ** 2
+    den = euclidean_norm(v if m is None else np.linalg.solve(m, v)) ** 2
+    return num / den
+
+
+def ref_e_ratio(E, v):
+    return euclidean_norm(E @ v) ** 2 / (v @ v)
+
+
+def ref_image_gain(family, a, b, m, s, gated):
+    if family == "gpsb":
+        E = b - a
+        m2 = None if m is None else m @ m
+        ws = E @ s if m2 is None else m2 @ (E @ s)
+        base_ratio = ratio = partial(ref_m_ratio, E, m)
+    elif family == "bgm":
+        E = b - a
+        ws = E.T @ s
+        base_ratio, ratio = partial(ref_e_ratio, E.T), partial(ref_e_ratio, E)
+    else:
+        a_v, ainv_v = partial(np.matmul, a), partial(np.linalg.solve, a)
+        dual = family.startswith("bfgs")
+        w_v, winv_v = (ainv_v, a_v) if dual else (a_v, ainv_v)
+        E = b - (np.linalg.inv(a) if dual else a)
+        if gated and family.endswith("ordered"):
+            tol = 1e-12 * max(1.0, euclidean_norm(E))
+            w = np.linalg.eigvalsh(E)
+            if (np.any(np.linalg.eigvalsh(a) <= 0) or np.any(np.linalg.eigvalsh(b) <= 0)
+                    or not (np.all(w >= -tol) or np.all(w <= tol))):
+                return 0.0, 0.0, "hypothesis not met"
+        map_v = partial(np.linalg.solve, b) if family.endswith("ordered") else winv_v
+        ws = map_v(E @ s)
+
+        def ratio(v):
+            ev = E @ v
+            return (ev @ winv_v(ev)) / (v @ w_v(v))
+
+        base_ratio = ratio
+    s_norm = euclidean_norm(s)
+    if s_norm == 0.0 or euclidean_norm(ws) <= 1e-13 * max(euclidean_norm(E) * s_norm, 1e-300):
+        return 0.0, 0.0, "degenerate"
+    base, improved = base_ratio(s), ratio(ws)
+    return base, improved, bool(improved >= base - lab.SLACK * max(1.0, abs(base)))
+
+
+def ref_image_trial(family, hunt, rng):
+    n = int(rng.integers(2, 9))
+    m = None
+    if hunt:
+        a, b = random_spd_matrix(n, rng), random_spd_matrix(n, rng)
+    elif family == "gpsb":
+        a, b = lab._rand_sym(rng, n), lab._rand_sym(rng, n)
+        m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    elif family in ("dfp", "bfgs"):
+        a = random_spd_matrix(n, rng)
+        b = lab._rand_sym(rng, n)
+    elif family in ("dfp-ordered", "bfgs-ordered"):
+        a = random_spd_matrix(n, rng)
+        center = a if family == "dfp-ordered" else np.linalg.inv(a)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        pert = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
+        if rng.integers(2):
+            b = center + pert
+        else:
+            b = center - 0.4 * np.linalg.eigvalsh(center)[0] / np.linalg.eigvalsh(pert)[-1] * pert
+    else:
+        a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return ref_image_gain(family, a, b, m, rng.standard_normal(n), gated=not hunt)
+
+
+def ref_w_residual(s, basis, wmat):
+    wb = basis if wmat is None else wmat @ basis
+    return s - basis @ np.linalg.solve(basis.T @ wb, wb.T @ s)
+
+
+def ref_w_inner(u, wmat):
+    return u @ u if wmat is None else u @ (wmat @ u)
+
+
+def ref_projection_trial(family, proper, rng):
+    """(result, monotonicity gap) of one trial; the gap is None on the
+    kernel rows."""
+    n = int(rng.integers(3 if proper else 2, 9))
+    kd = int(rng.integers(2, n)) if proper else int(rng.integers(1, n))
+    m = None
+    if family == "gpsb":
+        a = lab._rand_sym(rng, n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = rng.uniform(0.5, 2.0, n - kd) * rng.choice([-1.0, 1.0], n - kd)
+        b = a + q[:, kd:] @ np.diag(d) @ q[:, kd:].T
+        if rng.integers(3) != 0:
+            m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    else:
+        a = rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        R = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = a + R @ (np.eye(n) - q[:, :kd] @ q[:, :kd].T)
+    U = q[:, :kd]
+    s = rng.standard_normal(n)
+    basis = U[:, : kd - 1] if proper else U
+    E = b - a
+    wmat = None if m is None else np.linalg.inv(m @ m)
+    ratio = partial(ref_m_ratio, E, m) if family == "gpsb" else partial(ref_e_ratio, E)
+    gap = None
+    if proper:
+        sin_g, sin_t = (np.sqrt(max(0.0, ref_w_inner(ref_w_residual(s, C, wmat), wmat)
+                                    / ref_w_inner(s, wmat))) for C in (basis, U))
+        gap = sin_t - sin_g
+    stilde = ref_w_residual(s, basis, wmat)
+    base = ratio(s)
+    if euclidean_norm(stilde) <= 1e-12 * euclidean_norm(s):
+        return (base, 0.0, "degenerate", 0.0), gap
+    improved = ratio(stilde)
+    sin2 = ref_w_inner(stilde, wmat) / ref_w_inner(s, wmat)
+    holds = bool(improved >= base - lab.SLACK * max(1.0, abs(base)))
+    return (base, improved, holds, abs(base - sin2 * improved) / max(1.0, abs(base))), gap
+
+
+IMAGE_ROWS = [("gpsb", False), ("dfp", False), ("dfp-ordered", False), ("bfgs", False),
+              ("bfgs-ordered", False), ("bgm", False), ("dfp-ordered", True),
+              ("bfgs-ordered", True)]
+
+
+class TestStackedTrials:
+    """The suites evaluate image-gain and projection-gain trials as stacks;
+    each trial must come out as it does alone, through a stack of one."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("family, hunt", IMAGE_ROWS,
+                             ids=[f + "-unconstrained" * h for f, h in IMAGE_ROWS])
+    def test_image_gain_stack_matches_each_trial_alone(self, family, hunt, seed):
+        trials = lab._image_hunt_trials if hunt else lab._image_gain_trials
+        stacked = trials(family, np.random.default_rng(seed), 60)
+        rng = np.random.default_rng(seed)
+        alone = [trials(family, rng, 1)[0] for _ in range(60)]
+        rng = np.random.default_rng(seed)
+        loop = [ref_image_trial(family, hunt, rng) for _ in range(60)]
+        assert all(map(same_bits, stacked, alone))
+        assert all(map(same_bits, stacked, loop))
+        assert all(type(r[2]) in (bool, str) for r in stacked)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("family", ["gpsb", "bgm"])
+    @pytest.mark.parametrize("proper", [False, True], ids=["kernel", "subspace"])
+    def test_projection_gain_stack_matches_each_trial_alone(self, family, proper, seed):
+        stacked = lab._projection_gain_trials(family, proper, np.random.default_rng(seed), 60)
+        rng = np.random.default_rng(seed)
+        alone = [lab._projection_gain_trials(family, proper, rng, 1)[0] for _ in range(60)]
+        rng = np.random.default_rng(seed)
+        loop = [ref_projection_trial(family, proper, rng) for _ in range(60)]
+        # (result, gap) pairs: the gap is a NumPy float, None on kernel rows
+        assert all(map(same_bits, stacked, alone))
+        assert all(map(same_bits, stacked, loop))
+        assert all(type(r[0][2]) in (bool, str) for r in stacked)
+
+    def test_image_stack_drops_gated_out_and_degenerate_trials(self):
+        # one stack of dfp-ordered trials: ordered, a singular B that fails
+        # the hypothesis, and a step in ker(B - A); each as the oracle alone
+        a = np.stack([2.0 * np.eye(3)] * 3)
+        b = a + np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([-2.0, 1.0, 1.0]),
+                          np.diag([0.0, 1.0, 2.0])])
+        s = np.stack([np.ones(3), np.ones(3), np.array([1.0, 0.0, 0.0])])
+        out = lab._image_gain_stack("dfp-ordered", a, b, None, s)
+        assert [r[2] for r in out] == [True, "hypothesis not met", "degenerate"]
+        for i in range(3):
+            assert same_bits(out[i], oracle_image_operator_gain("dfp-ordered", a[i], b[i], None, s[i]))
+
+    def test_degenerate_trial_never_reaches_a_singular_weight(self):
+        # the lone oracle returns "degenerate" before it solves with M; in a
+        # stack, the live trial beside it must not make it solve either
+        a = np.stack([np.eye(2)] * 2)
+        b = a + np.diag([0.0, 1.0])
+        m = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        s = np.stack([np.ones(2), np.array([1.0, 0.0])])
+        out = lab._image_gain_stack("gpsb", a, b, m, s)
+        assert out[1] == (0.0, 0.0, "degenerate")
+        assert same_bits(out[0], oracle_image_operator_gain("gpsb", a[0], b[0], m[0], s[0]))
+        assert oracle_image_operator_gain("gpsb", a[1], b[1], m[1], s[1]) == out[1]
+
+
+    def test_chunked_tally_makes_the_draws_of_the_sequential_loop(self):
+        def tally(chunked):
+            draws = []
+
+            def one(rng):
+                draws.append(rng.random())
+                # every third draw is skipped
+                return None if len(draws) % 3 == 0 else (draws[-1], draws[-1] > 0.5)
+
+            if chunked:
+                row = lab._tally("synthetic", 10, 7, lambda rng, c: [one(rng) for _ in range(c)],
+                                 chunked=True)
+            else:
+                row = lab._tally("synthetic", 10, 7, lambda rng, t: one(rng))
+            return row, draws
+
+        (row, draws), (chunked_row, chunked_draws) = tally(False), tally(True)
+        assert len(draws) == 14 and row.skipped == 4
+        assert chunked_draws == draws and chunked_row == row
 
 
 class TestProjectionGainOracle:
@@ -526,8 +757,8 @@ class TestVerifyAll:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         rows = verify_all(seed=0, trials=5, workers=2)
-        assert submitted[:3] == ["_suite_image_gain", "_suite_termination",
-                                 "_suite_projection_gain"]
+        assert submitted[:5] == ["_suite_termination", "_suite_image_gain", "_lemma_suite",
+                                 "_lemma_suite", "_suite_projection_gain"]
         assert len(submitted) == len(lab._LONGEST_FIRST)
         assert rows == verify_all(seed=0, trials=5, workers=1)
 

@@ -15,23 +15,30 @@ differ.  A change that means to alter the arithmetic rewrites that file.
 * systems: ``x`` and ``float64(grad_norm)`` of every record of the six
   ``systems`` cells (problem outer, label inner, lambda 1.0);
 * lab: during ``verify_all(seed=0, trials=500, workers=1)``, the name and
-  the result of every call of ``oracle_error_reduction``,
-  ``oracle_image_operator_gain``, ``oracle_projection_gain``, ``run_process`` (a trace as ``[matrices,
-  steps, errors, check_kernel_growth(trace).dims, status]``) and
-  ``weighted_frobenius_error``, and of every trial of a ``lab._LEMMAS``
-  generator (as ``lemma/<id>``), then every row as ``[name, trials,
-  violations, max_residual, skipped, note]``.  The lemma rows alone would hide most of their trials: a row
+  the result of every call of ``oracle_error_reduction``, ``run_process``
+  (a trace as ``[matrices, steps, errors, check_kernel_growth(trace).dims,
+  status]``) and ``weighted_frobenius_error``, of every image-gain and
+  projection-gain trial, and of every trial of a ``lab._LEMMAS`` generator
+  (as ``lemma/<id>``), then every row as ``[name, trials, violations,
+  max_residual, skipped, note]``.  The image-gain and projection-gain
+  suites run their trials as stacks, through ``lab._image_gain_trials``
+  and ``lab._projection_gain_trials``, which return the results in trial
+  order; each trial's oracle result is hashed under the name of the public
+  oracle, ``oracle_image_operator_gain`` or ``oracle_projection_gain``,
+  whose kernel the suites run.  The trials of the two counterexample hunts
+  are not hashed.  The lemma rows alone would hide most of their trials: a row
   keeps only the worst residual, and the least-change lemma's competitor
   term is never its worst.  Arrays hash as float64 C-order bytes, floats as
   ``float.hex``, anything else by ``repr``, so a count that leaks as a
-  NumPy integer changes the digest.  The hooks see only calls made in
-  this process, in the order made, so the suites run here at
-  ``workers=1``, in row order, and never on a pool.
+  NumPy integer, or a verdict that leaks as ``np.True_`` or a 0-d array,
+  changes the digest.  The hooks see only calls made in this process, in
+  the order made, so the suites run here at ``workers=1``, in row order,
+  and never on a pool.
 
 One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
 Xeon in its fast state and 10-12 s in its slow one (its speed swings about
-2x); the lab pass takes 1.3 s there in the fast state, about 0.3 s of it
-hashing.  The whole script takes about 7 s in the fast state.
+2x); the lab pass takes about 1.1 s there, about 0.25 s of it hashing.
+The whole script takes about 7 s in the fast state.
 
 The lab digest cannot see every loss of digits.  Routing
 ``lab._sin_to_complement`` through ``linalg.angle_to_subspace`` leaves it
@@ -95,9 +102,12 @@ def _feed(h, value):
 
 def lab_digest():
     h = hashlib.sha256()
-    names = ("oracle_error_reduction", "oracle_image_operator_gain",
-             "oracle_projection_gain", "run_process", "weighted_frobenius_error")
-    originals = {name: getattr(lab, name) for name in names}
+    names = ("oracle_error_reduction", "run_process", "weighted_frobenius_error")
+    # the suites run image-gain and projection-gain trials as stacks: each
+    # trial's result is hashed under the public oracle's name, in trial order
+    per_trial = {"_image_gain_trials": ("oracle_image_operator_gain", lambda r: r),
+                 "_projection_gain_trials": ("oracle_projection_gain", lambda r: r[0])}
+    originals = {name: getattr(lab, name) for name in names + tuple(per_trial)}
     lemmas = dict(lab._LEMMAS)
 
     def hashed(name, fn):
@@ -108,8 +118,19 @@ def lab_digest():
             return result
         return call
 
-    for name, fn in originals.items():
-        setattr(lab, name, hashed(name, fn))
+    def hashed_trials(name, oracle_result, fn):
+        def call(*args, **kwargs):
+            results = fn(*args, **kwargs)
+            for result in results:
+                h.update(name.encode())
+                _feed(h, oracle_result(result))
+            return results
+        return call
+
+    for name in names:
+        setattr(lab, name, hashed(name, originals[name]))
+    for name, (oracle, oracle_result) in per_trial.items():
+        setattr(lab, name, hashed_trials(oracle, oracle_result, originals[name]))
     lab._LEMMAS.update((which, hashed(f"lemma/{which}", gen)) for which, gen in lemmas.items())
     try:
         rows = lab.verify_all(seed=0, trials=500, workers=1)
