@@ -17,17 +17,23 @@ pairs y = A s direct DFP is the least-change update weighted by A (Dennis and
 More, SIAM Rev. 19, 1977), and the second form is the direct DFP formula bit
 for bit, since its ``minv2 @ s`` is the product ``a @ s`` that made y.
 
+The process runs on stacks: ``_process_stack`` drives k targets of one n
+under one rule type and direction source at once, through the rule's
+stacked update (``updates.broyden_update_stack`` and its siblings), and a
+member leaves the stack when it halts, breaks down or runs out of steps.
+``run_process`` is that process on a stack of one.
+
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
 suite runs its seeded trials through one loop, ``_tally``; ``verify_all``
-reports one row per suite.  The image-gain and projection-gain suites hand
-``_tally`` chunks of trials: a chunk draws all its trials first, in the
-order one trial at a time would, then runs each group of one shape as a
-stack through the kernel that the public oracle runs on a stack of one, so
-every trial's result is bit for bit its result alone.
+reports one row per suite.  The image-gain, projection-gain, termination,
+kernel-growth and span-inclusion suites hand ``_tally`` chunks of trials:
+a chunk draws all its trials first, in the order one trial at a time
+would, then runs each group of one shape as a stack through the kernel
+that the public oracle or ``run_process`` runs on a stack of one, so every
+trial's result is bit for bit its result alone.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import List, Optional, Union
@@ -37,15 +43,25 @@ import numpy as np
 from .linalg import (
     KERNEL_TOL,
     ORTHO_TOL,
+    _dots,
+    _mv,
+    _norms,
+    _solve,
     euclidean_norm,
     kernel_basis,
     weighted_frobenius_error,
-    weighted_inner,
 )
 from .pool import default_workers, run_pool
 from .problems import _spd_build, _spd_draws, random_spd_matrix
 from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
-from .updates import SecantPair, bgm_update, gpsb_update
+from .updates import (
+    SecantPair,
+    bgm_update,
+    bgm_update_stack,
+    broyden_update_stack,
+    gpsb_update,
+    gpsb_update_stack,
+)
 
 # the lab no longer calls these two; they stay importable here because the
 # benchmark's span tracer wraps them under these names
@@ -80,34 +96,6 @@ HALT_RTOL = 1e-10
 
 def _slacked(scale):
     return SLACK * max(1.0, abs(scale))
-
-
-# The stack helpers below run one BLAS or LAPACK call per slice of a (k, ...)
-# stack, the same call that the 2-D expression makes on that slice alone, so
-# each slice comes out bit for bit as it would alone.  A product A @ v keeps
-# A's per-slice strides, which select the BLAS kernel (a transposed A runs
-# another gemv), and a vector product is the (1, n) @ (n, 1) ddot of u @ v.
-
-
-def _mv(A, v):
-    # A_i v_i of each slice: (k, n, p) @ (k, p) -> (k, n)
-    return (A @ v[..., None])[..., 0]
-
-
-def _solve(A, v):
-    # A_i^-1 v_i of each slice
-    return np.linalg.solve(A, v[..., None])[..., 0]
-
-
-def _dots(u, v):
-    # u_i . v_i of each slice, as a NumPy array
-    return (u[:, None, :] @ v[:, :, None]).ravel()
-
-
-def _norms(x):
-    # euclidean_norm of each slice, as Python floats
-    f = x.reshape(len(x), -1)
-    return [math.sqrt(q) for q in _dots(f, f).tolist()]
 
 
 # The ratios below return numerators and denominators per slice; callers
@@ -187,7 +175,7 @@ class KernelGrowthReport:
 
 def run_process(config):
     """Drive the update rule toward A with exact pairs (s, As), one step per
-    dimension at most.
+    dimension at most: ``_process_stack`` on a stack of one.
 
     Halts once ||B_k - A||_F <= HALT_RTOL * ||A||_F (status ``terminated``),
     after n steps (``exhausted``), or on a recorded update breakdown
@@ -205,60 +193,104 @@ def run_process(config):
     a = np.asarray(config.a, dtype=float)
     n = a.shape[0] if a.ndim else 0
     _check_square("a", a, n)
-    B = np.asarray(config.b0, dtype=float).copy()
-    if B.shape != a.shape:
+    b0 = np.asarray(config.b0, dtype=float)
+    if b0.shape != a.shape:
         raise ValueError("A and B0 must be conformable")
-    if isinstance(rule, GeneralizedPSB) and rule.minv2 is not None:
-        _check_square("minv2", rule.minv2, n)
-    # the rule's inner-product weight W (None = I)
-    w = a if isinstance(rule, Broyden) else getattr(rule, "minv2", None)
-    rng = np.random.default_rng(_count("seed", config.seed, 0))
-    halt = HALT_RTOL * euclidean_norm(a)
+    minv2 = getattr(rule, "minv2", None)
+    if minv2 is not None:
+        _check_square("minv2", minv2, n)
+        minv2 = np.asarray(minv2, dtype=float)[None]
+    seed = _count("seed", config.seed, 0)
+    return _process_stack(rule, source, a[None], b0[None], [seed], minv2)[0]
 
-    trace = ProcessTrace(weight=w, target=a)
 
-    def record_state():
-        trace.matrices.append(B.copy())
-        trace.errors.append(euclidean_norm(B - a))
+def _process_stack(rule, source, a, b0, seeds, minv2=None):
+    """``run_process`` of each slice of a stack, in slice order: a and b0 of
+    shape (k, n, n), one seed per slice, and for a ``GeneralizedPSB`` rule
+    the slices' own M^-2 stack (None: M = I).  Each slice draws from its own
+    ``default_rng(seed)`` and leaves the stack once it halts, breaks down or
+    runs out of steps, so its trace is bit for bit the one it makes alone."""
+    k, n = a.shape[:2]
+    # the rule's inner-product weight W of each slice (None = I)
+    w = a if isinstance(rule, Broyden) else minv2
+    traces = [ProcessTrace(weight=None if w is None else w[i], target=a[i]) for i in range(k)]
+    halts = [HALT_RTOL * q for q in _norms(a)]
+    rngs = [np.random.default_rng(seed) for seed in seeds] if source != "orthogonalized" else None
+    # the live slices, one row each: the trace index, B_k, A, W, M^-2, and
+    # the orthogonalized steps so far, one (rows, n) stack per step
+    live, B, tgt, hist = np.arange(k), np.array(b0, dtype=float, order="C"), a, []
 
-    record_state()
-    ortho_hist: List[np.ndarray] = []
-    for k in range(n):
-        if trace.errors[-1] <= halt:
-            trace.status = "terminated"
-            return trace
-        event = ""
+    def record(rows):
+        # each matrix kept is a view of a stack that is never written again
+        Bs = B[rows]
+        for i, Bi, e in zip(live[rows], Bs, _norms(Bs - tgt[rows])):
+            traces[i].matrices.append(Bi)
+            traces[i].errors.append(e)
+
+    def keep(rows, status):
+        # drop the live rows outside the mask ``rows``, ending them with ``status``
+        nonlocal live, B, tgt, w, minv2, hist
+        if not rows.all():
+            for i in live[~rows]:
+                traces[i].status = status
+            live, B, tgt, w, minv2 = _rows(rows, live, B, tgt, w, minv2)
+            hist = [h[rows] for h in hist]
+
+    record(slice(None))
+    for step in range(n):
+        keep(np.array([not traces[i].errors[-1] <= halts[i] for i in live]), "terminated")
+        if not len(live):
+            return traces
+        events = [None] * len(live)
         if source == "orthogonalized":
-            s0 = np.eye(n)[:, k]
-            s = s0.copy()
-            for h in ortho_hist:
-                s = s - (weighted_inner(s, h, w) / weighted_inner(h, h, w)) * h
-            if euclidean_norm(s) <= 1e-12 * euclidean_norm(s0):
-                trace.events.append(f"step {k}: dependent direction skipped")
-                continue
-            ortho_hist.append(s)
-        elif source == "image":
-            # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
-            s0 = rng.standard_normal(n)
-            s = (B - a).T @ s0
-            s = s if w is None else np.linalg.solve(w, s)
-            if euclidean_norm(s) <= 1e-14 * euclidean_norm(s0):
-                event = "degenerate-image"
-                s = s0
+            # e_step, W-orthogonalized against the earlier steps; each of them
+            # lies in the span of e_0, ..., e_{step-1}, so entry ``step`` stays
+            # exactly 1 and no direction can come out dependent
+            s = np.tile(np.eye(n)[step], (len(live), 1))
+            for h in hist:
+                s = _w_deflate(s, h, w)
+            hist.append(s)
         else:
-            s = rng.standard_normal(n)
-        try:
-            B = rule.update(B, SecantPair(s, a @ s))
-        except ArithmeticError as exc:
-            trace.events.append(f"step {k}: breakdown: {exc}")
-            trace.status = "breakdown"
-            return trace
-        trace.steps.append(s)
-        if event:
-            trace.events.append(f"step {k}: {event}")
-        record_state()
-    trace.status = "terminated" if trace.errors[-1] <= halt else "exhausted"
-    return trace
+            s = np.stack([rngs[i].standard_normal(n) for i in live])
+            if source == "image":
+                # W^-1 (B - A)' s: lands in the W-orthogonal complement of ker(B - A)
+                s0, s = s, _mv((B - tgt).swapaxes(-1, -2), s)
+                s = s if w is None else _solve(w, s)
+                for j, (q, q0) in enumerate(zip(_norms(s), _norms(s0))):
+                    if q <= 1e-14 * q0:
+                        events[j] = f"step {step}: degenerate-image"
+                        s[j] = s0[j]
+        B, messages = _update_stack(rule, B, s, _mv(tgt, s), minv2)
+        ok = np.array([message is None for message in messages])
+        for j, message in enumerate(messages):
+            trace = traces[live[j]]
+            if message is not None:
+                trace.events.append(f"step {step}: breakdown: {message}")
+                continue
+            trace.steps.append(s[j])
+            if events[j]:
+                trace.events.append(events[j])
+        if ok.any():
+            record(slice(None) if ok.all() else ok)
+        keep(ok, "breakdown")
+    for i in live:
+        traces[i].status = "terminated" if traces[i].errors[-1] <= halts[i] else "exhausted"
+    return traces
+
+
+def _w_deflate(s, h, w):
+    # s minus its W-orthogonal projection on h, per slice (w=None: W = I)
+    wh = h if w is None else _mv(w, h)
+    return s - (_dots(s, wh) / _dots(h, wh))[:, None] * h
+
+
+def _update_stack(rule, B, s, y, minv2):
+    # the rule's stacked update; minv2 is the slices' own M^-2 stack
+    if isinstance(rule, Broyden):
+        return broyden_update_stack(B, s, y, rule.theta)
+    if isinstance(rule, GeneralizedPSB):
+        return gpsb_update_stack(B, s, y, minv2)
+    return bgm_update_stack(B, s, y)
 
 
 def _kernel_basis_scaled(E, tol, scale):
@@ -547,16 +579,18 @@ def _tally(name, trials, seed, trial, chunked=False):
     """Run seeded trials on one ``default_rng(seed)`` until ``trials`` count.
     ``trial(rng, t)`` runs one trial, ``t`` the number counted so far; it
     returns None (skipped, not counted) or (residual, violations).  A
-    ``chunked`` trial is ``trial(rng, c)``, which runs the next c trials and
-    returns their outcomes in order; it is asked for the ``trials - done``
-    still missing each time, all of which the one-at-a-time loop would run
-    too, since at most that many of them can count.  The row keeps the
-    worst residual and the total of the violations."""
+    ``chunked`` trial is ``trial(rng, t, c)``, which runs the next c trials,
+    numbered t, t + 1, ..., and returns their outcomes in order (a trial
+    that reads its number must never be skipped); it is asked for the
+    ``trials - done`` still missing each time, all of which the
+    one-at-a-time loop would run too, since at most that many of them can
+    count.  The row keeps the worst residual and the total of the
+    violations."""
     rng = np.random.default_rng(seed)
     max_res = 0.0
     violations = skipped = done = 0
     while done < trials:
-        for out in trial(rng, trials - done) if chunked else [trial(rng, done)]:
+        for out in trial(rng, done, trials - done) if chunked else [trial(rng, done)]:
             if out is None:
                 skipped += 1
                 continue
@@ -818,7 +852,7 @@ def _suite_image_gain(seed, trials):
     rows = []
     for i, family in enumerate(["gpsb", "dfp", "dfp-ordered", "bfgs", "bfgs-ordered", "bgm"]):
 
-        def trial(rng, count):
+        def trial(rng, t, count):
             # hypothesis not met, or degenerate: skipped
             return [None if isinstance(holds, str)
                     else (max(0.0, base - improved) / max(1.0, abs(base)), not holds)
@@ -830,7 +864,7 @@ def _suite_image_gain(seed, trials):
     # violations.
     for j, family in enumerate(_ORDERED):
 
-        def hunt(rng, count):
+        def hunt(rng, t, count):
             outs = []
             for base, improved, holds in _image_hunt_trials(family, rng, count):
                 if holds == "degenerate":
@@ -889,7 +923,7 @@ def _suite_projection_gain(seed, trials):
     specs = [("gpsb", False), ("gpsb", True), ("bgm", False), ("bgm", True)]
     for i, (family, proper) in enumerate(specs):
 
-        def trial(rng, count):
+        def trial(rng, t, count):
             outs = []
             for (base, improved, holds, angle_res), gap in _projection_gain_trials(
                     family, proper, rng, count):
@@ -917,74 +951,100 @@ def _sin_to_complement(s, basis, wmat):
     return [np.sqrt(max(0.0, q)) for q in ratios]
 
 
-def _gpsb_rule(rng, n):
-    # generalized PSB in the norm of a random SPD M: minv2 = M^-2
-    m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-    return GeneralizedPSB(np.linalg.inv(m @ m))
+# A process suite's instance t has n = 2 + t % 9, a random SPD target A,
+# B0 = I and the seed ``seed + t``; its rule is a rule, "dfp" (direct DFP,
+# GeneralizedPSB(minv2=A)) or "gpsb" (generalized PSB in the norm of a random
+# SPD M, minv2 = M^-2, drawn after A)
+
+
+def _process_trials(rng, t, count, seed, spec):
+    """``run_process`` of the next ``count`` instances of a process suite,
+    numbered t, t + 1, ..., as traces in instance order; ``spec(t)`` gives
+    instance t's (rule, direction source).  Every instance draws before any
+    runs, and the instances of one n, rule and source run as one stack."""
+    draws = []
+    for i in range(t, t + count):
+        n = 2 + i % 9
+        rule, source = spec(i)
+        fields = _spd_draws(n, rng)
+        if rule == "gpsb":
+            fields += _spd_draws(n, rng, (0.5, 2.0))
+        draws.append(((n, rule, source), fields + (seed + i,)))
+
+    def run(key, z, lam, *fields):
+        n, rule, source = key
+        *m, seeds = fields
+        a = _spd_build(z, lam)
+        minv2 = None
+        if rule == "gpsb":
+            m = _spd_build(*m)
+            rule, minv2 = GeneralizedPSB(), np.linalg.inv(m @ m)
+        elif rule == "dfp":
+            rule, minv2 = GeneralizedPSB(), a
+        b0 = np.broadcast_to(np.eye(n), a.shape)
+        return _process_stack(rule, source, a, b0, seeds.tolist(), minv2)
+
+    return _by_shape(draws, run)
 
 
 def _suite_termination(seed, instances=100):
     rows = []
-    # None: generalized PSB, with a fresh M drawn for each instance
     cases = [("broyden-theta0", Broyden(0.0)), ("broyden-theta1", Broyden(1.0)),
-             ("psb", GeneralizedPSB()), ("gpsb", None), ("bgm", BGM())]
+             ("psb", GeneralizedPSB()), ("gpsb", "gpsb"), ("bgm", BGM())]
     for fi, (tag, rule) in enumerate(cases):
         for source in ("image", "orthogonalized"):
 
-            def trial(rng, t):
-                n = 2 + t % 9
-                a = random_spd_matrix(n, rng)
-                trace = run_process(ProcessConfig(
-                    a=a, b0=np.eye(n), rule=rule or _gpsb_rule(rng, n),
-                    direction_source=source, seed=seed + t,
-                ))
-                rel = trace.errors[-1] / euclidean_norm(a)
-                return rel, rel > 1e-8 or len(trace.steps) > n
+            def trial(rng, t, count):
+                outs = []
+                for trace in _process_trials(rng, t, count, seed, lambda i: (rule, source)):
+                    rel = trace.errors[-1] / euclidean_norm(trace.target)
+                    outs.append((rel, rel > 1e-8 or len(trace.steps) > trace.target.shape[0]))
+                return outs
 
             # both sources replay the same seeded instances
-            rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial))
+            rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial,
+                               chunked=True))
     return rows
 
 
 def _suite_kernel_growth(seed, instances=50):
-    def trial(rng, t):
-        n = 2 + t % 9
-        source = ("random", "image", "orthogonalized")[t % 3]
-        a = random_spd_matrix(n, rng)
+    def spec(t):
         # direct DFP, PSB, BGM, generalized PSB
-        rule = (GeneralizedPSB(minv2=a), GeneralizedPSB(), BGM(), None)[t % 4] or _gpsb_rule(rng, n)
-        trace = run_process(ProcessConfig(
-            a=a, b0=np.eye(n), rule=rule, direction_source=source, seed=seed + t,
-        ))
-        reports = [check_kernel_growth(trace, tol) for tol in (KERNEL_TOL, 10 * KERNEL_TOL)]
-        return 0.0, sum(len(report.violations) for report in reports)
+        return (("dfp", GeneralizedPSB(), BGM(), "gpsb")[t % 4],
+                ("random", "image", "orthogonalized")[t % 3])
 
-    return [_tally("process/kernel-growth", instances, seed + 60, trial)]
+    def trial(rng, t, count):
+        return [(0.0, sum(len(check_kernel_growth(trace, tol).violations)
+                          for tol in (KERNEL_TOL, 10 * KERNEL_TOL)))
+                for trace in _process_trials(rng, t, count, seed, spec)]
+
+    return [_tally("process/kernel-growth", instances, seed + 60, trial, chunked=True)]
 
 
 def _suite_span_inclusion(seed, instances=50):
-    def trial(rng, t):
-        n = 2 + t % 9
-        a = random_spd_matrix(n, rng)
+    def spec(t):
         # BFGS, direct DFP, PSB, BGM
-        rule = (Broyden(0.0), GeneralizedPSB(minv2=a), GeneralizedPSB(), BGM())[t % 4]
-        trace = run_process(ProcessConfig(
-            a=a, b0=np.eye(n), rule=rule, direction_source="orthogonalized", seed=seed + t,
-        ))
-        halt = HALT_RTOL * euclidean_norm(a)
-        worst, violations = 0.0, 0
-        for k in range(1, len(trace.matrices)):
-            Ek = trace.matrices[k] - a
-            if euclidean_norm(Ek) <= halt:
-                break
-            for j in range(k):
-                sj = trace.steps[j]
-                res = euclidean_norm(Ek @ sj) / (euclidean_norm(Ek) * euclidean_norm(sj))
-                worst = max(worst, res)
-                violations += res > 1e-8
-        return worst, violations
+        return (Broyden(0.0), "dfp", GeneralizedPSB(), BGM())[t % 4], "orthogonalized"
 
-    return [_tally("process/span-inclusion", instances, seed + 70, trial)]
+    def trial(rng, t, count):
+        outs = []
+        for trace in _process_trials(rng, t, count, seed, spec):
+            a = trace.target
+            halt = HALT_RTOL * euclidean_norm(a)
+            worst, violations = 0.0, 0
+            for k in range(1, len(trace.matrices)):
+                Ek = trace.matrices[k] - a
+                if euclidean_norm(Ek) <= halt:
+                    break
+                for j in range(k):
+                    sj = trace.steps[j]
+                    res = euclidean_norm(Ek @ sj) / (euclidean_norm(Ek) * euclidean_norm(sj))
+                    worst = max(worst, res)
+                    violations += res > 1e-8
+            outs.append((worst, violations))
+        return outs
+
+    return [_tally("process/span-inclusion", instances, seed + 70, trial, chunked=True)]
 
 
 def _suite_image_space(seed, trials=200):
@@ -1032,10 +1092,11 @@ def _run_suite(task):
 
 
 # verify_all's tasks by their index in its list, longest first: at trials=500
-# on a 2-vCPU Xeon, termination (8) takes about 0.32 s, image gain (1) 0.13 s,
-# the least-change lemmas (6, 7) 0.11 s each, projection gain (2) 0.09 s and
-# every other task at most 0.08 s, 1.04 s in all (serial, median of 7 runs)
-_LONGEST_FIRST = (8, 1, 6, 7, 2, 11, 0, 9, 5, 10, 3, 4)
+# on a 2-vCPU Xeon, image gain (1) and termination (8) take about 0.12 s
+# each, the least-change lemmas (7, 6) 0.11 and 0.10 s, projection gain (2)
+# 0.09 s and every other task at most 0.07 s, 0.80 s in all (serial, one CPU,
+# medians of 21 runs; the order of 8, 7, 6 and 2 varies between runs of 7)
+_LONGEST_FIRST = (1, 8, 7, 6, 2, 0, 11, 9, 5, 10, 3, 4)
 
 
 def verify_all(seed=0, trials=500, workers=None):

@@ -1,8 +1,9 @@
 """Dense linear-algebra substrate: norms, weighted inner products, kernels, angles.
 
 Everything here operates on plain numpy arrays (square real matrices,
-1-D vectors).  A weight ``w`` of ``None`` means the Euclidean inner
-product throughout.
+1-D vectors), except the stack helpers ``_mv``, ``_solve``, ``_dots`` and
+``_norms``, which the lab and the stacked updates use on (k, ...) stacks.
+A weight ``w`` of ``None`` means the Euclidean inner product throughout.
 """
 
 import math
@@ -39,6 +40,34 @@ def euclidean_norm(v):
     """
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+# The stack helpers below run one BLAS or LAPACK call per slice of a (k, ...)
+# stack, the same call that the 2-D expression makes on that slice alone, so
+# each slice comes out bit for bit as it would alone.  A product A @ v keeps
+# A's per-slice strides, which select the BLAS kernel (a transposed A runs
+# another gemv), and a vector product is the (1, n) @ (n, 1) ddot of u @ v.
+
+
+def _mv(A, v):
+    # A_i v_i of each slice: (k, n, p) @ (k, p) -> (k, n)
+    return (A @ v[..., None])[..., 0]
+
+
+def _solve(A, v):
+    # A_i^-1 v_i of each slice
+    return np.linalg.solve(A, v[..., None])[..., 0]
+
+
+def _dots(u, v):
+    # u_i . v_i of each slice, as a NumPy array
+    return (u[:, None, :] @ v[:, :, None]).ravel()
+
+
+def _norms(x):
+    # euclidean_norm of each slice, as Python floats
+    f = x.reshape(len(x), -1)
+    return [math.sqrt(q) for q in _dots(f, f).tolist()]
 
 
 def weighted_inner(a, b, w=None):

@@ -499,8 +499,11 @@ def _iterate(problem, evaluate, config, model, x):
     if track and not model.track:
         raise ValueError("record='matrix' needs a dense model of a problem with a hessian")
     _check_stop(config.stop, problem)
-    g = evaluate(x)
     mode = config.mode
+    if isinstance(mode, NormalEqWindow) and mode.d >= x.size:
+        # a window of n steps spans the whole space: no projected step is left
+        raise ValueError(f"projection window d = {mode.d} must be below the dimension {x.size}")
+    g = evaluate(x)
     image = isinstance(mode, ImageTransform)
     raw_hist = RawHistory(mode.d) if isinstance(mode, NormalEqWindow) else None
     threshold = _stop_threshold(config.stop, problem, x, g)

@@ -4,14 +4,17 @@ All updates are pure: they take the current approximation and a secant
 pair and return a fresh matrix, so callers can retain the full iterate
 history.  ``SecantPair`` tags where its (s, y) came from (``raw``,
 ``image`` or ``projected``) for trace bookkeeping; the formulas only read
-``.s`` and ``.y``.
+``.s`` and ``.y``.  The Broyden, generalized PSB and BGM formulas also come
+stacked (``*_update_stack``), for the lab's process on many targets at once;
+the solvers run the 1-D formulas.
 """
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import euclidean_norm
+from .linalg import _dots, _mv, _norms, euclidean_norm
 
 __all__ = [
     "SecantPair",
@@ -21,6 +24,9 @@ __all__ = [
     "dfp_direct_update",
     "gpsb_update",
     "bgm_update",
+    "broyden_update_stack",
+    "gpsb_update_stack",
+    "bgm_update_stack",
     "lbfgs_direction",
 ]
 
@@ -150,6 +156,101 @@ def bgm_update(B, pair):
     T = _outer(y - B @ s, s)
     T /= ss
     return np.add(B, T, out=T)
+
+
+# The stacked updates below apply one formula to each slice of a stack: B of
+# shape (k, n, n), s and y of shape (k, n), and for gpsb a (k, n, n) stack of
+# M^-2 or None.  Each returns the new stack and one message per slice: None,
+# or the text the 1-D formula would raise with, in which case the slice keeps
+# its B and none of its arithmetic runs (nor warns).  Every product is a
+# linalg stack helper and every other operation is elementwise in the 1-D
+# formula's order, so each slice is bit for bit the 1-D result on it alone.
+
+
+def _outers(a, b, out=None):
+    # _outer of each slice
+    return np.multiply(a[:, :, None], b[:, None, :], out=out)
+
+
+def _col(x):
+    # a (k,) array as (k, 1, 1), to scale each slice of a stack
+    return x[:, None, None]
+
+
+def _on_rows(formula, B, messages, *stacks):
+    # formula(B, *stacks) on the slices without a message; the others keep B
+    ok = [m is None for m in messages]
+    if all(ok):
+        return formula(B, *stacks), messages
+    Bn = B.copy()
+    if any(ok):
+        rows = np.flatnonzero(ok)
+        Bn[rows] = formula(B[rows], *(x if x is None else x[rows] for x in stacks))
+    return Bn, messages
+
+
+def _broyden_rows(B, y, Bs, sBs, sy, theta):
+    T = _outers(Bs, Bs)
+    T /= _col(sBs)
+    Bn = np.subtract(B, T, out=T)
+    U = _outers(y, y)
+    U /= _col(sy)
+    Bn += U
+    if theta != 0.0:
+        w = np.sqrt(sBs)[:, None] * (y / sy[:, None] - Bs / sBs[:, None])
+        _outers(w, w, out=U)
+        if theta != 1.0:
+            U *= theta
+        Bn += U
+    return Bn
+
+
+def broyden_update_stack(B, s, y, theta):
+    """``broyden_update`` of each slice; see the stacked updates above."""
+    Bs = _mv(B, s)
+    sBs = _dots(s, Bs)
+    sy = _dots(s, y)
+    # the 1-D checks' products, in their order
+    curvature = sy <= CURVATURE_TOL * np.array(_norms(s)) * np.array(_norms(y))
+    flat = np.abs(sBs) <= 1e-14 * _dots(s, s) * np.array(_norms(B))
+    messages = [f"s'y = {q:.3e} fails the curvature condition" if c
+                else "s'Bs is numerically zero" if f else None
+                for q, c, f in zip(sy, curvature, flat)]
+    return _on_rows(partial(_broyden_rows, theta=theta), B, messages, y, Bs, sBs, sy)
+
+
+def _sym_rank2_rows(B, a, b, c, den):
+    T = _outers(a, b)
+    U = np.add(T, T.swapaxes(-1, -2))
+    U /= _col(den)
+    Bn = np.add(B, U, out=U)
+    # c / den**2 of NumPy scalars, as _sym_rank2 takes it: a stacked den**2
+    # would be den * den, not the scalar power
+    coef = np.array([ci / di**2 for ci, di in zip(c, den)])
+    np.multiply(_col(coef), _outers(b, b, out=T), out=T)
+    return np.subtract(Bn, T, out=Bn)
+
+
+def gpsb_update_stack(B, s, y, minv2=None):
+    """``gpsb_update`` of each slice, with each slice's own M^-2 (None: M = I)."""
+    r = y - _mv(B, s)
+    ms = s if minv2 is None else _mv(minv2, s)
+    sms = _dots(s, ms)
+    messages = ["s'M^-2 s must be positive" if q <= 0 else None for q in sms]
+    return _on_rows(_sym_rank2_rows, B, messages, r, ms, _dots(r, s), sms)
+
+
+def _bgm_rows(B, s, y, ss):
+    T = _outers(y - _mv(B, s), s)
+    T /= _col(ss)
+    return np.add(B, T, out=T)
+
+
+def bgm_update_stack(B, s, y):
+    """``bgm_update`` of each slice."""
+    ss = _dots(s, s)
+    messages = ["zero step" if q == 0.0 else None for q in ss]
+    return _on_rows(_bgm_rows, B, messages, s, y, ss)
 
 
 def lbfgs_direction(history, g, h0_scale, rhos=None):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnops import lab, solvers
+from qnops import lab
 from qnops.lab import (
     KernelGrowthReport,
     ProcessConfig,
@@ -22,7 +22,7 @@ from qnops.lab import (
     verify_all,
     _least_change,
 )
-from qnops.linalg import euclidean_norm, weighted_frobenius_error
+from qnops.linalg import euclidean_norm, weighted_frobenius_error, weighted_inner
 from qnops.problems import random_spd_matrix
 from qnops.solvers import BGM, Broyden, GeneralizedPSB
 from qnops.updates import SecantPair, gpsb_update
@@ -141,11 +141,11 @@ class TestRunProcess:
     def test_bad_target_or_seed_is_refused_before_a_step(self, a, seed, match, monkeypatch):
         # with b0 equal to a, a 2 x 3 or vector a ended terminated after 0
         # steps (any other b0 failed in a matmul); seed=2.5 raised TypeError
-        updates = []
-        monkeypatch.setattr(solvers, "broyden_update", lambda *args: updates.append(args))
+        runs = []
+        monkeypatch.setattr(lab, "_process_stack", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match=match):
             run_process(ProcessConfig(a=a, b0=a.copy(), rule=Broyden(1.0), seed=seed))
-        assert updates == []
+        assert runs == []
 
     @pytest.mark.parametrize("theta", ["x", None, np.nan, np.inf])
     def test_theta_must_be_a_finite_real(self, theta):
@@ -175,6 +175,214 @@ class TestRunProcess:
         assert trace.terminated
         assert len(trace.steps) <= n
         assert trace.errors[-1] <= 1e-8 * np.linalg.norm(A, "fro")
+
+
+# The per-instance process that run_process ran before it ran stacks: 2-D
+# NumPy and the solvers' 1-D update rules, one step at a time.  The stacked
+# process must give its traces bit for bit.
+
+
+def ref_run_process(config):
+    rule = config.rule
+    a = np.asarray(config.a, dtype=float)
+    n = a.shape[0]
+    B = np.asarray(config.b0, dtype=float).copy()
+    w = a if isinstance(rule, Broyden) else getattr(rule, "minv2", None)
+    rng = np.random.default_rng(config.seed)
+    halt = lab.HALT_RTOL * euclidean_norm(a)
+    trace = lab.ProcessTrace(weight=w, target=a)
+
+    def record_state():
+        trace.matrices.append(B.copy())
+        trace.errors.append(euclidean_norm(B - a))
+
+    record_state()
+    ortho_hist = []
+    for k in range(n):
+        if trace.errors[-1] <= halt:
+            trace.status = "terminated"
+            return trace
+        event = ""
+        if config.direction_source == "orthogonalized":
+            s0 = np.eye(n)[:, k]
+            s = s0.copy()
+            for h in ortho_hist:
+                s = s - (weighted_inner(s, h, w) / weighted_inner(h, h, w)) * h
+            if euclidean_norm(s) <= 1e-12 * euclidean_norm(s0):
+                trace.events.append(f"step {k}: dependent direction skipped")
+                continue
+            ortho_hist.append(s)
+        elif config.direction_source == "image":
+            s0 = rng.standard_normal(n)
+            s = (B - a).T @ s0
+            s = s if w is None else np.linalg.solve(w, s)
+            if euclidean_norm(s) <= 1e-14 * euclidean_norm(s0):
+                event = "degenerate-image"
+                s = s0
+        else:
+            s = rng.standard_normal(n)
+        try:
+            B = rule.update(B, SecantPair(s, a @ s))
+        except ArithmeticError as exc:
+            trace.events.append(f"step {k}: breakdown: {exc}")
+            trace.status = "breakdown"
+            return trace
+        trace.steps.append(s)
+        if event:
+            trace.events.append(f"step {k}: {event}")
+        record_state()
+    trace.status = "terminated" if trace.errors[-1] <= halt else "exhausted"
+    return trace
+
+
+def assert_same_trace(got, want):
+    """Matrices and steps by their bytes, errors by float.hex (and exactly
+    Python floats), events and status by equality."""
+    assert got.status == want.status
+    assert got.events == want.events
+    for name in ("matrices", "steps"):
+        assert ([x.tobytes() for x in getattr(got, name)]
+                == [x.tobytes() for x in getattr(want, name)]), name
+    assert all(type(e) is float for e in got.errors)
+    assert [float.hex(e) for e in got.errors] == [float.hex(e) for e in want.errors]
+
+
+PROCESS_RULES = ["bfgs", "broyden-half", "dfp", "psb", "gpsb", "dfp-direct", "bgm"]
+
+
+def process_instances(kind, seed, per_n=2):
+    """Instances of n = 2..10 for one rule kind, ``per_n`` of each n: (rule,
+    a, b0).  b0 cycles through I, A plus a rank-one term (image steps end it
+    in one step) and a random SPD matrix, so members of one stack halt at
+    different steps; gpsb draws an M per instance."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(2, 11):
+        for j in range(per_n):
+            a = random_spd_matrix(n, rng)
+            v = rng.standard_normal(n)
+            b0 = (np.eye(n), a + np.outer(v, v), random_spd_matrix(n, rng))[(n + j) % 3]
+            if kind == "gpsb":
+                m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+                rule = GeneralizedPSB(np.linalg.inv(m @ m))
+            else:
+                rule = {"bfgs": Broyden(0.0), "broyden-half": Broyden(0.5), "dfp": Broyden(1.0),
+                        "psb": GeneralizedPSB(), "dfp-direct": GeneralizedPSB(minv2=a),
+                        "bgm": BGM()}[kind]
+            out.append((rule, a, b0))
+    return out
+
+
+def run_stack(source, instances, seeds):
+    """``lab._process_stack`` on instances of one n and one rule type, with
+    each instance's own minv2 stacked when its rule has one."""
+    rule = instances[0][0]
+    minv2 = getattr(rule, "minv2", None)
+    if minv2 is not None:
+        minv2 = np.stack([r.minv2 for r, _, _ in instances])
+        rule = GeneralizedPSB()
+    a = np.stack([a for _, a, _ in instances])
+    b0 = np.stack([b0 for _, _, b0 in instances])
+    return lab._process_stack(rule, source, a, b0, seeds, minv2)
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedProcess:
+    """The stacked process against the per-instance reference, with every
+    warning an error: a slice that leaves the stack must not warn."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized"])
+    @pytest.mark.parametrize("kind", PROCESS_RULES)
+    def test_stack_matches_each_instance_alone(self, kind, source, seed):
+        instances = process_instances(kind, seed)
+        seeds = [seed + 7 * i for i in range(len(instances))]
+        configs = [ProcessConfig(a=a, b0=b0, rule=rule, direction_source=source, seed=sd)
+                   for (rule, a, b0), sd in zip(instances, seeds)]
+        wants = [ref_run_process(c) for c in configs]
+        for config, want in zip(configs, wants):
+            assert_same_trace(run_process(config), want)
+        for n in range(2, 11):
+            rows = [i for i, (_, a, _) in enumerate(instances) if a.shape[0] == n]
+            got = run_stack(source, [instances[i] for i in rows], [seeds[i] for i in rows])
+            for i, trace in zip(rows, got):
+                assert_same_trace(trace, wants[i])
+        # the stacks hold members that halt at different steps
+        lengths = {len(w.steps) for w in wants}
+        assert len(lengths) > 1 or source == "orthogonalized"
+
+    def test_members_halt_break_down_and_run_out_at_different_steps(self):
+        # n = 2, BFGS, orthogonalized: one member terminates in two steps,
+        # one with an indefinite W = A breaks down at step 1 (e2 has s'y =
+        # -1) and one at its target halts at once; then DFP with random
+        # steps at n = 6, where two members run out of steps beside one that
+        # halts at once
+        good = spd(2, 20)
+        members = [(good, np.eye(2)), (np.diag([1.0, -1.0]), np.eye(2)), (good, good.copy())]
+        got = run_stack("orthogonalized", [(Broyden(0.0), a, b0) for a, b0 in members], [0] * 3)
+        for trace, (a, b0) in zip(got, members):
+            assert_same_trace(trace, ref_run_process(ProcessConfig(
+                a=a, b0=b0, rule=Broyden(0.0), direction_source="orthogonalized")))
+        assert [t.status for t in got] == ["terminated", "breakdown", "terminated"]
+        assert [len(t.steps) for t in got] == [2, 1, 0]
+        assert got[1].events == [
+            "step 1: breakdown: s'y = -1.000e+00 fails the curvature condition"]
+        A = spd(6, 6)
+        members = [(A, np.eye(6)), (A, A.copy()), (spd(6, 21), np.eye(6))]
+        got = run_stack("random", [(Broyden(1.0), a, b0) for a, b0 in members], [0, 1, 2])
+        for trace, (a, b0), sd in zip(got, members, [0, 1, 2]):
+            assert_same_trace(trace, ref_run_process(ProcessConfig(
+                a=a, b0=b0, rule=Broyden(1.0), direction_source="random", seed=sd)))
+        assert [t.status for t in got] == ["exhausted", "terminated", "exhausted"]
+
+    @pytest.mark.parametrize("kind", ["psb", "bgm"])
+    def test_degenerate_image_member(self, kind):
+        # A = 1e-6 I and B0 = A + 1e-15 I: the error is above the halt
+        # (1e-10 ||A||) but W^-1 (B - A)' s0 = 1e-15 s0 is below 1e-14 ||s0||,
+        # so that member steps along s0 itself
+        rule = {"psb": GeneralizedPSB(), "bgm": BGM()}[kind]
+        tiny = 1e-6 * np.eye(3)
+        members = [(spd(3, 22), np.eye(3)), (tiny, tiny + 1e-15 * np.eye(3)),
+                   (spd(3, 23), spd(3, 24))]
+        got = run_stack("image", [(rule, a, b0) for a, b0 in members], [4, 5, 6])
+        for trace, (a, b0), sd in zip(got, members, [4, 5, 6]):
+            assert_same_trace(trace, ref_run_process(ProcessConfig(
+                a=a, b0=b0, rule=rule, direction_source="image", seed=sd)))
+        assert "step 0: degenerate-image" in got[1].events
+        assert not any("degenerate" in e for t in (got[0], got[2]) for e in t.events)
+
+    @pytest.mark.parametrize("kind", PROCESS_RULES)
+    def test_orthogonalized_step_k_keeps_entry_k(self, kind):
+        # every earlier step lies in the span of e_0, ..., e_{k-1}, so step k
+        # keeps entry k of e_k exactly: no orthogonalized direction can come
+        # out dependent, and the process has no skip branch
+        for rule, a, b0 in process_instances(kind, 5, per_n=1):
+            trace = run_process(ProcessConfig(a=a, b0=b0, rule=rule,
+                                              direction_source="orthogonalized"))
+            assert [s[k] for k, s in enumerate(trace.steps)] == [1.0] * len(trace.steps)
+
+    def test_suites_run_each_instance_as_alone(self):
+        # the process suites' chunk function against run_process one
+        # instance at a time, on the draws the one-at-a-time suites made
+        def spec(t):
+            return (("dfp", GeneralizedPSB(), BGM(), "gpsb", Broyden(0.5))[t % 5],
+                    ("random", "image", "orthogonalized")[t % 3])
+
+        stacked = lab._process_trials(np.random.default_rng(3), 4, 45, 3, spec)
+        rng = np.random.default_rng(3)
+        for t, trace in zip(range(4, 49), stacked):
+            n = 2 + t % 9
+            rule, source = spec(t)
+            a = random_spd_matrix(n, rng)
+            if rule == "gpsb":
+                m = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+                rule = GeneralizedPSB(np.linalg.inv(m @ m))
+            elif rule == "dfp":
+                rule = GeneralizedPSB(minv2=a)
+            want = ref_run_process(ProcessConfig(a=a, b0=np.eye(n), rule=rule,
+                                                 direction_source=source, seed=3 + t))
+            assert_same_trace(trace, want)
+            assert trace.target.tobytes() == a.tobytes()
 
 
 class TestKernelGrowth:
@@ -558,7 +766,7 @@ class TestStackedTrials:
                 return None if len(draws) % 3 == 0 else (draws[-1], draws[-1] > 0.5)
 
             if chunked:
-                row = lab._tally("synthetic", 10, 7, lambda rng, c: [one(rng) for _ in range(c)],
+                row = lab._tally("synthetic", 10, 7, lambda rng, t, c: [one(rng) for _ in range(c)],
                                  chunked=True)
             else:
                 row = lab._tally("synthetic", 10, 7, lambda rng, t: one(rng))
@@ -757,7 +965,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         rows = verify_all(seed=0, trials=5, workers=2)
-        assert submitted[:5] == ["_suite_termination", "_suite_image_gain", "_lemma_suite",
+        assert submitted[:5] == ["_suite_image_gain", "_suite_termination", "_lemma_suite",
                                  "_lemma_suite", "_suite_projection_gain"]
         assert len(submitted) == len(lab._LONGEST_FIRST)
         assert rows == verify_all(seed=0, trials=5, workers=1)

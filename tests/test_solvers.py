@@ -711,6 +711,37 @@ class TestWindowValidation:
     def test_window_of_one_accepted(self):
         assert NormalEqWindow(1).d == 1
 
+    # a window of d >= n steps spans the whole space; IP-BGM(d=2) on the 2-D
+    # circle-cosine system "converged" after 5,956 iterations, 1,703 of them
+    # discarded and 770 singular
+    WINDOW_DRIVERS = {
+        "minimize": (minimize, lambda: replace(random_spd_quadratic(3, seed=0), x0=np.ones(3)),
+                     dict(rule=Broyden(0.0), stop=GradNorm(1e-8))),
+        "minimize_lbfgs": (minimize_lbfgs,
+                           lambda: replace(random_spd_quadratic(3, seed=0), x0=np.ones(3)),
+                           dict(rule=None, stop=GradNorm(1e-8), memory=5)),
+        "solve_system": (solve_system, circle_cosine_system,
+                         dict(rule=BGM(), stop=ResidualNorm(1e-7), step=Unit())),
+    }
+
+    @pytest.mark.parametrize("name", list(WINDOW_DRIVERS))
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_window_of_the_dimension_refused_before_any_evaluation(self, name, excess):
+        driver, problem, kw = self.WINDOW_DRIVERS[name]
+        problem = problem()
+        calls = []
+        cfg = SolverConfig(**kw, mode=NormalEqWindow(problem.n + excess))
+        with pytest.raises(ValueError, match="below the dimension"):
+            driver(counted(problem, calls), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(WINDOW_DRIVERS))
+    def test_window_below_the_dimension_runs(self, name):
+        driver, problem, kw = self.WINDOW_DRIVERS[name]
+        problem = problem()
+        trace = driver(problem, SolverConfig(**kw, mode=NormalEqWindow(problem.n - 1)))
+        assert trace.iterations > 0
+
 
 class TestSolverConfigValidation:
     def base(self, **kw):

@@ -1,3 +1,6 @@
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +15,12 @@ from qnops.updates import (
     DegenerateUpdateError,
     SecantPair,
     bgm_update,
+    bgm_update_stack,
     broyden_update,
+    broyden_update_stack,
     dfp_direct_update,
     gpsb_update,
+    gpsb_update_stack,
     lbfgs_direction,
 )
 
@@ -584,3 +590,108 @@ class TestBitwiseEquivalence:
         assert_bitwise(lbfgs_direction(model.mem, g, h0, model.rhos), want)
         assert_bitwise(model.direction(None, g), -want)
         assert_bitwise(g, g0)
+
+
+@st.composite
+def stack_case(draw, max_n=8, max_k=5):
+    """(B, s, y, A) stacks of k slices of one n, C-ordered as a stacked
+    caller builds them: each slice's B is a seeded SPD matrix or raw
+    hypothesis data, its y is A s for its own seeded SPD A or raw data, and a
+    slice may have s = 0 or y = -s, which every curvature-checked update
+    refuses."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.stack([random_spd_matrix(n, rng, spectrum=(0.1, 10.0)) for _ in range(k)])
+    B = np.stack([random_spd_matrix(n, rng, spectrum=(0.1, 10.0)) if draw(st.booleans())
+                  else draw(hnp.arrays(np.float64, (n, n), elements=finite)) for _ in range(k)])
+    s = draw(hnp.arrays(np.float64, (k, n), elements=finite))
+    y = np.stack([A[i] @ s[i] if draw(st.booleans())
+                  else draw(hnp.arrays(np.float64, n, elements=finite)) for i in range(k)])
+    for i in range(k):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            s[i] = 0.0
+        elif kind == 1:
+            y[i] = -s[i]
+    return B, s, y, A
+
+
+def assert_stack_matches_each_slice(stacked, one, B, s, y, *weights):
+    """``stacked`` returns each slice bit for bit as ``one`` does alone, and
+    a slice that ``one`` refuses keeps its B and carries the refusal's text."""
+    with np.errstate(all="ignore"):  # degenerate draws overflow in both
+        got, messages = stacked(B, s, y, *weights)
+    assert got.shape == B.shape and len(messages) == len(B)
+    for i in range(len(B)):
+        args = [w if w is None else w[i] for w in weights]
+        try:
+            with np.errstate(all="ignore"):
+                want = one(B[i], SecantPair(s[i], y[i]), *args)
+        except (CurvatureError, DegenerateUpdateError) as exc:
+            assert messages[i] == str(exc)
+            assert_bitwise(got[i], B[i])
+        else:
+            assert messages[i] is None
+            assert_bitwise(got[i], want)
+
+
+class TestStackedUpdates:
+    """The stacked updates the lab's process runs, against the 1-D formulas
+    the solvers run, slice by slice."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @given(case=stack_case())
+    @settings(max_examples=150, deadline=None)
+    def test_broyden(self, theta, case):
+        B, s, y, _ = case
+        assert_stack_matches_each_slice(
+            partial(broyden_update_stack, theta=theta),
+            partial(broyden_update, theta=theta), B, s, y)
+
+    @given(case=stack_case(), spd_weight=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_gpsb(self, case, spd_weight):
+        # the weight stack holds each slice's own M^-2, here its A (direct DFP)
+        B, s, y, A = case
+        assert_stack_matches_each_slice(gpsb_update_stack, gpsb_update, B, s, y,
+                                        A if spd_weight else None)
+
+    @given(case=stack_case())
+    @settings(max_examples=150, deadline=None)
+    def test_bgm(self, case):
+        B, s, y, _ = case
+        assert_stack_matches_each_slice(bgm_update_stack, bgm_update, B, s, y)
+
+    def test_refused_slices_run_no_arithmetic(self):
+        # beside a good slice: s'y < 0, s'Bs = 0, and s = 0; none may warn
+        B = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        s = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        y = np.array([[2.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, messages = broyden_update_stack(B, s, y, 0.5)
+            assert messages == [None, "s'y = -1.000e+00 fails the curvature condition",
+                                "s'Bs is numerically zero",
+                                "s'y = 0.000e+00 fails the curvature condition"]
+            assert_bitwise(got[1:], B[1:])
+            assert gpsb_update_stack(B, s, y)[1] == [None, None, None,
+                                                     "s'M^-2 s must be positive"]
+            assert bgm_update_stack(B, s, y)[1] == [None, None, None, "zero step"]
+
+    def test_gpsb_keeps_the_scalar_power(self):
+        # gpsb_update scales by c / den**2 of NumPy scalars: libm pow, which
+        # differs from den * den in the last bit on about 1 in 1,200 doubles.
+        # Find a 1-D step whose update tells the two apart; the stacked
+        # update must give the scalar power's bits
+        rng = np.random.default_rng(0)
+        for _ in range(100_000):
+            s, y, B = rng.standard_normal((1, 1)), rng.standard_normal((1, 1)), np.zeros((1, 1, 1))
+            want = gpsb_update(B[0], SecantPair(s[0], y[0]))
+            den, c = s[0] @ s[0], y[0] @ s[0]
+            by_product = 2.0 * (y[0] * s[0]) / den - (c / (den * den)) * (s[0] * s[0])
+            if by_product.tobytes() != want.ravel().tobytes():
+                break
+        else:
+            pytest.fail("no step tells den**2 from den * den")
+        assert_bitwise(gpsb_update_stack(B, s, y)[0][0], want)
