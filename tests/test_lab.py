@@ -351,6 +351,18 @@ class TestStackedProcess:
         assert "step 0: degenerate-image" in got[1].events
         assert not any("degenerate" in e for t in (got[0], got[2]) for e in t.events)
 
+    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized"])
+    @pytest.mark.parametrize("kind", PROCESS_RULES)
+    def test_fortran_ordered_inputs_match_the_reference(self, kind, source):
+        # the stack of one keeps the caller's strides, which pick the BLAS
+        # kernel of each product with A, B0 or M^-2
+        for i, (rule, a, b0) in enumerate(process_instances(kind, 1, per_n=1)):
+            if getattr(rule, "minv2", None) is not None:
+                rule = GeneralizedPSB(np.asfortranarray(rule.minv2))
+            config = ProcessConfig(a=np.asfortranarray(a), b0=np.asfortranarray(b0), rule=rule,
+                                   direction_source=source, seed=i)
+            assert_same_trace(run_process(config), ref_run_process(config))
+
     @pytest.mark.parametrize("kind", PROCESS_RULES)
     def test_orthogonalized_step_k_keeps_entry_k(self, kind):
         # every earlier step lies in the span of e_0, ..., e_{k-1}, so step k
