@@ -270,6 +270,19 @@ def _parse_sizes(text, flag):
     return sizes
 
 
+def _check_windows(experiment, d_list, n_list):
+    # a window of d steps must leave the quadratic a direction to project
+    # onto (the drivers refuse d >= n), and table3's windows run d = 1, ...,
+    # N - 1 when --d is not given
+    dim = quadratic_weighted_50().n
+    if d_list is not None and max(d_list) >= dim:
+        raise click.UsageError(f"--d values must be below the problem's dimension {dim}, "
+                               f"got {','.join(map(str, d_list))!r}")
+    if experiment == "table3" and d_list is None and n_list is not None and max(n_list) > dim:
+        raise click.UsageError(f"--n values must be at most {dim} without --d: table3's "
+                               f"windows run d = 1, ..., N - 1 below the problem's dimension")
+
+
 def _parse_lambdas(text):
     # B0 = lambda * I must be a finite positive multiple of the identity
     lams = _parse_list(text, float, "--lambdas")
@@ -338,6 +351,8 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
     lam_list = _parse_lambdas(lambdas) if lambdas is not None else list(LAMBDAS)
     d_list = _parse_sizes(d, "--d") if d is not None else None
     n_list = _parse_sizes(n, "--n") if n is not None else None
+    if experiment in ("table2", "table3"):
+        _check_windows(experiment, d_list, n_list)
 
     start = time.perf_counter()
     if experiment == "example1":

@@ -19,9 +19,8 @@ for bit, since its ``minv2 @ s`` is the product ``a @ s`` that made y.
 
 The process runs on stacks: ``_process_stack`` drives k targets of one n
 under one rule type and direction source at once, through the rule's
-stacked update (``updates.broyden_update_stack`` and its siblings), and a
-member leaves the stack when it halts, breaks down or runs out of steps.
-``run_process`` is that process on a stack of one.
+``update_stack``, and a member leaves the stack when it halts, breaks down
+or runs out of steps.  ``run_process`` is that process on a stack of one.
 
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
@@ -54,14 +53,7 @@ from .linalg import (
 from .pool import default_workers, run_pool
 from .problems import _spd_build, _spd_draws, random_spd_matrix
 from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
-from .updates import (
-    SecantPair,
-    bgm_update,
-    bgm_update_stack,
-    broyden_update_stack,
-    gpsb_update,
-    gpsb_update_stack,
-)
+from .updates import SecantPair, bgm_update, gpsb_update
 
 # the lab no longer calls these two; they stay importable here because the
 # benchmark's span tracer wraps them under these names
@@ -214,7 +206,7 @@ def _process_stack(rule, source, a, b0, seeds, minv2=None):
     # the rule's inner-product weight W of each slice (None = I)
     w = a if isinstance(rule, Broyden) else minv2
     traces = [ProcessTrace(weight=None if w is None else w[i], target=a[i]) for i in range(k)]
-    halts = [HALT_RTOL * q for q in _norms(a)]
+    halts = [HALT_RTOL * euclidean_norm(x) for x in a]
     rngs = [np.random.default_rng(seed) for seed in seeds] if source != "orthogonalized" else None
     # the live slices, one row each: the trace index, B_k, A, W, M^-2, and
     # the orthogonalized steps so far, one (rows, n) stack per step
@@ -260,7 +252,7 @@ def _process_stack(rule, source, a, b0, seeds, minv2=None):
                     if q <= 1e-14 * q0:
                         events[j] = f"step {step}: degenerate-image"
                         s[j] = s0[j]
-        B, messages = _update_stack(rule, B, s, _mv(tgt, s), minv2)
+        B, messages = rule.update_stack(B, s, _mv(tgt, s), minv2)
         ok = np.array([message is None for message in messages])
         for j, message in enumerate(messages):
             trace = traces[live[j]]
@@ -282,15 +274,6 @@ def _w_deflate(s, h, w):
     # s minus its W-orthogonal projection on h, per slice (w=None: W = I)
     wh = h if w is None else _mv(w, h)
     return s - (_dots(s, wh) / _dots(h, wh))[:, None] * h
-
-
-def _update_stack(rule, B, s, y, minv2):
-    # the rule's stacked update; minv2 is the slices' own M^-2 stack
-    if isinstance(rule, Broyden):
-        return broyden_update_stack(B, s, y, rule.theta)
-    if isinstance(rule, GeneralizedPSB):
-        return gpsb_update_stack(B, s, y, minv2)
-    return bgm_update_stack(B, s, y)
 
 
 def _kernel_basis_scaled(E, tol, scale):

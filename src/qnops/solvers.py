@@ -66,8 +66,11 @@ from .updates import (
     DegenerateUpdateError,
     SecantPair,
     bgm_update,
+    bgm_update_stack,
     broyden_update,
+    broyden_update_stack,
     gpsb_update,
+    gpsb_update_stack,
     lbfgs_direction,
 )
 
@@ -112,7 +115,10 @@ def _check_tolerance(name, value):
 
 # ---------------------------------------------------------------------------
 # configuration types; a rule's ``update`` looks its formula up as a module
-# global on every call, so a function swapped in here (a tracer) is the one run
+# global on every call, so a function swapped in here (a tracer) is the one run.
+# ``update_stack(B, s, y, minv2)`` is the rule's stacked formula, which the
+# lab's process runs: B of shape (k, n, n), s and y of shape (k, n), and
+# ``minv2`` the slices' own M^-2 stack, read by ``GeneralizedPSB`` alone.
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,9 @@ class Broyden:
     def update(self, B, pair):
         return broyden_update(B, pair, self.theta)
 
+    def update_stack(self, B, s, y, minv2=None):
+        return broyden_update_stack(B, s, y, self.theta)
+
 
 @dataclass(frozen=True)
 class GeneralizedPSB:
@@ -138,6 +147,9 @@ class GeneralizedPSB:
     def update(self, B, pair):
         return gpsb_update(B, pair, self.minv2)
 
+    def update_stack(self, B, s, y, minv2=None):
+        return gpsb_update_stack(B, s, y, minv2)
+
 
 @dataclass(frozen=True)
 class BGM:
@@ -145,6 +157,9 @@ class BGM:
 
     def update(self, B, pair):
         return bgm_update(B, pair)
+
+    def update_stack(self, B, s, y, minv2=None):
+        return bgm_update_stack(B, s, y)
 
 
 @dataclass(frozen=True)

@@ -587,6 +587,39 @@ class TestLambdaValidation:
         assert argv[2] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "table2", "--d", "50"],
+        ["--experiment", "table3", "--d", "1,60"],
+        ["--experiment", "table3", "--n", "51"],
+    ])
+    def test_windows_spanning_the_problem_are_usage_errors(self, argv, monkeypatch, capsys):
+        # the drivers refuse a window of d >= 50 steps on the 50-dimensional
+        # quadratic; each was a ValueError traceback from a pool cell
+        ran = []
+        monkeypatch.setattr(qcli, "_run_pool", lambda *args: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--lambdas", "50", "--workers", "1"] + argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert argv[2] in err
+        assert "dimension" in err
+        assert "Traceback" not in err
+        assert ran == []
+
+    def test_widest_window_below_the_dimension_is_accepted(self, monkeypatch):
+        # d = 49 reaches the pool; the cells are recorded, not run
+        cells = []
+
+        def record(given, worker, workers):
+            cells.extend(given)
+            raise LookupError("recorded")
+
+        monkeypatch.setattr(qcli, "_run_pool", record)
+        with pytest.raises(LookupError):
+            main(["run", "--experiment", "table3", "--n", "50", "--d", "49",
+                  "--lambdas", "50", "--workers", "1"])
+        assert [label for label, _ in cells] == ["LBFGS(N=50)", "IP-LBFGS(N=50,d=49)"]
+
     @pytest.mark.parametrize("flag", ["--methods", "--lambdas", "--d", "--n"])
     def test_empty_selection_is_usage_error(self, flag, monkeypatch, capsys):
         # each ran the full default list and exited 0 (1 under --lambdas=)

@@ -363,6 +363,39 @@ class TestStackedProcess:
                                    direction_source=source, seed=i)
             assert_same_trace(run_process(config), ref_run_process(config))
 
+    @pytest.mark.parametrize("source", ["random", "image", "orthogonalized"])
+    def test_fortran_ordered_nonsymmetric_bgm_target(self, source):
+        # BGM takes any square A: a Fortran-ordered nonsymmetric A and B0
+        # sum their squares column by column, unlike a C-ordered copy
+        rng = np.random.default_rng(11)
+        for n in range(2, 11):
+            a = rng.standard_normal((n, n)) + n * np.eye(n)
+            v = rng.standard_normal(n)
+            for b0 in (np.eye(n), a + np.outer(v, rng.standard_normal(n)),
+                       rng.standard_normal((n, n))):
+                config = ProcessConfig(a=np.asfortranarray(a), b0=np.asfortranarray(b0),
+                                       rule=BGM(), direction_source=source, seed=n)
+                assert_same_trace(run_process(config), ref_run_process(config))
+
+    def test_halt_reads_the_target_norm_in_its_memory_order(self):
+        # summed column by column, ||A||_F of a Fortran-ordered nonsymmetric
+        # A can exceed the C-order sum in the last bit; an error exactly at
+        # the threshold halts at step 0, as the run alone does
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = np.asfortranarray(rng.standard_normal((4, 4)) + 4 * np.eye(4))
+            a[0, 3] = 0.0
+            halt = lab.HALT_RTOL * euclidean_norm(a)
+            if halt > lab.HALT_RTOL * euclidean_norm(np.ascontiguousarray(a)):
+                break
+        b0 = a.copy(order="F")
+        b0[0, 3] = halt  # B0 - A is zero but for this entry, so its norm is halt
+        config = ProcessConfig(a=a, b0=b0, rule=BGM(), direction_source="random", seed=0)
+        trace = run_process(config)
+        assert trace.status == "terminated"
+        assert trace.steps == []
+        assert_same_trace(trace, ref_run_process(config))
+
     @pytest.mark.parametrize("kind", PROCESS_RULES)
     def test_orthogonalized_step_k_keeps_entry_k(self, kind):
         # every earlier step lies in the span of e_0, ..., e_{k-1}, so step k
