@@ -28,9 +28,12 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   order; each trial's result is hashed under the name of the public
   function that runs one, ``run_process``, ``oracle_image_operator_gain``
   or ``oracle_projection_gain``, whose kernel the suites run.  The trials
-  of the two counterexample hunts are not hashed.  The lemma rows alone would hide most of their trials: a row
-  keeps only the worst residual, and the least-change lemma's competitor
-  term is never its worst.  Arrays hash as float64 C-order bytes, floats as
+  of the two counterexample hunts (``lab._image_hunt_trials``, the
+  image-gain kernel without the ordering hypothesis) are hashed under
+  ``image-gain-hunt``: their results set the ``-unconstrained`` rows.
+  The rows alone would hide most trials: a row keeps only the worst
+  residual and a count, and the least-change lemma's competitor term is
+  never its worst.  Arrays hash as float64 C-order bytes, floats as
   ``float.hex``, anything else by ``repr``, so a count that leaks as a
   NumPy integer, or a verdict that leaks as ``np.True_`` or a 0-d array,
   changes the digest.  The hooks see only calls made in this process, in
@@ -108,9 +111,11 @@ def lab_digest():
     names = ("oracle_error_reduction", "weighted_frobenius_error")
     # the suites run process instances and image-gain and projection-gain
     # trials as stacks: each trial's result is hashed under the name of the
-    # public function that runs one, in trial order
+    # public function that runs one (the hunts under a name of their own),
+    # in trial order
     per_trial = {"_process_trials": ("run_process", lambda r: r),
                  "_image_gain_trials": ("oracle_image_operator_gain", lambda r: r),
+                 "_image_hunt_trials": ("image-gain-hunt", lambda r: r),
                  "_projection_gain_trials": ("oracle_projection_gain", lambda r: r[0])}
     originals = {name: getattr(lab, name) for name in names + tuple(per_trial)}
     lemmas = dict(lab._LEMMAS)
