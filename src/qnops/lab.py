@@ -24,13 +24,15 @@ or runs out of steps.  ``run_process`` is that process on a stack of one.
 
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
-suite runs its seeded trials through one loop, ``_tally``; ``verify_all``
-reports one row per suite.  The image-gain, projection-gain, termination,
-kernel-growth and span-inclusion suites hand ``_tally`` chunks of trials:
-a chunk draws all its trials first, in the order one trial at a time
-would, then runs each group of one shape as a stack through the kernel
+suite runs its seeded trials through one loop, ``_tally``, which asks the
+suite for chunks of trials; ``verify_all`` reports one row per suite.  The
+image-gain, projection-gain, termination, kernel-growth and span-inclusion
+suites draw all the trials of a chunk first, in the order one trial at a
+time would, then run each group of one shape as a stack through the kernel
 that the public oracle or ``run_process`` runs on a stack of one, so every
-trial's result is bit for bit its result alone.
+trial's result is bit for bit its result alone.  Error reduction, the
+lemmas and image space run the trials of a chunk one after another
+(``_trial_by_trial``).
 """
 
 from dataclasses import dataclass, field, replace
@@ -558,22 +560,21 @@ class SuiteRow:
         return self.violations == 0
 
 
-def _tally(name, trials, seed, trial, chunked=False):
+def _tally(name, trials, seed, trial):
     """Run seeded trials on one ``default_rng(seed)`` until ``trials`` count.
-    ``trial(rng, t)`` runs one trial, ``t`` the number counted so far; it
-    returns None (skipped, not counted) or (residual, violations).  A
-    ``chunked`` trial is ``trial(rng, t, c)``, which runs the next c trials,
-    numbered t, t + 1, ..., and returns their outcomes in order (a trial
-    that reads its number must never be skipped); it is asked for the
-    ``trials - done`` still missing each time, all of which the
-    one-at-a-time loop would run too, since at most that many of them can
-    count.  The row keeps the worst residual and the total of the
+    ``trial(rng, t, count)`` runs the next ``count`` trials, numbered t,
+    t + 1, ..., and returns their outcomes in order, each None (skipped,
+    not counted) or (residual, violations); a trial that reads its number
+    must never be skipped.  It is asked for the ``trials - done`` still
+    missing each time, all of which a loop of one trial at a time would run
+    too, since at most that many of them can count, so the draws are that
+    loop's.  The row keeps the worst residual and the total of the
     violations."""
     rng = np.random.default_rng(seed)
     max_res = 0.0
     violations = skipped = done = 0
     while done < trials:
-        for out in trial(rng, done, trials - done) if chunked else [trial(rng, done)]:
+        for out in trial(rng, done, trials - done):
             if out is None:
                 skipped += 1
                 continue
@@ -582,6 +583,11 @@ def _tally(name, trials, seed, trial, chunked=False):
             violations += int(bad)
             done += 1
     return SuiteRow(name, trials, violations, max_res, skipped)
+
+
+def _trial_by_trial(trial):
+    # ``trial(rng, t)``, which runs trial t alone, as the chunk of _tally
+    return lambda rng, t, count: [trial(rng, t + i) for i in range(count)]
 
 
 def _by_shape(draws, run):
@@ -637,14 +643,6 @@ def _nonsym_kernel_build(z, R, kd):
     q, _ = np.linalg.qr(z)
     U = q[..., :kd]
     return R @ (np.eye(R.shape[-1]) - U @ U.swapaxes(-1, -2)), U
-
-
-def _sym_with_kernel(rng, n, kd):
-    return _sym_kernel_build(*_sym_kernel_draws(rng, n, kd), kd)
-
-
-def _nonsym_with_kernel(rng, n, kd):
-    return _nonsym_kernel_build(*_nonsym_kernel_draws(rng, n), kd)
 
 
 def _lemma_projected_contraction(rng):
@@ -738,7 +736,7 @@ def oracle_lemmas(which, trials=500, seed=0):
         res = gen(rng)
         return None if res is None else (res, res > SLACK)
 
-    return _tally(f"lemma/{which}", trials, seed, trial)
+    return _tally(f"lemma/{which}", trials, seed, _trial_by_trial(trial))
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +762,8 @@ def _suite_error_reduction(seed, trials):
         return abs(lhs - rhs) / max(1.0, abs(rhs)), not holds
 
     return [
-        _tally("error-reduction/gpsb", trials, seed, gpsb_trial),
-        _tally("error-reduction/bgm-identity", trials, seed + 1, bgm_trial),
+        _tally("error-reduction/gpsb", trials, seed, _trial_by_trial(gpsb_trial)),
+        _tally("error-reduction/bgm-identity", trials, seed + 1, _trial_by_trial(bgm_trial)),
     ]
 
 
@@ -814,21 +812,17 @@ def _image_build(kind, fields):
     return a, b, m, s
 
 
-def _image_gain_trials(family, rng, count):
+def _image_gain_trials(family, rng, count, hunt=False):
     """``oracle_image_operator_gain`` of the next ``count`` trials of the
     image-gain row of ``family``, in trial order.  Every trial draws before
     any is evaluated (no draw depends on a linalg result), and the trials of
-    one n run as one stack."""
-    draws = [_image_draws(family, rng) for _ in range(count)]
-    return _by_shape(draws, lambda n, *fields: _image_gain_stack(family, *_image_build(family, fields)))
-
-
-def _image_hunt_trials(family, rng, count):
-    # the same for the ordered family's counterexample hunt: two SPD
-    # matrices, no ordering hypothesis
-    draws = [_image_draws("hunt", rng) for _ in range(count)]
+    one n run as one stack.  ``hunt=True`` runs an ordered family's
+    counterexample hunt instead: each trial draws two SPD matrices, and the
+    ordering hypothesis is not checked."""
+    kind = "hunt" if hunt else family
+    draws = [_image_draws(kind, rng) for _ in range(count)]
     return _by_shape(draws, lambda n, *fields: _image_gain_stack(
-        family, *_image_build("hunt", fields), gated=False))
+        family, *_image_build(kind, fields), gated=not hunt))
 
 
 def _suite_image_gain(seed, trials):
@@ -841,7 +835,7 @@ def _suite_image_gain(seed, trials):
                     else (max(0.0, base - improved) / max(1.0, abs(base)), not holds)
                     for base, improved, holds in _image_gain_trials(family, rng, count)]
 
-        rows.append(_tally(f"image-gain/{family}", trials, seed + 10 + i, trial, chunked=True))
+        rows.append(_tally(f"image-gain/{family}", trials, seed + 10 + i, trial))
     # counterexample hunt: the ordered functionals evaluated WITHOUT their
     # ordering hypothesis.  Breaches are reported in the note, never as
     # violations.
@@ -849,7 +843,7 @@ def _suite_image_gain(seed, trials):
 
         def hunt(rng, t, count):
             outs = []
-            for base, improved, holds in _image_hunt_trials(family, rng, count):
+            for base, improved, holds in _image_gain_trials(family, rng, count, hunt=True):
                 if holds == "degenerate":
                     outs.append(None)
                     continue
@@ -857,7 +851,7 @@ def _suite_image_gain(seed, trials):
                 outs.append((((base - improved) / max(1.0, abs(base)) if breach else 0.0), breach))
             return outs
 
-        row = _tally(f"image-gain/{family}-unconstrained", trials, seed + 17 + j, hunt, chunked=True)
+        row = _tally(f"image-gain/{family}-unconstrained", trials, seed + 17 + j, hunt)
         note = f"informational hunt: {row.violations} breaches without the ordering hypothesis"
         rows.append(replace(row, violations=0, note=note))
     return rows
@@ -922,8 +916,7 @@ def _suite_projection_gain(seed, trials):
             return outs
 
         tag = "subspace" if proper else "kernel"
-        rows.append(_tally(f"projection-gain/{family}-{tag}", trials, seed + 20 + i, trial,
-                           chunked=True))
+        rows.append(_tally(f"projection-gain/{family}-{tag}", trials, seed + 20 + i, trial))
     return rows
 
 
@@ -985,8 +978,7 @@ def _suite_termination(seed, instances=100):
                 return outs
 
             # both sources replay the same seeded instances
-            rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial,
-                               chunked=True))
+            rows.append(_tally(f"termination/{tag}-{source}", instances, seed + 40 + fi, trial))
     return rows
 
 
@@ -1001,7 +993,7 @@ def _suite_kernel_growth(seed, instances=50):
                           for tol in (KERNEL_TOL, 10 * KERNEL_TOL)))
                 for trace in _process_trials(rng, t, count, seed, spec)]
 
-    return [_tally("process/kernel-growth", instances, seed + 60, trial, chunked=True)]
+    return [_tally("process/kernel-growth", instances, seed + 60, trial)]
 
 
 def _suite_span_inclusion(seed, instances=50):
@@ -1027,7 +1019,7 @@ def _suite_span_inclusion(seed, instances=50):
             outs.append((worst, violations))
         return outs
 
-    return [_tally("process/span-inclusion", instances, seed + 70, trial, chunked=True)]
+    return [_tally("process/span-inclusion", instances, seed + 70, trial)]
 
 
 def _suite_image_space(seed, trials=200):
@@ -1035,9 +1027,10 @@ def _suite_image_space(seed, trials=200):
         n = int(rng.integers(2, 9))
         kd = int(rng.integers(0, n))
         if t % 2:
-            E, _ = _sym_with_kernel(rng, n, kd) if kd else (_rand_sym(rng, n), None)
+            E = _sym_kernel_build(*_sym_kernel_draws(rng, n, kd), kd)[0] if kd else _rand_sym(rng, n)
         else:
-            E, _ = _nonsym_with_kernel(rng, n, kd) if kd else (rng.standard_normal((n, n)), None)
+            E = (_nonsym_kernel_build(*_nonsym_kernel_draws(rng, n), kd)[0] if kd
+                 else rng.standard_normal((n, n)))
         W = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
         K = kernel_basis(E, 1e-8)
         X = np.linalg.solve(W, E.T)
@@ -1060,7 +1053,8 @@ def _suite_image_space(seed, trials=200):
                 violations += res > SLACK
         return worst, violations
 
-    return [_tally("process/image-space-characterization", trials, seed + 80, trial)]
+    return [_tally("process/image-space-characterization", trials, seed + 80,
+                   _trial_by_trial(trial))]
 
 
 def _lemma_suite(which, trials, seed):

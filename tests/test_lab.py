@@ -739,6 +739,23 @@ def ref_projection_trial(family, proper, rng):
     return (base, improved, holds, abs(base - sin2 * improved) / max(1.0, abs(base))), gap
 
 
+def ref_tally(name, trials, seed, trial):
+    """The trial loop of one trial at a time: ``trial(rng, t)``, with t the
+    number of trials counted so far, returns None (skipped) or (residual,
+    violations) until ``trials`` count."""
+    rng = np.random.default_rng(seed)
+    max_res, violations, skipped, done = 0.0, 0, 0, 0
+    while done < trials:
+        out = trial(rng, done)
+        if out is None:
+            skipped += 1
+            continue
+        max_res = max(max_res, out[0])
+        violations += int(out[1])
+        done += 1
+    return SuiteRow(name, trials, violations, max_res, skipped)
+
+
 IMAGE_ROWS = [("gpsb", False), ("dfp", False), ("dfp-ordered", False), ("bfgs", False),
               ("bfgs-ordered", False), ("bgm", False), ("dfp-ordered", True),
               ("bfgs-ordered", True)]
@@ -752,7 +769,7 @@ class TestStackedTrials:
     @pytest.mark.parametrize("family, hunt", IMAGE_ROWS,
                              ids=[f + "-unconstrained" * h for f, h in IMAGE_ROWS])
     def test_image_gain_stack_matches_each_trial_alone(self, family, hunt, seed):
-        trials = lab._image_hunt_trials if hunt else lab._image_gain_trials
+        trials = partial(lab._image_gain_trials, hunt=hunt)
         stacked = trials(family, np.random.default_rng(seed), 60)
         rng = np.random.default_rng(seed)
         alone = [trials(family, rng, 1)[0] for _ in range(60)]
@@ -801,25 +818,29 @@ class TestStackedTrials:
         assert oracle_image_operator_gain("gpsb", a[1], b[1], m[1], s[1]) == out[1]
 
 
-    def test_chunked_tally_makes_the_draws_of_the_sequential_loop(self):
-        def tally(chunked):
+    @pytest.mark.parametrize("numbered", [False, True], ids=["skips", "reads-its-number"])
+    def test_tally_makes_the_draws_and_row_of_one_trial_at_a_time(self, numbered):
+        def one_trial():
             draws = []
 
-            def one(rng):
+            def skips(rng, t):
                 draws.append(rng.random())
                 # every third draw is skipped
                 return None if len(draws) % 3 == 0 else (draws[-1], draws[-1] > 0.5)
 
-            if chunked:
-                row = lab._tally("synthetic", 10, 7, lambda rng, t, c: [one(rng) for _ in range(c)],
-                                 chunked=True)
-            else:
-                row = lab._tally("synthetic", 10, 7, lambda rng, t: one(rng))
-            return row, draws
+            def reads_its_number(rng, t):
+                # never skipped, as _tally asks of a trial that reads t
+                draws.append((t, rng.random()))
+                return draws[-1][1] * (t % 3), t % 4 == 0
 
-        (row, draws), (chunked_row, chunked_draws) = tally(False), tally(True)
-        assert len(draws) == 14 and row.skipped == 4
-        assert chunked_draws == draws and chunked_row == row
+            return (reads_its_number if numbered else skips), draws
+
+        trial, draws = one_trial()
+        row = ref_tally("synthetic", 10, 7, trial)
+        trial, tally_draws = one_trial()
+        tally_row = lab._tally("synthetic", 10, 7, lab._trial_by_trial(trial))
+        assert len(draws) == (10 if numbered else 14) and row.skipped == (0 if numbered else 4)
+        assert tally_draws == draws and tally_row == row
 
 
 class TestProjectionGainOracle:
