@@ -175,8 +175,10 @@ def run_process(config):
     after n steps (``exhausted``), or on a recorded update breakdown
     (``breakdown``).  ``ValueError`` refuses a rule other than ``Broyden``,
     ``GeneralizedPSB`` or ``BGM``, a target A that is not square, a ``minv2``
-    that is not n x n, a seed that is not an integer of at least 0, and a
-    direction source other than ``random``, ``image`` or ``orthogonalized``.
+    that is not n x n, an A, B0 or ``minv2`` with a NaN or infinite entry, a
+    seed that is not an integer of at least 0, and a direction source other
+    than ``random``, ``image`` or ``orthogonalized``, all before the first
+    step.
     """
     rule = config.rule
     if not isinstance(rule, (Broyden, GeneralizedPSB, BGM)):
@@ -194,6 +196,10 @@ def run_process(config):
     if minv2 is not None:
         _check_square("minv2", minv2, n)
         minv2 = np.asarray(minv2, dtype=float)[None]
+    for name, x in (("a", a), ("b0", b0), ("minv2", minv2)):
+        # any NaN or inf entry would run on to a trace of NaN errors
+        if x is not None and not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
     seed = _count("seed", config.seed, 0)
     return _process_stack(rule, source, a[None], b0[None], [seed], minv2)[0]
 

@@ -147,6 +147,20 @@ class TestRunProcess:
             run_process(ProcessConfig(a=a, b0=a.copy(), rule=Broyden(1.0), seed=seed))
         assert runs == []
 
+    @pytest.mark.parametrize("field, bad", [("a", np.nan), ("b0", np.inf), ("minv2", -np.inf)])
+    def test_non_finite_input_is_refused_before_a_step(self, field, bad, monkeypatch):
+        # a NaN target ran to exhausted with an all-NaN trace, on which
+        # check_kernel_growth raised LinAlgError; an infinite B0 or M^-2 ran
+        # to exhausted, with NaN errors, through NumPy RuntimeWarnings
+        mats = {"a": 2 * np.eye(3), "b0": np.eye(3), "minv2": np.eye(3)}
+        mats[field][1, 2] = bad
+        runs = []
+        monkeypatch.setattr(lab, "_process_stack", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            run_process(ProcessConfig(a=mats["a"], b0=mats["b0"],
+                                      rule=GeneralizedPSB(minv2=mats["minv2"])))
+        assert runs == []
+
     @pytest.mark.parametrize("theta", ["x", None, np.nan, np.inf])
     def test_theta_must_be_a_finite_real(self, theta):
         # "x" and None raised a UFuncTypeError in the first update; NaN and
