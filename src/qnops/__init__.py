@@ -5,7 +5,6 @@ from .linalg import (
     angle_to_subspace,
     kernel_basis,
     weighted_frobenius_error,
-    weighted_inner,
 )
 from .updates import (
     CurvatureError,
@@ -70,7 +69,7 @@ from .lab import (
 )
 
 __all__ = [
-    "angle_to_subspace", "kernel_basis", "weighted_frobenius_error", "weighted_inner",
+    "angle_to_subspace", "kernel_basis", "weighted_frobenius_error",
     "CurvatureError", "DegenerateUpdateError", "SecantPair",
     "bgm_update", "broyden_update", "dfp_direct_update", "gpsb_update",
     "lbfgs_direction",

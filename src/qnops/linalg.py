@@ -1,9 +1,8 @@
-"""Dense linear-algebra substrate: norms, weighted inner products, kernels, angles.
+"""Dense linear-algebra substrate: norms, weighted norms, kernels, angles.
 
 Everything here operates on plain numpy arrays (square real matrices,
 1-D vectors), except the stack helpers ``_mv``, ``_solve``, ``_dots`` and
 ``_norms``, which the lab and the stacked updates use on (k, ...) stacks.
-A weight ``w`` of ``None`` means the Euclidean inner product throughout.
 """
 
 import math
@@ -12,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "euclidean_norm",
-    "weighted_inner",
     "kernel_basis",
     "angle_to_subspace",
     "weighted_frobenius_error",
@@ -68,20 +66,6 @@ def _norms(x):
     # euclidean_norm of each slice, as Python floats
     f = x.reshape(len(x), -1)
     return [math.sqrt(q) for q in _dots(f, f).tolist()]
-
-
-def weighted_inner(a, b, w=None):
-    """Inner product <a, b>_W = a^T W b; ``w=None`` is the Euclidean dot."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if w is None:
-        return a @ b
-    w = np.asarray(w, dtype=float)
-    if w.shape != (a.size, a.size):
-        raise ValueError(f"weight shape {w.shape} does not match vectors of size {a.size}")
-    return a @ (w @ b)
 
 
 def kernel_basis(E, tol=KERNEL_TOL):

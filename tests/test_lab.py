@@ -22,7 +22,7 @@ from qnops.lab import (
     verify_all,
     _least_change,
 )
-from qnops.linalg import euclidean_norm, weighted_frobenius_error, weighted_inner
+from qnops.linalg import euclidean_norm, weighted_frobenius_error
 from qnops.problems import random_spd_matrix
 from qnops.solvers import BGM, Broyden, GeneralizedPSB
 from qnops.updates import SecantPair, gpsb_update
@@ -221,7 +221,8 @@ def ref_run_process(config):
             s0 = np.eye(n)[:, k]
             s = s0.copy()
             for h in ortho_hist:
-                s = s - (weighted_inner(s, h, w) / weighted_inner(h, h, w)) * h
+                wh = h if w is None else w @ h
+                s = s - ((s @ wh) / (h @ wh)) * h
             if euclidean_norm(s) <= 1e-12 * euclidean_norm(s0):
                 trace.events.append(f"step {k}: dependent direction skipped")
                 continue

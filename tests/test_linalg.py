@@ -6,7 +6,6 @@ from qnops.linalg import (
     angle_to_subspace,
     kernel_basis,
     weighted_frobenius_error,
-    weighted_inner,
 )
 
 
@@ -14,36 +13,6 @@ def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
-
-
-class TestWeightedInner:
-    def test_orthonormal_basis(self):
-        assert weighted_inner(e(0, 3), e(1, 3)) == 0.0
-
-    def test_diagonal_weight_reads_entry(self):
-        assert weighted_inner(e(0, 2), e(0, 2), np.diag([3.0, 5.0])) == 3.0
-
-    def test_indefinite_pairing_cancels(self):
-        w = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert weighted_inner(np.array([1.0, 1.0]), np.array([1.0, -1.0]), w) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_inner(np.ones(2), np.ones(3))
-
-    @given(st.integers(2, 8), st.integers(0, 1000))
-    @settings(deadline=None, max_examples=60)
-    def test_symmetric_and_bilinear(self, n, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal((n, n))
-        w = w + w.T
-        a, b, c = rng.standard_normal((3, n))
-        al, be = rng.standard_normal(2)
-        scale = max(1.0, abs(weighted_inner(a, b, w)))
-        assert abs(weighted_inner(a, b, w) - weighted_inner(b, a, w)) <= 1e-12 * scale
-        lhs = weighted_inner(a, al * b + be * c, w)
-        rhs = al * weighted_inner(a, b, w) + be * weighted_inner(a, c, w)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestKernelBasis:
