@@ -30,16 +30,15 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   or ``oracle_projection_gain``, whose kernel the suites run.  The trials
   of the two counterexample hunts (``lab._image_gain_trials`` with
   ``hunt=True``, the image-gain kernel without the ordering hypothesis)
-  are hashed under ``image-gain-hunt``: their results set the
-  ``-unconstrained`` rows.
-  The rows alone would hide most trials: a row keeps only the worst
-  residual and a count, and the least-change lemma's competitor term is
-  never its worst.  Arrays hash as float64 C-order bytes, floats as
-  ``float.hex``, anything else by ``repr``, so a count that leaks as a
-  NumPy integer, or a verdict that leaks as ``np.True_`` or a 0-d array,
-  changes the digest.  The hooks see only calls made in this process, in
-  the order made, so the suites run here at ``workers=1``, in row order,
-  and never on a pool.
+  are hashed under ``image-gain-hunt``, since their results set the
+  ``-unconstrained`` rows.  The rows alone would hide most trials: a row
+  keeps only the worst residual and a count, and the least-change lemma's
+  competitor term is never its worst.  Arrays hash as float64 C-order
+  bytes, floats as ``float.hex``, anything else by ``repr``, so a count
+  that leaks as a NumPy integer, or a verdict that leaks as ``np.True_``
+  or a 0-d array, changes the digest.  The hooks see only calls made in
+  this process, in the order made, so the suites run here at
+  ``workers=1``, in row order, and never on a pool.
 
 One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
 Xeon in its fast state and 10-12 s in its slow one (its speed swings about
