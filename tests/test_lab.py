@@ -147,7 +147,8 @@ class TestRunProcess:
             run_process(ProcessConfig(a=a, b0=a.copy(), rule=Broyden(1.0), seed=seed))
         assert runs == []
 
-    @pytest.mark.parametrize("field, bad", [("a", np.nan), ("b0", np.inf), ("minv2", -np.inf)])
+    @pytest.mark.parametrize("field, bad", [("a", np.nan), ("b0", np.inf), ("minv2", -np.inf),
+                                            ("a", -np.inf), ("b0", np.nan), ("minv2", np.nan)])
     def test_non_finite_input_is_refused_before_a_step(self, field, bad, monkeypatch):
         # a NaN target ran to exhausted with an all-NaN trace, on which
         # check_kernel_growth raised LinAlgError; an infinite B0 or M^-2 ran
