@@ -66,10 +66,6 @@ class ResultRow:
     fallbacks: int
     wall_time: float = field(default=0.0, compare=False)
 
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
-
 
 # ---------------------------------------------------------------------------
 # method labels <-> solver configs
@@ -115,17 +111,14 @@ def config_for_label(label, lam):
     return "dense", SolverConfig(rule=rule, **kwargs)
 
 
-# kind -> the name of a driver imported above, resolved when a cell runs
-_DRIVERS = {"dense": "minimize", "lbfgs": "minimize_lbfgs", "system": "solve_system"}
-
-
 def run_label(label, lam, problem, record="full"):
     """Run one labelled method on ``problem`` from B0 = lam * I at recording
     level ``record`` (see ``SolverConfig.record``); returns the trace.  The
     decoder and the driver are looked up as module globals at call time, so
     a patched ``config_for_label`` or ``minimize`` is used."""
     kind, config = config_for_label(label, lam)
-    return globals()[_DRIVERS[kind]](problem, replace(config, record=record))
+    driver = {"dense": minimize, "lbfgs": minimize_lbfgs, "system": solve_system}[kind]
+    return driver(problem, replace(config, record=record))
 
 
 def table2_labels(n_list=(3, 10), d_list=(1, 2)):

@@ -92,6 +92,13 @@ def _slacked(scale):
     return SLACK * max(1.0, abs(scale))
 
 
+def _check_finite(**arrays):
+    # a NaN or inf entry would run on to NaN results, read as a failed check
+    for name, x in arrays.items():
+        if x is not None and not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+
+
 # The ratios below return numerators and denominators per slice; callers
 # divide trial by trial.  Squares of norms stay Python floats: Python's x ** 2
 # calls libm pow, which differs from NumPy's x ** 2 (x * x) in the last bit
@@ -196,10 +203,7 @@ def run_process(config):
     if minv2 is not None:
         _check_square("minv2", minv2, n)
         minv2 = np.asarray(minv2, dtype=float)[None]
-    for name, x in (("a", a), ("b0", b0), ("minv2", minv2)):
-        # any NaN or inf entry would run on to a trace of NaN errors
-        if x is not None and not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite")
+    _check_finite(a=a, b0=b0, minv2=minv2)
     seed = _count("seed", config.seed, 0)
     return _process_stack(rule, source, a[None], b0[None], [seed], minv2)[0]
 
@@ -344,10 +348,12 @@ def oracle_error_reduction(family, a, b, m, s):
     family ``gpsb``: ||PSB_M(B,A,s) - A||_{M,F}^2 <= ||B - A||_{M,F}^2
     - ||M(B-A)s||^2 / ||M^-1 s||^2 (m=None means M=I).  family ``bgm``:
     the same statement with Euclidean norms holds as an exact identity.
-    Returns (lhs, rhs, holds).  ``ValueError`` refuses an s whose norm is
-    0, all zeros or so small that its sum of squares underflows: the
-    update and the ratio divide by it.
+    Returns (lhs, rhs, holds).  ``ValueError`` refuses an a, b, m or s
+    with a NaN or infinite entry, and an s whose norm is 0, all zeros or
+    so small that its sum of squares underflows: the update and the ratio
+    divide by it.
     """
+    _check_finite(a=a, b=b, m=m, s=s)
     s = np.asarray(s, dtype=float)
     if euclidean_norm(s) == 0.0:
         raise ValueError("s must have a nonzero norm: the update and the ratio divide by it")
@@ -486,8 +492,10 @@ def oracle_image_operator_gain(family, a, b, m, s):
     ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs
     variants ``b`` is the inverse approximation H and ``s`` plays the role
     of y.  The ordered variants need SPD A and B with B - A (H - A^-1 for
-    bfgs) one-signed.  The suites run the same kernel on stacks of trials.
+    bfgs) one-signed.  ``ValueError`` refuses an a, b, m or s with a NaN
+    or infinite entry.  The suites run the same kernel on stacks of trials.
     """
+    _check_finite(a=a, b=b, m=m, s=s)
     return _image_gain_stack(family, *_stack_of_one(a, b, m, s))[0]
 
 
@@ -526,10 +534,12 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
     ker(B - A): family ``gpsb`` (W = M^-2, m=None meaning M=I) or ``bgm``
     (Euclidean).  Returns (base, improved, holds, angle_identity_residual)
     where the identity is base = sin^2(angle(s, subspace)) * improved.
-    ``ValueError`` refuses an s whose norm is 0, all zeros or so small that
-    its sum of squares underflows: both ratios would divide by it.  The
-    suites run the same kernel on stacks of trials.
+    ``ValueError`` refuses an input with a NaN or infinite entry, and an s
+    whose norm is 0, all zeros or so small that its sum of squares
+    underflows: both ratios would divide by it.  The suites run the same
+    kernel on stacks of trials.
     """
+    _check_finite(a=a, b=b, m=m, subspace_basis=subspace_basis, s=s)
     C = np.asarray(subspace_basis, dtype=float)
     if C.ndim == 1:
         C = C[:, None]

@@ -23,9 +23,9 @@ from .linalg import euclidean_norm
 from .updates import SecantPair
 
 __all__ = [
+    "DISCARD_TOL",
     "RawHistory",
     "image_direction_broyden",
-    "image_direction_gpsb",
     "secondary_secant",
     "normal_eq_projection",
 ]
@@ -61,14 +61,6 @@ def image_direction_broyden(h_apply, s, y):
     (caller should skip).
     """
     return s - h_apply(y)
-
-
-def image_direction_gpsb(m2_apply, alpha, g_k, g_next):
-    """u = M^2 [(1 - alpha) g_k - g_next]; ``m2_apply=None`` means M = I."""
-    u = (1.0 - alpha) * g_k - g_next
-    if m2_apply is None:
-        return u
-    return m2_apply(u)
 
 
 def secondary_secant(grad, x_next, u, t):

@@ -36,29 +36,24 @@ class NonlinearSystem:
     x0: Optional[np.ndarray] = None
 
 
-def _quadratic(A):
+def _quadratic(A, **fields):
+    """f(x) = 1/2 x'Ax with its exact Hessian A; ``fields`` are the
+    problem's other fields (``x_star``, ``x0``)."""
     def objective(x):
         return 0.5 * (x @ (A @ x))
 
     def gradient(x):
         return A @ x
 
-    return objective, gradient
+    return SmoothProblem(n=A.shape[0], objective=objective, gradient=gradient, hessian=A,
+                         **fields)
 
 
 def quadratic_weighted_50():
     """f(x) = 1/2 sum_i i*x_i^2 on R^50, minimizer 0, start (1, ..., 1)."""
     n = 50
     A = np.diag(np.arange(1, n + 1, dtype=float))
-    objective, gradient = _quadratic(A)
-    return SmoothProblem(
-        n=n,
-        objective=objective,
-        gradient=gradient,
-        hessian=A,
-        x_star=np.zeros(n),
-        x0=np.ones(n),
-    )
+    return _quadratic(A, x_star=np.zeros(n), x0=np.ones(n))
 
 
 def motivating_quadratic_2d():
@@ -68,13 +63,9 @@ def motivating_quadratic_2d():
     x0 = (cos 89deg, sin 89deg), B0 = diag(1, 1e6) and the relative
     gradient-norm stopping factor 1e-6.
     """
-    A = np.eye(2)
-    objective, gradient = _quadratic(A)
     theta = np.radians(89.0)
     x0 = np.array([np.cos(theta), np.sin(theta)])
-    problem = SmoothProblem(
-        n=2, objective=objective, gradient=gradient, hessian=A, x_star=np.zeros(2), x0=x0
-    )
+    problem = _quadratic(np.eye(2), x_star=np.zeros(2), x0=x0)
     setup = {
         "b0": np.diag([1.0, 1e6]),
         "grad_rtol": 1e-6,
@@ -166,8 +157,4 @@ def random_spd_matrix(n, rng, spectrum=(1e-2, 1e2)):
 def random_spd_quadratic(n, spectrum=(1e-2, 1e2), seed=0):
     """f = 1/2 x'Ax with a seeded random SPD Hessian (exact A attached)."""
     rng = np.random.default_rng(seed)
-    A = random_spd_matrix(n, rng, spectrum)
-    objective, gradient = _quadratic(A)
-    return SmoothProblem(
-        n=n, objective=objective, gradient=gradient, hessian=A, x_star=np.zeros(n)
-    )
+    return _quadratic(random_spd_matrix(n, rng, spectrum), x_star=np.zeros(n))

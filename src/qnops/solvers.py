@@ -53,13 +53,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .linalg import angle_to_subspace, euclidean_norm
-from .operators import (
-    RawHistory,
-    image_direction_broyden,
-    image_direction_gpsb,
-    normal_eq_projection,
-    secondary_secant,
-)
+from .operators import RawHistory, image_direction_broyden, normal_eq_projection, secondary_secant
 from .problems import NonlinearSystem
 from .updates import (
     CurvatureError,
@@ -427,9 +421,9 @@ class _DenseModel:
 
     def image(self, s, y, alpha, g, gn):
         if self.family == "gpsb":
-            minv2 = self.minv2
-            m2_apply = None if minv2 is None else (lambda v: np.linalg.solve(minv2, v))
-            return image_direction_gpsb(m2_apply, alpha, g, gn)
+            # u = M^2 [(1 - alpha) g - gn], with M^2 applied as a solve with M^-2
+            u = (1.0 - alpha) * g - gn
+            return u if self.minv2 is None else np.linalg.solve(self.minv2, u)
         if self.dual is not None:
             H = self.H
             return image_direction_broyden(lambda rhs: H @ rhs, s, y)

@@ -1,5 +1,6 @@
 """The public names: every entry of a module's ``__all__`` and of the package's
-resolves, and ``from qnops import *`` imports them all; and every package
+resolves, the package's list is the join of its modules' lists, and
+``from qnops import *`` imports them all; and every package
 function the benchmark in ``perfbench/`` patches resolves and is called."""
 
 import importlib
@@ -21,6 +22,13 @@ def test_module_all_resolves(name):
     names = getattr(module, "__all__", [])
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+def test_package_all_is_the_join_of_the_module_lists():
+    # each public name is stated once, in its module's __all__
+    modules = ("linalg", "updates", "operators", "problems", "solvers", "lab")
+    joined = [n for m in modules for n in importlib.import_module(f"qnops.{m}").__all__]
+    assert qnops.__all__ == joined
 
 
 def test_package_all_resolves_and_star_import_works():

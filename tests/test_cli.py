@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qnops import cli as qcli, lab
+from qnops.lab import SuiteRow
 from qnops.cli import (
     LAMBDAS,
     SYSTEM_LABELS,
@@ -137,10 +138,6 @@ class TestConfigForLabel:
 
 
 class TestResultRow:
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            ResultRow("DFP", {}, -1, "converged", 0)
-
     def test_equality_ignores_wall_time(self):
         a = ResultRow("DFP", {"lambda": 50.0}, 5, "converged", 0, wall_time=0.1)
         b = ResultRow("DFP", {"lambda": 50.0}, 5, "converged", 0, wall_time=9.9)
@@ -508,6 +505,16 @@ class TestVerifySubcommand:
         assert result.exit_code == 0
         assert "violations=0" in result.stdout
         assert "error-reduction/" in result.stdout
+
+    def test_violation_sets_exit_two(self, monkeypatch, capsys):
+        row = SuiteRow("demo", trials=5, violations=3, max_residual=0.5)
+        monkeypatch.setattr(lab, "verify_all", lambda seed, trials, workers: [row])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "5", "--workers", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == f"{row}\n"
+        assert err.splitlines()[-1] == "3 oracle violation(s)"
 
     def test_negative_seed_is_usage_error(self, capsys):
         # was a ValueError traceback from numpy.random.default_rng

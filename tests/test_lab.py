@@ -126,7 +126,8 @@ class TestRunProcess:
         ("rule", Broyden, "rule"),  # the class, not a rule
         ("rule", GeneralizedPSB(np.eye(2)), "minv2"),
         ("rule", GeneralizedPSB(np.ones(3)), "minv2"),
-    ], ids=["rule-string", "rule-none", "rule-class", "minv2-2x2", "minv2-vector"])
+        ("b0", np.eye(2), "conformable"),
+    ], ids=["rule-string", "rule-none", "rule-class", "minv2-2x2", "minv2-vector", "b0-2x2"])
     def test_bad_input_is_refused(self, field, value, match):
         config = ProcessConfig(a=np.eye(3), b0=2 * np.eye(3), rule=Broyden(1.0))
         setattr(config, field, value)
@@ -584,6 +585,10 @@ class TestImageGainOracle:
             out = oracle_image_operator_gain(family, a, b, None, np.full(3, 1e-170))
         assert out == (0.0, 0.0, "degenerate")
 
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            oracle_image_operator_gain("psb", np.eye(2), 2.0 * np.eye(2), None, np.ones(2))
+
     def test_ordered_variant_gates_on_hypothesis(self):
         a = 2.0 * np.eye(2)
         b = a + np.diag([1.0, -1.0])  # indefinite gap: hypothesis violated
@@ -890,6 +895,11 @@ class TestProjectionGainOracle:
             with pytest.raises(ValueError, match="nonzero norm"):
                 oracle_projection_gain(family, a, b, m, np.array([[1.0], [0.0]]), s)
 
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            oracle_projection_gain("dfp", np.eye(2), 2.0 * np.eye(2), None,
+                                   np.array([[1.0], [0.0]]), np.ones(2))
+
     def test_gpsb_weighted_identity(self):
         rng = np.random.default_rng(35)
         count = 0
@@ -913,6 +923,31 @@ class TestProjectionGainOracle:
             assert holds is True
             assert residual <= 1e-8
         assert count > 80
+
+
+class TestNonFiniteOracleInput:
+    # a NaN or inf entry gave NaN ratios and holds False, a false violation
+    # of the theorem; it is refused before the update or the kernel runs
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("oracle, field", [
+        (oracle, field) for oracle in (oracle_error_reduction, oracle_image_operator_gain)
+        for field in ("a", "b", "m", "s")
+    ] + [(oracle_projection_gain, field) for field in ("a", "b", "m", "subspace_basis", "s")])
+    def test_refused_before_any_arithmetic(self, oracle, field, bad, monkeypatch):
+        def never(*args):
+            raise AssertionError("the oracle ran on non-finite input")
+
+        for name in ("gpsb_update", "_image_gain_stack", "_projection_gain_stack"):
+            monkeypatch.setattr(lab, name, never)
+        args = {"a": np.eye(2), "b": np.diag([1.0, 2.0]), "m": 2.0 * np.eye(2),
+                "subspace_basis": np.array([[1.0], [0.0]]), "s": np.ones(2)}
+        if oracle is not oracle_projection_gain:
+            del args["subspace_basis"]
+        args[field].flat[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                oracle("gpsb", *args.values())
 
 
 class TestLemmaOracles:

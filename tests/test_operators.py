@@ -10,11 +10,11 @@ from qnops.operators import (
     DISCARD_TOL,
     RawHistory,
     image_direction_broyden,
-    image_direction_gpsb,
     normal_eq_projection,
     secondary_secant,
 )
 from qnops.problems import quadratic_weighted_50, random_spd_matrix
+from qnops.solvers import GeneralizedPSB, GradNorm, SolverConfig, _DenseModel
 from qnops.updates import SecantPair
 
 
@@ -38,25 +38,31 @@ class TestImageDirectionBroyden:
         np.testing.assert_allclose(u, [0.0, 0.7 * (1.0 - 1e-6)], atol=1e-12)
 
 
+def gpsb_image(minv2, alpha, g, gn):
+    """u = M^2 [(1 - alpha) g - gn], the image direction a dense generalized-PSB model takes."""
+    rule = GeneralizedPSB(minv2)
+    config = SolverConfig(rule=rule, stop=GradNorm(1e-6))
+    return _DenseModel(rule, 1.0, g.size, quadratic_weighted_50(), config).image(
+        None, None, alpha, g, gn)
+
+
 class TestImageDirectionGpsb:
     def test_full_alpha_identity_weight(self):
         g = np.array([1.0, 2.0])
         gn = np.array([0.5, -0.5])
-        np.testing.assert_allclose(image_direction_gpsb(None, 1.0, g, gn), -gn)
+        np.testing.assert_allclose(gpsb_image(None, 1.0, g, gn), -gn)
 
     def test_gradient_ratio_gives_zero(self):
         g = np.array([3.0, -1.0])
         alpha = 0.25
         gn = (1 - alpha) * g
-        u = image_direction_gpsb(None, alpha, g, gn)
+        u = gpsb_image(None, alpha, g, gn)
         np.testing.assert_allclose(u, np.zeros(2), atol=1e-15)
 
     def test_weight_applied_after_combination(self):
-        m2 = np.diag([2.0, 3.0])
-        u = image_direction_gpsb(
-            lambda v: m2 @ v, 0.5, np.array([2.0, 2.0]), np.array([1.0, 1.0])
-        )
-        np.testing.assert_allclose(u, np.zeros(2))
+        # M^2 = diag(2, 3), applied as a solve with M^-2 to (1 - alpha) g - gn = (1, 1)
+        u = gpsb_image(np.diag([0.5, 1.0 / 3.0]), 0.5, np.array([2.0, 4.0]), np.array([0.0, 1.0]))
+        np.testing.assert_allclose(u, [2.0, 3.0], rtol=1e-15)
 
 
 class TestSecondarySecant:
@@ -216,6 +222,13 @@ class TestNormalEqProjection:
         out_g, _, reason_g = normal_eq_projection(pair, raw, "bgm")
         assert reason_g is None
         assert out_g.transformed == "projected"
+
+    @pytest.mark.parametrize("family", ["psb", "Broyden", ""])
+    def test_unknown_family_refused(self, family):
+        raw = RawHistory(d=2)
+        raw.append(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="unknown family"):
+            normal_eq_projection(SecantPair(np.ones(2), np.ones(2)), raw, family)
 
     def test_singular_system_falls_back(self):
         raw = RawHistory(d=2)

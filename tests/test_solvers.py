@@ -11,6 +11,7 @@ from qnops.cli import SYSTEM_PROBLEMS, run_label
 from qnops.problems import (
     NonlinearSystem,
     SmoothProblem,
+    _quadratic,
     circle_cosine_system,
     modified_rosenbrock_10,
     motivating_quadratic_2d,
@@ -411,6 +412,12 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             solve_system(sys, cfg)
 
+    def test_newton_needs_a_jacobian(self):
+        system = replace(circle_cosine_system(), jacobian=None)
+        cfg = SolverConfig(rule=None, stop=ResidualNorm(1e-7), b0=1.0)
+        with pytest.raises(ValueError, match="Jacobian"):
+            solve_system(system, cfg)
+
     @pytest.mark.parametrize(
         "factory,expected",
         [(circle_cosine_system, 23), (modified_rosenbrock_10, 2)],
@@ -553,6 +560,29 @@ class TestImageModeMechanics:
         assert any(r.pair.transformed == "image" for r in free.records[1:])
         assert (free.status, free.iterations) == (exact.status, exact.iterations)
         assert np.linalg.norm(free.x - exact.x) <= 1e-12
+
+
+class TestNegativeCurvatureFallbacks:
+    # on the indefinite quadratic diag(1, -0.5, 2) from x0 = (1, 1, 1) and
+    # b0 = 1, steps that lean on the negative eigenvalue make pairs with
+    # s'y <= 0.  Per step: (event, pair tag); the L-BFGS runs stop at
+    # max_iters = 10 and keep falling back once they start
+    @pytest.mark.parametrize("driver, rule, mode, status, steps", [
+        pytest.param(minimize_lbfgs, None, NoTransform(), "max-iters",
+                     [(None, "raw")] * 2 + [("skip-storage", "raw")] * 8, id="LBFGS(N=3)"),
+        pytest.param(minimize_lbfgs, None, ImageTransform(), "max-iters",
+                     [(None, "image")] + [("curvature", "raw")] * 9, id="Im-LBFGS(N=3)"),
+        pytest.param(minimize, GeneralizedPSB(), ImageTransform(), "converged",
+                     [(None, "image"), ("curvature", "raw"), (None, "image"),
+                      ("zero-image", "raw")], id="Im-PSB"),
+    ])
+    def test_fallback_events(self, driver, rule, mode, status, steps):
+        cfg = SolverConfig(rule=rule, stop=GradNorm(1e-8), b0=1.0, mode=mode, memory=3,
+                           max_iters=10)
+        trace = driver(_quadratic(np.diag([1.0, -0.5, 2.0]), x0=np.ones(3)), cfg)
+        assert (trace.status, trace.iterations) == (status, len(steps))
+        assert [(r.event, r.pair.transformed) for r in trace.records[1:]] == steps
+        assert trace.fallbacks == sum(event is not None for event, _ in steps)
 
 
 def nan_after(problem, evaluations):
