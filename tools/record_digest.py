@@ -14,31 +14,32 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   ``pair.y``;
 * systems: ``x`` and ``float64(grad_norm)`` of every record of the six
   ``systems`` cells (problem outer, label inner, lambda 1.0);
-* lab: during ``verify_all(seed=0, trials=500, workers=1)``, the name and
-  the result of every call of ``oracle_error_reduction`` and
-  ``weighted_frobenius_error``, of every process instance (a trace as
+* lab: during ``verify_all(seed=0, trials=500, workers=1)``, the result
+  of every trial, in trial order, under the name of the public function
+  that runs one: ``oracle_error_reduction``, ``run_process`` (a trace as
   ``[matrices, steps, errors, check_kernel_growth(trace).dims, status]``),
-  of every image-gain and projection-gain trial, and of every trial of a
-  ``lab._LEMMAS`` generator (as ``lemma/<id>``), then every row as
-  ``[name, trials, violations, max_residual, skipped, note]``.  The
-  process suites (termination, kernel growth, span inclusion) and the
-  image-gain and projection-gain suites run their trials as stacks,
-  through ``lab._process_trials``, ``lab._image_gain_trials`` and
-  ``lab._projection_gain_trials``, which return the results in trial
-  order; each trial's result is hashed under the name of the public
-  function that runs one, ``run_process``, ``oracle_image_operator_gain``
-  or ``oracle_projection_gain``, whose kernel the suites run.  The trials
-  of the two counterexample hunts (``lab._image_gain_trials`` with
+  ``oracle_image_operator_gain`` and ``oracle_projection_gain``; the
+  trials of the two counterexample hunts (``lab._image_gain_trials`` with
   ``hunt=True``, the image-gain kernel without the ordering hypothesis)
-  are hashed under ``image-gain-hunt``, since their results set the
-  ``-unconstrained`` rows.  The rows alone would hide most trials: a row
-  keeps only the worst residual and a count, and the least-change lemma's
-  competitor term is never its worst.  Arrays hash as float64 C-order
-  bytes, floats as ``float.hex``, anything else by ``repr``, so a count
-  that leaks as a NumPy integer, or a verdict that leaks as ``np.True_``
-  or a 0-d array, changes the digest.  The hooks see only calls made in
-  this process, in the order made, so the suites run here at
-  ``workers=1``, in row order, and never on a pool.
+  under ``image-gain-hunt``, since their results set the
+  ``-unconstrained`` rows, and the residual of every lemma trial (None
+  when skipped) under ``lemma/<id>``.  The suites that run their trials
+  as stacks (``lab._process_trials``, ``lab._image_gain_trials``,
+  ``lab._projection_gain_trials``) are hooked per chunk, which returns the
+  results in trial order; the others per trial.  After each suite come
+  all the values that ``weighted_frobenius_error`` returned while it ran,
+  one float each, sorted by ``float.hex``: that set does not depend on
+  how the calls group the trials, as a stream in call order would.  Then
+  every row as ``[name, trials, violations, max_residual, skipped,
+  note]``.  The rows alone would hide most trials: a row keeps only the
+  worst residual and a count, and the least-change lemma's competitor
+  distances, hashed among the norms, are never its worst.  Arrays hash
+  as float64 C-order bytes, floats as ``float.hex``, anything else by
+  ``repr``, so a count that leaks as a NumPy integer, or a verdict that
+  leaks as ``np.True_`` where it was a bool (or the reverse), changes the
+  digest.  The hooks see only calls made in this process, in the order
+  made, so the suites run here at ``workers=1``, in row order, and never
+  on a pool.
 
 One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
 Xeon in its fast state and 10-12 s in its slow one (its speed swings about
@@ -108,16 +109,19 @@ def _feed(h, value):
 
 def lab_digest():
     h = hashlib.sha256()
-    names = ("oracle_error_reduction", "weighted_frobenius_error")
-    # the suites run process instances and image-gain and projection-gain
-    # trials as stacks: each trial's result is hashed under the name of the
-    # public function that runs one (the hunts under a name of their own),
-    # in trial order
+    # each trial's result is hashed under the name of the public function
+    # that runs one (the hunts and the lemmas under names of their own), in
+    # trial order: the error-reduction oracle per call, the lemma
+    # generators per trial, and the stacked process instances and
+    # image-gain and projection-gain trials per chunk
     per_trial = {"_process_trials": ("run_process", lambda r: r),
                  "_image_gain_trials": ("oracle_image_operator_gain", lambda r: r),
                  "_projection_gain_trials": ("oracle_projection_gain", lambda r: r[0])}
+    names = ("oracle_error_reduction", "weighted_frobenius_error", "_run_suite")
     originals = {name: getattr(lab, name) for name in names + tuple(per_trial)}
     lemmas = dict(lab._LEMMAS)
+    # every value that weighted_frobenius_error returns while a suite runs
+    values = []
 
     def hashed(name, fn):
         def call(*args, **kwargs):
@@ -138,8 +142,21 @@ def lab_digest():
             return results
         return call
 
-    for name in names:
-        setattr(lab, name, hashed(name, originals[name]))
+    def weighted_frobenius_error(*args, **kwargs):
+        result = originals["weighted_frobenius_error"](*args, **kwargs)
+        values.extend(map(float.hex, np.ravel(result).tolist()))
+        return result
+
+    def run_suite(task):
+        values.clear()
+        rows = originals["_run_suite"](task)
+        h.update(b"weighted_frobenius_error")
+        for value in sorted(values):
+            h.update(value.encode())
+        return rows
+
+    lab.oracle_error_reduction = hashed("oracle_error_reduction", originals["oracle_error_reduction"])
+    lab.weighted_frobenius_error, lab._run_suite = weighted_frobenius_error, run_suite
     for name, (oracle, oracle_result) in per_trial.items():
         setattr(lab, name, hashed_trials(oracle, oracle_result, originals[name]))
     lab._LEMMAS.update((which, hashed(f"lemma/{which}", gen)) for which, gen in lemmas.items())
