@@ -25,14 +25,14 @@ or runs out of steps.  ``run_process`` is that process on a stack of one.
 Oracle verdicts use a 1e-9 relative slack (with a unit floor), chosen
 above accumulation error for the dense n <= 10 algebra used here.  Every
 suite runs its seeded trials through one loop, ``_tally``, which asks the
-suite for chunks of trials; ``verify_all`` reports one row per suite.  The
-image-gain, projection-gain, termination, kernel-growth and span-inclusion
-suites draw all the trials of a chunk first, in the order one trial at a
-time would, then run each group of one shape as a stack through the kernel
-that the public oracle or ``run_process`` runs on a stack of one, so every
-trial's result is bit for bit its result alone.  Error reduction, the
-lemmas and image space run the trials of a chunk one after another
-(``_trial_by_trial``).
+suite for chunks of at most ``_CHUNK`` trials; ``verify_all`` reports one
+row per suite.  Each suite draws all the trials of a chunk first, in the
+order one trial at a time would, then runs each group of one shape as a
+stack (``_by_shape``), through stacked linear algebra that runs on each
+slice the call a trial alone makes, so every trial's result is bit for bit
+its result alone.  The error-reduction, image-gain and projection-gain
+suites run the kernel that the public oracle runs on a stack of one, and
+the process suites the stack that ``run_process`` runs on a stack of one.
 """
 
 from dataclasses import dataclass, field, replace
@@ -44,7 +44,9 @@ import numpy as np
 from .linalg import (
     KERNEL_TOL,
     ORTHO_TOL,
+    _check_kernel_tol,
     _dots,
+    _kernel_rows,
     _mv,
     _norms,
     _solve,
@@ -53,13 +55,14 @@ from .linalg import (
     weighted_frobenius_error,
 )
 from .pool import default_workers, run_pool
-from .problems import _spd_build, _spd_draws, random_spd_matrix
+from .problems import _spd_build, _spd_draws
 from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
-from .updates import SecantPair, bgm_update, gpsb_update
+from .updates import DegenerateUpdateError, bgm_update_stack, gpsb_update_stack
 
-# the lab no longer calls these two; they stay importable here because the
-# benchmark's span tracer wraps them under these names
-from .updates import broyden_update, dfp_direct_update  # noqa: F401
+# the lab no longer calls these; they stay importable here because the
+# benchmark's span tracer and probe clock wrap them under these names
+from .problems import random_spd_matrix  # noqa: F401
+from .updates import broyden_update, dfp_direct_update, gpsb_update  # noqa: F401
 
 __all__ = [
     "SLACK",
@@ -92,6 +95,12 @@ def _slacked(scale):
     return SLACK * max(1.0, abs(scale))
 
 
+def _check_m_read(family, m, unread):
+    # the families in ``unread`` never read m, which would be ignored silently
+    if m is not None and family in unread:
+        raise ValueError(f"family {family!r} does not read m: pass m=None")
+
+
 def _check_finite(**arrays):
     # a NaN or inf entry would run on to NaN results, read as a failed check
     for name, x in arrays.items():
@@ -116,12 +125,6 @@ def _m_ratios(E, m, v):
 def _e_ratios(E, v):
     # ||E v||^2 / v'v, the Euclidean reduction functional
     return [q ** 2 for q in _norms(_mv(E, v))], _dots(v, v)
-
-
-def _ratio(ratios, *args):
-    # one ratio of a single E and v, as a stack of one
-    num, den = ratios(*(x if x is None else x[None] for x in args))
-    return num[0] / den[0]
 
 
 def _w_residual(s, basis, wmat):
@@ -308,7 +311,12 @@ def check_kernel_growth(trace, tol=KERNEL_TOL):
     growth is guaranteed exactly when nothing is evicted, i.e. when the
     step is W-orthogonal to every current kernel direction - which is how
     the image-operator and orthogonalized sources construct their steps.
+
+    ``ValueError`` refuses a ``tol`` that is not a finite positive real: a
+    NaN one would read every dimension as 0 and an infinite one every
+    dimension as n.
     """
+    _check_kernel_tol(tol)
     scale = euclidean_norm(trace.target)
     dims = []
     bases = []
@@ -342,35 +350,57 @@ def check_kernel_growth(trace, tol=KERNEL_TOL):
 # inequality oracles
 
 
+def _updated(update_stack, *args):
+    # the updated stack; a slice that the 1-D update refuses raises as alone
+    B, messages = update_stack(*args)
+    for message in messages:
+        if message is not None:
+            raise DegenerateUpdateError(message)
+    return B
+
+
+def _error_reduction_stack(family, a, b, m, s):
+    """``oracle_error_reduction`` of each slice of a stack: a, b and s (and
+    m unless None) hold k trials of one n.  Returns the k results, each bit
+    for bit the trial's alone: the gpsb norms are NumPy scalars, squared by
+    their scalar power as the 2-D norm's were."""
+    y = _mv(a, s)
+    E = b - a
+    out = []
+    if family == "gpsb":
+        minv2 = None if m is None else np.linalg.inv(m @ m)
+        bplus = _updated(gpsb_update_stack, b, s, y, minv2)
+        norms = weighted_frobenius_error(bplus - a, m), weighted_frobenius_error(E, m)
+        for q, e, num, den in zip(*norms, *_m_ratios(E, m, s)):
+            lhs, rhs = q ** 2, e ** 2 - num / den
+            out.append((lhs, rhs, lhs <= rhs + _slacked(rhs)))
+    elif family == "bgm":
+        bplus = _updated(bgm_update_stack, b, s, y)
+        for q, e, num, den in zip(_norms(bplus - a), _norms(E), *_e_ratios(E, s)):
+            lhs, rhs = q ** 2, e ** 2 - num / den
+            out.append((lhs, rhs, abs(lhs - rhs) <= BGM_IDENTITY_TOL * max(1.0, abs(rhs))))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return out
+
+
 def oracle_error_reduction(family, a, b, m, s):
     """Both sides of the per-update error-reduction statement.
 
     family ``gpsb``: ||PSB_M(B,A,s) - A||_{M,F}^2 <= ||B - A||_{M,F}^2
     - ||M(B-A)s||^2 / ||M^-1 s||^2 (m=None means M=I).  family ``bgm``:
     the same statement with Euclidean norms holds as an exact identity.
-    Returns (lhs, rhs, holds).  ``ValueError`` refuses an a, b, m or s
-    with a NaN or infinite entry, and an s whose norm is 0, all zeros or
-    so small that its sum of squares underflows: the update and the ratio
-    divide by it.
+    Returns (lhs, rhs, holds).  ``ValueError`` refuses an m for ``bgm``,
+    which never reads it, an a, b, m or s with a NaN or infinite entry, and
+    an s whose norm is 0, all zeros or so small that its sum of squares
+    underflows: the update and the ratio divide by it.  The suite runs the
+    same kernel on stacks of trials.
     """
+    _check_m_read(family, m, ("bgm",))
     _check_finite(a=a, b=b, m=m, s=s)
-    s = np.asarray(s, dtype=float)
-    if euclidean_norm(s) == 0.0:
+    if euclidean_norm(np.asarray(s, dtype=float)) == 0.0:
         raise ValueError("s must have a nonzero norm: the update and the ratio divide by it")
-    y = a @ s
-    E = b - a
-    if family == "gpsb":
-        minv2 = None if m is None else np.linalg.inv(m @ m)
-        bplus = gpsb_update(b, SecantPair(s, y), minv2)
-        lhs = weighted_frobenius_error(bplus - a, m) ** 2
-        rhs = weighted_frobenius_error(E, m) ** 2 - _ratio(_m_ratios, E, m, s)
-        return lhs, rhs, lhs <= rhs + _slacked(rhs)
-    if family == "bgm":
-        bplus = bgm_update(b, SecantPair(s, y))
-        lhs = euclidean_norm(bplus - a) ** 2
-        rhs = euclidean_norm(E) ** 2 - _ratio(_e_ratios, E, s)
-        return lhs, rhs, abs(lhs - rhs) <= BGM_IDENTITY_TOL * max(1.0, abs(rhs))
-    raise ValueError(f"unknown family {family!r}")
+    return _error_reduction_stack(family, *_stack_of_one(a, b, m, s))[0]
 
 
 _ORDERED = ("dfp-ordered", "bfgs-ordered")
@@ -492,9 +522,11 @@ def oracle_image_operator_gain(family, a, b, m, s):
     ||E|| ||s||, or when the norm of s is 0 or underflows.  For the bfgs
     variants ``b`` is the inverse approximation H and ``s`` plays the role
     of y.  The ordered variants need SPD A and B with B - A (H - A^-1 for
-    bfgs) one-signed.  ``ValueError`` refuses an a, b, m or s with a NaN
-    or infinite entry.  The suites run the same kernel on stacks of trials.
+    bfgs) one-signed.  ``ValueError`` refuses an m for any family but
+    ``gpsb``, the only one that reads it, and an a, b, m or s with a NaN or
+    infinite entry.  The suites run the same kernel on stacks of trials.
     """
+    _check_m_read(family, m, ("dfp", "bfgs", "bgm") + _ORDERED)
     _check_finite(a=a, b=b, m=m, s=s)
     return _image_gain_stack(family, *_stack_of_one(a, b, m, s))[0]
 
@@ -534,11 +566,12 @@ def oracle_projection_gain(family, a, b, m, subspace_basis, s):
     ker(B - A): family ``gpsb`` (W = M^-2, m=None meaning M=I) or ``bgm``
     (Euclidean).  Returns (base, improved, holds, angle_identity_residual)
     where the identity is base = sin^2(angle(s, subspace)) * improved.
-    ``ValueError`` refuses an input with a NaN or infinite entry, and an s
-    whose norm is 0, all zeros or so small that its sum of squares
-    underflows: both ratios would divide by it.  The suites run the same
-    kernel on stacks of trials.
+    ``ValueError`` refuses an m for ``bgm``, which never reads it, an input
+    with a NaN or infinite entry, and an s whose norm is 0, all zeros or so
+    small that its sum of squares underflows: both ratios would divide by
+    it.  The suites run the same kernel on stacks of trials.
     """
+    _check_m_read(family, m, ("bgm",))
     _check_finite(a=a, b=b, m=m, subspace_basis=subspace_basis, s=s)
     C = np.asarray(subspace_basis, dtype=float)
     if C.ndim == 1:
@@ -576,21 +609,30 @@ class SuiteRow:
         return self.violations == 0
 
 
+#: the most trials ``_tally`` asks a suite for at once, which bounds what a
+#: chunk holds: its draws and its stacks.  The serial total of
+#: ``verify_all(0, 500)`` (``tools/suite_times.py``) falls as the cap grows
+#: to 500, the most that a row of 500 trials asks for: the smaller groups
+#: of 128- or 256-trial chunks run the image-gain and projection-gain
+#: stacks 5-25 % slower
+_CHUNK = 500
+
+
 def _tally(name, trials, seed, trial):
     """Run seeded trials on one ``default_rng(seed)`` until ``trials`` count.
     ``trial(rng, t, count)`` runs the next ``count`` trials, numbered t,
     t + 1, ..., and returns their outcomes in order, each None (skipped,
     not counted) or (residual, violations); a trial that reads its number
-    must never be skipped.  It is asked for the ``trials - done`` still
-    missing each time, all of which a loop of one trial at a time would run
-    too, since at most that many of them can count, so the draws are that
-    loop's.  The row keeps the worst residual and the total of the
-    violations."""
+    must never be skipped.  It is asked for at most ``_CHUNK`` of the
+    ``trials - done`` still missing each time, all of which a loop of one
+    trial at a time would run too, since at most that many of them can
+    count, so the draws are that loop's.  The row keeps the worst residual
+    and the total of the violations."""
     rng = np.random.default_rng(seed)
     max_res = 0.0
     violations = skipped = done = 0
     while done < trials:
-        for out in trial(rng, done, trials - done):
+        for out in trial(rng, done, min(_CHUNK, trials - done)):
             if out is None:
                 skipped += 1
                 continue
@@ -599,11 +641,6 @@ def _tally(name, trials, seed, trial):
             violations += int(bad)
             done += 1
     return SuiteRow(name, trials, violations, max_res, skipped)
-
-
-def _trial_by_trial(trial):
-    # ``trial(rng, t)``, which runs trial t alone, as the chunk of _tally
-    return lambda rng, t, count: [trial(rng, t + i) for i in range(count)]
 
 
 def _by_shape(draws, run):
@@ -661,76 +698,138 @@ def _nonsym_kernel_build(z, R, kd):
     return R @ (np.eye(R.shape[-1]) - U @ U.swapaxes(-1, -2)), U
 
 
-def _lemma_projected_contraction(rng):
-    n = int(rng.integers(2, 9))
-    C = _rand_sym(rng, n)
-    s = rng.standard_normal(n)
-    P = np.eye(n) - np.outer(s, s) / (s @ s)
-    D = P @ C @ P
-    lhs = euclidean_norm(D) ** 2
-    rhs = euclidean_norm(C) ** 2 - _ratio(_e_ratios, C, s)
-    return max(0.0, lhs - rhs) / max(1.0, abs(rhs))
+def _projectors(v):
+    # I - v v' / v'v of each slice
+    return np.eye(v.shape[-1]) - v[:, :, None] * v[:, None, :] / _dots(v, v)[:, None, None]
 
 
-def _lemma_image_ratio(rng):
-    n = int(rng.integers(2, 9))
-    B = _rand_sym(rng, n)
-    u = rng.standard_normal(n)
-    bu = B @ u
-    if euclidean_norm(bu) <= 1e-12 * euclidean_norm(u):
-        return None
-    l_u = euclidean_norm(bu) ** 2 / (u @ u)
-    l_bu = _ratio(_e_ratios, B, bu)
-    return max(0.0, l_u - l_bu) / max(1.0, abs(l_u))
+def _outcomes(draws, run):
+    """``_by_shape(draws, run)`` with each lemma residual as a ``_tally``
+    outcome: None (skipped) stays None."""
+    return [None if res is None else (res, res > SLACK) for res in _by_shape(draws, run)]
 
 
-def _lemma_one_sided_ratio(rng):
-    n = int(rng.integers(2, 9))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    if rng.integers(2):
-        lam = np.exp(rng.uniform(0.0, np.log(10.0), n))  # L >= I
-    else:
-        lam = np.exp(rng.uniform(np.log(0.1), 0.0, n))  # L <= I
-    L = q @ np.diag(lam) @ q.T
-    u = rng.standard_normal(n)
-    ilu = (np.eye(n) - L) @ u
-    if euclidean_norm(ilu) <= 1e-10 * euclidean_norm(u):
-        return None
-    K = np.linalg.inv(L) - np.eye(n)
-    lhs = _ratio(_e_ratios, K, ilu)
-    rhs = _ratio(_e_ratios, K, u)
-    return max(0.0, rhs - lhs) / max(1.0, abs(rhs))
+# The lemma trials: each draws n in [2, 9) and then its matrices, and runs
+# the trials of one n as a stack
 
 
-def _least_change(rng, dual):
-    n = int(rng.integers(2, 9))
-    B = _rand_sym(rng, n)
-    M = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-    minv2 = np.linalg.inv(M @ M)
-    s = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    # the dual update acts on the inverse: the direct update of the swapped pair
-    con, target = (y, s) if dual else (s, y)
-    bplus = gpsb_update(B, SecantPair(con, target), minv2)
-    res = euclidean_norm(bplus @ con - target) / max(1.0, euclidean_norm(target))
-    res = max(res, euclidean_norm(bplus - bplus.T))
-    dist = weighted_frobenius_error(bplus - B, M)
-    P = np.eye(n) - np.outer(con, con) / (con @ con)
-    # 100 competitors in one stack, drawn from the stream that 100
-    # _rand_sym calls would read: symmetric, same secant action
-    Z = rng.standard_normal((100, n, n))
-    competitors = bplus + P @ ((Z + Z.transpose(0, 2, 1)) / 2.0) @ P
-    cdists = weighted_frobenius_error(competitors - B, M)
-    worst = ((dist - cdists) / np.maximum(1.0, cdists)).max(initial=0.0)
-    return max(res, worst)
+def _sym_vector_draws(rng, count):
+    # ``count`` trials' draws of a random symmetric n x n matrix and a vector
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        draws.append((n, (_rand_sym(rng, n), rng.standard_normal(n))))
+    return draws
 
 
+def _projected_contraction_stack(n, C, s):
+    # ||P C P||^2 <= ||C||^2 - ||C s||^2 / s's for P = I - s s' / s's, on
+    # each slice
+    out = []
+    P = _projectors(s)
+    for d, c, num, den in zip(_norms(P @ C @ P), _norms(C), *_e_ratios(C, s)):
+        lhs, rhs = d ** 2, c ** 2 - num / den
+        out.append(max(0.0, lhs - rhs) / max(1.0, abs(rhs)))
+    return out
+
+
+def _lemma_projected_contraction(rng, t, count):
+    return _outcomes(_sym_vector_draws(rng, count), _projected_contraction_stack)
+
+
+def _image_ratio_stack(n, B, u):
+    # ||B u||^2 / u'u <= ||B (B u)||^2 / ||B u||^2 for symmetric B, on each
+    # slice; a u with B u near 0 is skipped before its ratio is taken
+    bu = _mv(B, u)
+    bu_norms = _norms(bu)
+    keep = [j for j, (q, q0) in enumerate(zip(bu_norms, _norms(u))) if not q <= 1e-12 * q0]
+    out = [None] * len(u)
+    if keep:
+        for j, uu, num, den in zip(keep, _dots(u[keep], u[keep]), *_e_ratios(B[keep], bu[keep])):
+            l_u, l_bu = bu_norms[j] ** 2 / uu, num / den
+            out[j] = max(0.0, l_u - l_bu) / max(1.0, abs(l_u))
+    return out
+
+
+def _lemma_image_ratio(rng, t, count):
+    return _outcomes(_sym_vector_draws(rng, count), _image_ratio_stack)
+
+
+def _one_sided_ratio_stack(n, z, lam, u):
+    # with L = Q diag(lam) Q' >= I or <= I and K = L^-1 - I, the ratio
+    # ||K v||^2 / v'v does not fall from v = u to v = (I - L) u, on each
+    # slice; a u with (I - L) u near 0 is skipped before its ratio is taken
+    Q, _ = np.linalg.qr(z)
+    L = Q @ _diag(lam) @ Q.swapaxes(-1, -2)
+    ilu = _mv(np.eye(n) - L, u)
+    keep = [j for j, (q, q0) in enumerate(zip(_norms(ilu), _norms(u))) if not q <= 1e-10 * q0]
+    out = [None] * len(u)
+    if keep:
+        K = np.linalg.inv(L[keep]) - np.eye(n)
+        for j, ln, ld, rn, rd in zip(keep, *_e_ratios(K, ilu[keep]), *_e_ratios(K, u[keep])):
+            lhs, rhs = ln / ld, rn / rd
+            out[j] = max(0.0, rhs - lhs) / max(1.0, abs(rhs))
+    return out
+
+
+def _lemma_one_sided_ratio(rng, t, count):
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        z = rng.standard_normal((n, n))
+        if rng.integers(2):
+            lam = np.exp(rng.uniform(0.0, np.log(10.0), n))  # L >= I
+        else:
+            lam = np.exp(rng.uniform(np.log(0.1), 0.0, n))  # L <= I
+        draws.append((n, (z, lam, rng.standard_normal(n))))
+    return _outcomes(draws, _one_sided_ratio_stack)
+
+
+def _least_change(dual, rng, t, count):
+    """The generalized PSB update (its dual, on the swapped pair, with
+    ``dual``) is symmetric, meets its secant equation and is no farther from
+    B in the M-weighted norm than 100 random competitors that do too."""
+    draws, states = [], []
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        draws.append((n, (_rand_sym(rng, n), *_spd_draws(n, rng, (0.5, 2.0)),
+                          rng.standard_normal(n), rng.standard_normal(n), i)))
+        # the 100 competitors' normals, from the stream that 100 _rand_sym
+        # calls would read: the trial keeps the generator's state and draws
+        # them again when it runs, so a chunk holds one trial's at a time
+        states.append(rng.bit_generator.state)
+        rng.standard_normal((100, n, n))
+    replay = np.random.Generator(type(rng.bit_generator)())
+
+    def run(n, B, z, lam, s, y, trials):
+        M = _spd_build(z, lam)
+        con, target = (y, s) if dual else (s, y)
+        bplus = _updated(gpsb_update_stack, B, con, target, np.linalg.inv(M @ M))
+        secant = _norms(_mv(bplus, con) - target), _norms(target)
+        dists = weighted_frobenius_error(bplus - B, M)
+        out = []
+        for i, b, b0, m, p, dist, r, q, asym in zip(
+                trials, bplus, B, M, _projectors(con), dists, *secant,
+                _norms(bplus - bplus.swapaxes(-1, -2))):
+            # symmetric competitors with the same secant action, one trial's
+            # stack at a time: the group's would hold 100 matrices a trial
+            replay.bit_generator.state = states[i]
+            Z = replay.standard_normal((100, n, n))
+            cdists = weighted_frobenius_error(b + p @ ((Z + Z.swapaxes(-1, -2)) / 2.0) @ p - b0, m)
+            worst = ((dist - cdists) / np.maximum(1.0, cdists)).max(initial=0.0)
+            out.append(max(r / max(1.0, q), asym, worst))
+        return out
+
+    return _outcomes(draws, run)
+
+
+# each lemma's chunk of trials, as _tally takes it
 _LEMMAS = {
     "projected-contraction": _lemma_projected_contraction,
     "image-ratio": _lemma_image_ratio,
     "one-sided-ratio": _lemma_one_sided_ratio,
-    "least-change-direct": lambda rng: _least_change(rng, dual=False),
-    "least-change-dual": lambda rng: _least_change(rng, dual=True),
+    "least-change-direct": partial(_least_change, False),
+    "least-change-dual": partial(_least_change, True),
 }
 
 
@@ -745,41 +844,50 @@ def oracle_lemmas(which, trials=500, seed=0):
     ``seed``, and any of them that is not an integer."""
     if which not in _LEMMAS:
         raise ValueError(f"unknown lemma {which!r}; the ids are {', '.join(_LEMMAS)}")
-    gen = _LEMMAS[which]
     trials, seed = _check_trials(trials, seed)
-
-    def trial(rng, t):
-        res = gen(rng)
-        return None if res is None else (res, res > SLACK)
-
-    return _tally(f"lemma/{which}", trials, seed, _trial_by_trial(trial))
+    return _tally(f"lemma/{which}", trials, seed, _LEMMAS[which])
 
 
 # ---------------------------------------------------------------------------
 # suite runners
 
 
-def _suite_error_reduction(seed, trials):
-    def gpsb_trial(rng, t):
+def _error_reduction_trials(family, rng, t, count):
+    """``oracle_error_reduction`` of the next ``count`` trials of the error-
+    reduction row of ``family``, numbered t, t + 1, ..., in trial order, run
+    as stacks as in ``_image_gain_trials``.  A gpsb trial weighs by a drawn
+    M unless its number is a multiple of 3 (M = I), so whether M is drawn
+    is part of the shape."""
+    draws = []
+    for i in range(t, t + count):
         n = int(rng.integers(2, 9))
-        a = _rand_sym(rng, n)
-        b = _rand_sym(rng, n)
-        m = None if t % 3 == 0 else random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-        s = rng.standard_normal(n)
-        lhs, rhs, holds = oracle_error_reduction("gpsb", a, b, m, s)
-        return max(0.0, lhs - rhs) / max(1.0, abs(rhs)), not holds
+        if family == "gpsb":
+            fields = (_rand_sym(rng, n), _rand_sym(rng, n))
+            if i % 3:
+                fields += _spd_draws(n, rng, (0.5, 2.0))
+        else:
+            fields = (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        draws.append(((n, len(fields)), fields + (rng.standard_normal(n),)))
 
-    def bgm_trial(rng, t):
-        n = int(rng.integers(2, 9))
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        s = rng.standard_normal(n)
-        lhs, rhs, holds = oracle_error_reduction("bgm", a, b, None, s)
-        return abs(lhs - rhs) / max(1.0, abs(rhs)), not holds
+    def run(key, a, b, *fields):
+        *m, s = fields
+        return _error_reduction_stack(family, a, b, _spd_build(*m) if m else None, s)
+
+    return _by_shape(draws, run)
+
+
+def _suite_error_reduction(seed, trials):
+    def gpsb(rng, t, count):
+        return [(max(0.0, lhs - rhs) / max(1.0, abs(rhs)), not holds)
+                for lhs, rhs, holds in _error_reduction_trials("gpsb", rng, t, count)]
+
+    def bgm(rng, t, count):
+        return [(abs(lhs - rhs) / max(1.0, abs(rhs)), not holds)
+                for lhs, rhs, holds in _error_reduction_trials("bgm", rng, t, count)]
 
     return [
-        _tally("error-reduction/gpsb", trials, seed, _trial_by_trial(gpsb_trial)),
-        _tally("error-reduction/bgm-identity", trials, seed + 1, _trial_by_trial(bgm_trial)),
+        _tally("error-reduction/gpsb", trials, seed, gpsb),
+        _tally("error-reduction/bgm-identity", trials, seed + 1, bgm),
     ]
 
 
@@ -1038,39 +1146,76 @@ def _suite_span_inclusion(seed, instances=50):
     return [_tally("process/span-inclusion", instances, seed + 70, trial)]
 
 
-def _suite_image_space(seed, trials=200):
-    def trial(rng, t):
+def _image_space_stack(n, E, W):
+    """(worst residual, violations) of the image-space check on each slice
+    of (k, n, n) stacks E and W: ker(E), as ``kernel_basis(E, 1e-8)``
+    finds it, and the range of X = W^-1 E' must have dimensions that add up
+    to n and be W-orthogonal, column by column of X."""
+    vt, in_kernel = _kernel_rows(E, 1e-8)
+    X = np.linalg.solve(W, E.swapaxes(-1, -2))
+    # the rank of X as np.linalg.matrix_rank with tol 1e-8 * max(1, ||X||_2)
+    sv = np.linalg.svd(X, compute_uv=False)
+    out, live = [], []
+    for j, (mask, q) in enumerate(zip(in_kernel, sv)):
+        rank, dim = np.count_nonzero(q > 1e-8 * max(1.0, q.max())), np.count_nonzero(mask)
+        out.append((0.0, int(rank + dim != n)))
+        if rank + dim == n and dim and rank:
+            live.append(j)
+    if not live:
+        return out
+    # each live slice's kernel basis, one row per vector, and its residuals
+    # in the order of the one-trial loop: column c of X, then kernel vector
+    kernels = [vt[j][in_kernel[j]] for j in live]
+    res = [[] for _ in live]
+    X, W = X[live], W[live]
+    for c in range(n):
+        # a column's norm reads a contiguous copy, as euclidean_norm of
+        # X[:, c] does, and its products the strided column, as X[:, c] @ v
+        norms = _norms(np.ascontiguousarray(X[:, :, c]))
+        rows = [r for r, q in enumerate(norms) if not q <= 1e-12]
+        if not rows:
+            continue
+        x = X[rows][:, :, c]
+        xwx = dict(zip(rows, _dots(x, _mv(W[rows], x))))
+        for v in range(max(len(kernels[r]) for r in rows)):
+            sub = [r for r in rows if v < len(kernels[r])]
+            K = np.stack([kernels[r][v] for r in sub])
+            wk = _mv(W[sub], K)
+            for r, num, kwk in zip(sub, _dots(X[sub][:, :, c], wk), _dots(K, wk)):
+                res[r].append(abs(num) / (np.sqrt(xwx[r]) * np.sqrt(kwk)))
+    for j, r in zip(live, res):
+        out[j] = (max([0.0, *r]), sum(q > SLACK for q in r))
+    return out
+
+
+def _image_space_trials(rng, t, count):
+    """``_image_space_stack`` of the next ``count`` image-space trials,
+    numbered t, t + 1, ..., in trial order.  Trial i draws n, a kernel
+    dimension kd, then E with exactly that kernel (symmetric for odd i) and
+    an SPD weight W; the trials of one n, kd and symmetry build as one
+    stack, and then those of one n are checked as one."""
+    draws = []
+    for i in range(t, t + count):
         n = int(rng.integers(2, 9))
         kd = int(rng.integers(0, n))
-        if t % 2:
-            E = _sym_kernel_build(*_sym_kernel_draws(rng, n, kd), kd)[0] if kd else _rand_sym(rng, n)
+        if i % 2:
+            fields = _sym_kernel_draws(rng, n, kd) if kd else (_rand_sym(rng, n),)
         else:
-            E = (_nonsym_kernel_build(*_nonsym_kernel_draws(rng, n), kd)[0] if kd
-                 else rng.standard_normal((n, n)))
-        W = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-        K = kernel_basis(E, 1e-8)
-        X = np.linalg.solve(W, E.T)
-        rank = np.linalg.matrix_rank(X, tol=1e-8 * max(1.0, np.linalg.norm(X, 2)))
-        if rank + K.shape[1] != n:
-            return 0.0, 1
-        worst, violations = 0.0, 0
-        if K.shape[1] == 0 or rank == 0:
-            return worst, violations
-        for i in range(n):
-            xi = X[:, i]
-            nx = euclidean_norm(xi)
-            if nx <= 1e-12:
-                continue
-            for j in range(K.shape[1]):
-                res = abs(xi @ (W @ K[:, j])) / (
-                    np.sqrt(xi @ (W @ xi)) * np.sqrt(K[:, j] @ (W @ K[:, j]))
-                )
-                worst = max(worst, res)
-                violations += res > SLACK
-        return worst, violations
+            fields = _nonsym_kernel_draws(rng, n) if kd else (rng.standard_normal((n, n)),)
+        draws.append(((n, kd, i % 2), fields + _spd_draws(n, rng, (0.5, 2.0))))
 
+    def build(key, *fields):
+        n, kd, sym = key
+        *fields, z, lam = fields
+        E = (_sym_kernel_build if sym else _nonsym_kernel_build)(*fields, kd)[0] if kd else fields[0]
+        return [(len(e), (e, w)) for e, w in zip(E, _spd_build(z, lam))]
+
+    return _by_shape(_by_shape(draws, build), _image_space_stack)
+
+
+def _suite_image_space(seed, trials=200):
     return [_tally("process/image-space-characterization", trials, seed + 80,
-                   _trial_by_trial(trial))]
+                   _image_space_trials)]
 
 
 def _lemma_suite(which, trials, seed):
@@ -1084,12 +1229,14 @@ def _run_suite(task):
     return runner(*args)
 
 
-# verify_all's tasks by their index in its list, longest first: at trials=500
-# on a 2-vCPU Xeon, image gain (1) and termination (8) take about 0.12 s
-# each, the least-change lemmas (7, 6) 0.11 and 0.10 s, projection gain (2)
-# 0.09 s and every other task at most 0.07 s, 0.80 s in all (serial, one CPU,
-# medians of 21 runs; the order of 8, 7, 6 and 2 varies between runs of 7)
-_LONGEST_FIRST = (1, 8, 7, 6, 2, 0, 11, 9, 5, 10, 3, 4)
+# verify_all's tasks by their index in its list, longest first, as
+# ``PYTHONPATH=src python tools/suite_times.py`` prints it: at trials=500 on
+# a 2-vCPU Xeon, image gain (1) takes about 0.17 s, termination (8) 0.14 s,
+# projection gain (2) 0.14 s, the least-change lemmas (6, 7) 0.11 s each
+# and every other task at most 0.06 s, 0.86 s in all (serial, one process,
+# medians of 21 runs; the order of 6 and 7, and of the tasks after 9,
+# varies between runs)
+_LONGEST_FIRST = (1, 8, 2, 6, 7, 9, 11, 10, 0, 5, 3, 4)
 
 
 def verify_all(seed=0, trials=500, workers=None):

@@ -1,11 +1,13 @@
 """Dense linear-algebra substrate: norms, weighted norms, kernels, angles.
 
 Everything here operates on plain numpy arrays (square real matrices,
-1-D vectors), except the stack helpers ``_mv``, ``_solve``, ``_dots`` and
-``_norms``, which the lab and the stacked updates use on (k, ...) stacks.
+1-D vectors), except the stack helpers ``_mv``, ``_solve``, ``_dots``,
+``_norms`` and ``_kernel_rows``, which the lab and the stacked updates use
+on (k, ...) stacks, and ``weighted_frobenius_error``, which takes either.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,18 +70,29 @@ def _norms(x):
     return [math.sqrt(q) for q in _dots(f, f).tolist()]
 
 
+def _check_kernel_tol(tol):
+    # tol <= 0 alone lets NaN through: a NaN tol reads every kernel
+    # dimension as 0 and an infinite one as n
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
+
+
+def _kernel_rows(E, tol):
+    # the right singular vectors of each slice of E, as the rows of vt, and
+    # the mask of those whose singular value is <= tol * sigma_max
+    _, sv, vt = np.linalg.svd(E)
+    return vt, sv <= tol * sv[..., :1]
+
+
 def kernel_basis(E, tol=KERNEL_TOL):
     """Orthonormal basis (n x r column block) of the numerical kernel of E.
 
     Columns are the right singular vectors whose singular value is
     <= tol * sigma_max(E).  r may be zero (an (n, 0) block is returned).
+    ``ValueError`` refuses a ``tol`` that is not a finite positive real.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    E = np.asarray(E, dtype=float)
-    _, sv, vt = np.linalg.svd(E)
-    smax = sv[0] if sv.size else 0.0
-    mask = sv <= tol * smax
+    _check_kernel_tol(tol)
+    vt, mask = _kernel_rows(np.asarray(E, dtype=float), tol)
     return vt[mask].T
 
 
@@ -106,21 +119,24 @@ def angle_to_subspace(s, basis):
 def weighted_frobenius_error(X, M=None):
     """Weighted Frobenius norm ||M X M||_F; ``M=None`` gives the plain ||X||_F.
 
-    X is one (n, n) matrix, giving a float, or a stack (k, n, n), giving
-    the k norms, each bit for bit ``np.linalg.norm`` of its slice in C
-    order: the sum of squares of a slice is the (1, n^2) @ (n^2, 1)
+    X is one (n, n) matrix, giving a NumPy float, or a stack of them of
+    shape (..., n, n), giving the norms in the stack's leading shape.  M is
+    one (n, n) matrix for every slice, or a stack of them, one per slice
+    or per sub-stack: its leading shape must open X's, so M of shape
+    (k, n, n) weighs X[i] by M[i] on a (k, n, n) or a (k, p, n, n) stack.
+    Each norm is bit for bit ``np.linalg.norm`` of M X M of its slice alone
+    in C order: the sum of squares of a slice is the (1, n^2) @ (n^2, 1)
     product, which NumPy computes as the same dot that ``np.linalg.norm``
-    runs on the raveled matrix.  A matrix is measured as a stack of one.
+    runs on the raveled matrix, and a matrix is measured as a stack of one.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (2, 3):
-        raise ValueError(f"expected an (n, n) matrix or a (k, n, n) stack, got shape {X.shape}")
+    if X.ndim < 2:
+        raise ValueError(f"expected an (n, n) matrix or a stack of them, got shape {X.shape}")
     if M is not None:
         M = np.asarray(M, dtype=float)
-        if M.shape != X.shape[-2:]:
+        if M.ndim < 2 or M.shape != X.shape[: M.ndim - 2] + X.shape[-2:]:
             raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
+        M = M.reshape(M.shape[:-2] + (1,) * (X.ndim - M.ndim) + M.shape[-2:])
         X = M @ X @ M
-    stack = X if X.ndim == 3 else X[None]
-    f = stack.reshape(stack.shape[0], 1, -1)
-    norms = np.sqrt((f @ f.transpose(0, 2, 1)).ravel())
-    return norms if X.ndim == 3 else norms[0]
+    f = X.reshape(X.shape[:-2] + (1, -1))
+    return np.sqrt((f @ f.swapaxes(-1, -2))[..., 0, 0])

@@ -20,12 +20,11 @@ from qnops.lab import (
     oracle_projection_gain,
     run_process,
     verify_all,
-    _least_change,
 )
-from qnops.linalg import euclidean_norm, weighted_frobenius_error
+from qnops.linalg import euclidean_norm, kernel_basis, weighted_frobenius_error
 from qnops.problems import random_spd_matrix
 from qnops.solvers import BGM, Broyden, GeneralizedPSB
-from qnops.updates import SecantPair, gpsb_update
+from qnops.updates import SecantPair, bgm_update, gpsb_update
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -502,6 +501,29 @@ class TestKernelGrowth:
         assert dims[0] == 0  # B0 = I shares no direction with a random A
 
 
+class TestKernelTolerance:
+    # a NaN tol read every kernel dimension as 0 (false "did not grow"
+    # reports) and an infinite one every dimension as n (a shrinking kernel
+    # could never be reported)
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-8, "1e-8", None],
+                             ids=["nan", "inf", "-inf", "zero", "negative", "str", "none"])
+    def test_check_kernel_growth_refuses_a_bad_tol(self, tol):
+        A = spd(3, 20)
+        trace = run_process(ProcessConfig(a=A, b0=np.eye(3), rule=Broyden(1.0),
+                                          direction_source="image", seed=0))
+        with pytest.raises(ValueError, match="tol must be a finite positive real"):
+            check_kernel_growth(trace, tol)
+
+    def test_a_zero_error_is_refused_too(self):
+        # B0 = A: the matrix-zero floor would return the whole space before
+        # kernel_basis checks tol, so the check comes at entry
+        A = spd(3, 21)
+        trace = run_process(ProcessConfig(a=A, b0=A, rule=BGM()))
+        assert check_kernel_growth(trace).dims == [3]
+        with pytest.raises(ValueError, match="tol"):
+            check_kernel_growth(trace, np.nan)
+
+
 class TestErrorReductionOracle:
     def test_bgm_identity_hand_case(self):
         a = np.eye(2)
@@ -777,6 +799,127 @@ def ref_tally(name, trials, seed, trial):
     return SuiteRow(name, trials, violations, max_res, skipped)
 
 
+def ref_error_reduction(family, a, b, m, s):
+    y = a @ s
+    E = b - a
+    if family == "gpsb":
+        minv2 = None if m is None else np.linalg.inv(m @ m)
+        bplus = gpsb_update(b, SecantPair(s, y), minv2)
+        lhs = np.linalg.norm(bplus - a if m is None else m @ (bplus - a) @ m) ** 2
+        rhs = np.linalg.norm(E if m is None else m @ E @ m) ** 2 - ref_m_ratio(E, m, s)
+        return lhs, rhs, lhs <= rhs + lab.SLACK * max(1.0, abs(rhs))
+    bplus = bgm_update(b, SecantPair(s, y))
+    lhs = euclidean_norm(bplus - a) ** 2
+    rhs = euclidean_norm(E) ** 2 - ref_e_ratio(E, s)
+    return lhs, rhs, abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+def ref_error_reduction_trial(family, rng, t):
+    n = int(rng.integers(2, 9))
+    if family == "gpsb":
+        a, b = lab._rand_sym(rng, n), lab._rand_sym(rng, n)
+        m = None if t % 3 == 0 else random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    else:
+        a, b, m = rng.standard_normal((n, n)), rng.standard_normal((n, n)), None
+    return ref_error_reduction(family, a, b, m, rng.standard_normal(n))
+
+
+def ref_projected_contraction(rng):
+    n = int(rng.integers(2, 9))
+    C = lab._rand_sym(rng, n)
+    s = rng.standard_normal(n)
+    P = np.eye(n) - np.outer(s, s) / (s @ s)
+    lhs = euclidean_norm(P @ C @ P) ** 2
+    rhs = euclidean_norm(C) ** 2 - ref_e_ratio(C, s)
+    return max(0.0, lhs - rhs) / max(1.0, abs(rhs))
+
+
+def ref_image_ratio(rng):
+    n = int(rng.integers(2, 9))
+    B = lab._rand_sym(rng, n)
+    u = rng.standard_normal(n)
+    bu = B @ u
+    if euclidean_norm(bu) <= 1e-12 * euclidean_norm(u):
+        return None
+    l_u = euclidean_norm(bu) ** 2 / (u @ u)
+    return max(0.0, l_u - ref_e_ratio(B, bu)) / max(1.0, abs(l_u))
+
+
+def ref_one_sided_ratio(rng):
+    n = int(rng.integers(2, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if rng.integers(2):
+        lam = np.exp(rng.uniform(0.0, np.log(10.0), n))
+    else:
+        lam = np.exp(rng.uniform(np.log(0.1), 0.0, n))
+    L = q @ np.diag(lam) @ q.T
+    u = rng.standard_normal(n)
+    ilu = (np.eye(n) - L) @ u
+    if euclidean_norm(ilu) <= 1e-10 * euclidean_norm(u):
+        return None
+    K = np.linalg.inv(L) - np.eye(n)
+    lhs, rhs = ref_e_ratio(K, ilu), ref_e_ratio(K, u)
+    return max(0.0, rhs - lhs) / max(1.0, abs(rhs))
+
+
+def ref_least_change(rng, dual):
+    # the least-change trial drawing and measuring one competitor at a time
+    n = int(rng.integers(2, 9))
+    B = lab._rand_sym(rng, n)
+    M = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    s = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    con, target = (y, s) if dual else (s, y)
+    bplus = gpsb_update(B, SecantPair(con, target), np.linalg.inv(M @ M))
+    res = np.linalg.norm(bplus @ con - target) / max(1.0, np.linalg.norm(target))
+    res = max(res, np.linalg.norm(bplus - bplus.T, "fro"))
+    dist = np.linalg.norm(M @ (bplus - B) @ M)
+    P = np.eye(n) - np.outer(con, con) / (con @ con)
+    worst = 0.0
+    for _ in range(100):
+        z = rng.standard_normal((n, n))
+        cdist = np.linalg.norm(M @ (bplus + P @ ((z + z.T) / 2.0) @ P - B) @ M)
+        worst = max(worst, (dist - cdist) / max(1.0, cdist))
+    return max(res, worst)
+
+
+REF_LEMMAS = {
+    "projected-contraction": ref_projected_contraction,
+    "image-ratio": ref_image_ratio,
+    "one-sided-ratio": ref_one_sided_ratio,
+    "least-change-direct": partial(ref_least_change, dual=False),
+    "least-change-dual": partial(ref_least_change, dual=True),
+}
+
+
+def ref_image_space_trial(rng, t):
+    n = int(rng.integers(2, 9))
+    kd = int(rng.integers(0, n))
+    if t % 2:
+        E = lab._sym_kernel_build(*lab._sym_kernel_draws(rng, n, kd), kd)[0] if kd else lab._rand_sym(rng, n)
+    else:
+        E = (lab._nonsym_kernel_build(*lab._nonsym_kernel_draws(rng, n), kd)[0] if kd
+             else rng.standard_normal((n, n)))
+    W = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
+    K = kernel_basis(E, 1e-8)
+    X = np.linalg.solve(W, E.T)
+    rank = np.linalg.matrix_rank(X, tol=1e-8 * max(1.0, np.linalg.norm(X, 2)))
+    if rank + K.shape[1] != n:
+        return 0.0, 1
+    worst, violations = 0.0, 0
+    if K.shape[1] == 0 or rank == 0:
+        return worst, violations
+    for i in range(n):
+        xi = X[:, i]
+        if euclidean_norm(xi) <= 1e-12:
+            continue
+        for j in range(K.shape[1]):
+            res = abs(xi @ (W @ K[:, j])) / (np.sqrt(xi @ (W @ xi)) * np.sqrt(K[:, j] @ (W @ K[:, j])))
+            worst = max(worst, res)
+            violations += res > lab.SLACK
+    return worst, violations
+
+
 IMAGE_ROWS = [("gpsb", False), ("dfp", False), ("dfp-ordered", False), ("bfgs", False),
               ("bfgs-ordered", False), ("bgm", False), ("dfp-ordered", True),
               ("bfgs-ordered", True)]
@@ -838,6 +981,85 @@ class TestStackedTrials:
         assert same_bits(out[0], oracle_image_operator_gain("gpsb", a[0], b[0], m[0], s[0]))
         assert oracle_image_operator_gain("gpsb", a[1], b[1], m[1], s[1]) == out[1]
 
+    # a chunk that is not a multiple of the chunk cap, numbered from 5 so
+    # that the gpsb and image-space trials read numbers of both parities
+    COUNT = lab._CHUNK + 11
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("family", ["gpsb", "bgm"])
+    def test_error_reduction_stack_matches_each_trial_alone(self, family, seed):
+        trials = partial(lab._error_reduction_trials, family)
+        stacked = trials(np.random.default_rng(seed), 5, self.COUNT)
+        rng = np.random.default_rng(seed)
+        alone = [trials(rng, t, 1)[0] for t in range(5, 5 + self.COUNT)]
+        rng = np.random.default_rng(seed)
+        loop = [ref_error_reduction_trial(family, rng, t) for t in range(5, 5 + self.COUNT)]
+        assert all(map(same_bits, stacked, alone))
+        assert all(map(same_bits, stacked, loop))
+        # holds is a NumPy bool, as the one-trial oracle gave it
+        assert all(type(r[2]) is np.bool_ for r in stacked)
+        rows = lab._suite_error_reduction(seed, self.COUNT)
+        rng = np.random.default_rng(seed + (family == "bgm"))
+        want = [ref_error_reduction_trial(family, rng, t) for t in range(self.COUNT)]
+        row = rows[family == "bgm"]
+        assert row.max_residual == max(
+            (abs(l - r) if family == "bgm" else max(0.0, l - r)) / max(1.0, abs(r)) for l, r, _ in want)
+        assert row.violations == sum(not h for _, _, h in want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("which", list(REF_LEMMAS))
+    def test_lemma_stack_matches_each_trial_alone(self, which, seed):
+        stacked = lab._LEMMAS[which](np.random.default_rng(seed), 0, self.COUNT)
+        rng = np.random.default_rng(seed)
+        alone = [lab._LEMMAS[which](rng, t, 1)[0] for t in range(self.COUNT)]
+        rng = np.random.default_rng(seed)
+        loop = [REF_LEMMAS[which](rng) for _ in range(self.COUNT)]
+        assert stacked == alone
+        assert all(same_bits(float(o[0]), float(r)) for o, r in zip(stacked, loop))
+        assert all(o[1] == (o[0] > lab.SLACK) for o in stacked)
+
+        def trial(rng, t):
+            res = REF_LEMMAS[which](rng)
+            return None if res is None else (res, res > lab.SLACK)
+
+        row = oracle_lemmas(which, self.COUNT, seed)
+        assert row == ref_tally(f"lemma/{which}", self.COUNT, seed, trial)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_lemmas_skip_a_degenerate_slice_before_its_ratio(self):
+        # a u with B u = 0 (image ratio) or (I - L) u = 0 (one-sided ratio,
+        # L = I) beside a live one: the degenerate slice is skipped before
+        # its ratio could divide 0 by 0, and the live one is as alone
+        rng = np.random.default_rng(5)
+        B = np.stack([np.diag([0.0, 1.0, 2.0]), lab._rand_sym(rng, 3)])
+        u = np.stack([np.array([1.0, 0.0, 0.0]), rng.standard_normal(3)])
+        out = lab._image_ratio_stack(3, B, u)
+        assert out[0] is None and same_bits(out[1], lab._image_ratio_stack(3, B[1:], u[1:])[0])
+        l_u = euclidean_norm(B[1] @ u[1]) ** 2 / (u[1] @ u[1])
+        want = max(0.0, l_u - ref_e_ratio(B[1], B[1] @ u[1])) / max(1.0, abs(l_u))
+        assert same_bits(float(out[1]), float(want))
+        z = np.stack([np.eye(3), rng.standard_normal((3, 3))])
+        lam = np.stack([np.ones(3), [0.2, 0.5, 0.9]])
+        out = lab._one_sided_ratio_stack(3, z, lam, u)
+        assert out[0] is None
+        assert same_bits(out[1], lab._one_sided_ratio_stack(3, z[1:], lam[1:], u[1:])[0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_image_space_stack_matches_each_trial_alone(self, seed):
+        stacked = lab._image_space_trials(np.random.default_rng(seed), 5, self.COUNT)
+        rng = np.random.default_rng(seed)
+        alone = [lab._image_space_trials(rng, t, 1)[0] for t in range(5, 5 + self.COUNT)]
+        rng = np.random.default_rng(seed)
+        loop = [ref_image_space_trial(rng, t) for t in range(5, 5 + self.COUNT)]
+        for got in (alone, loop):
+            assert [float.hex(float(w)) for w, _ in stacked] == [float.hex(float(w)) for w, _ in got]
+            assert [int(v) for _, v in stacked] == [int(v) for _, v in got]
+        # some trials check pairs, and their worst residual is not 0
+        assert sum(w > 0.0 for w, _ in stacked) > self.COUNT // 4
+
 
     @pytest.mark.parametrize("numbered", [False, True], ids=["skips", "reads-its-number"])
     def test_tally_makes_the_draws_and_row_of_one_trial_at_a_time(self, numbered):
@@ -856,12 +1078,21 @@ class TestStackedTrials:
 
             return (reads_its_number if numbered else skips), draws
 
+        # 2 chunks and a part of one: every count asked is at most the cap
+        trials = 2 * lab._CHUNK + 5
         trial, draws = one_trial()
-        row = ref_tally("synthetic", 10, 7, trial)
+        row = ref_tally("synthetic", trials, 7, trial)
         trial, tally_draws = one_trial()
-        tally_row = lab._tally("synthetic", 10, 7, lab._trial_by_trial(trial))
-        assert len(draws) == (10 if numbered else 14) and row.skipped == (0 if numbered else 4)
+        counts = []
+
+        def chunk(rng, t, count):
+            counts.append(count)
+            return [trial(rng, t + i) for i in range(count)]
+
+        tally_row = lab._tally("synthetic", trials, 7, chunk)
+        assert row.skipped == (0 if numbered else len(draws) - trials) and len(draws) >= trials
         assert tally_draws == draws and tally_row == row
+        assert max(counts) == lab._CHUNK and sum(counts) == len(draws)
 
 
 class TestProjectionGainOracle:
@@ -937,7 +1168,7 @@ class TestNonFiniteOracleInput:
         def never(*args):
             raise AssertionError("the oracle ran on non-finite input")
 
-        for name in ("gpsb_update", "_image_gain_stack", "_projection_gain_stack"):
+        for name in ("_error_reduction_stack", "_image_gain_stack", "_projection_gain_stack"):
             monkeypatch.setattr(lab, name, never)
         args = {"a": np.eye(2), "b": np.diag([1.0, 2.0]), "m": 2.0 * np.eye(2),
                 "subspace_basis": np.array([[1.0], [0.0]]), "s": np.ones(2)}
@@ -948,6 +1179,34 @@ class TestNonFiniteOracleInput:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 oracle("gpsb", *args.values())
+
+
+class TestUnreadWeight:
+    # an m that the family never reads was silently ignored: the result was
+    # the m=None one
+    @pytest.mark.parametrize("oracle, family", [
+        (oracle_error_reduction, "bgm"),
+        *[(oracle_image_operator_gain, f)
+          for f in ("dfp", "bfgs", "dfp-ordered", "bfgs-ordered", "bgm")],
+        (oracle_projection_gain, "bgm"),
+    ])
+    def test_an_m_the_family_never_reads_is_refused(self, oracle, family):
+        args = [np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0])]
+        if oracle is oracle_projection_gain:
+            args.append(np.array([[1.0], [0.0], [0.0]]))
+        args.append(np.ones(3))
+        with pytest.raises(ValueError, match=f"family '{family}' does not read m"):
+            oracle(family, *args)
+        args[2] = None
+        oracle(family, *args)  # the same call without m runs
+
+    @pytest.mark.parametrize("oracle", [oracle_error_reduction, oracle_image_operator_gain,
+                                        oracle_projection_gain])
+    def test_gpsb_reads_m(self, oracle):
+        args = [np.eye(2), np.diag([1.0, 2.0]), 2.0 * np.eye(2)]
+        if oracle is oracle_projection_gain:
+            args.append(np.array([[1.0], [0.0]]))
+        assert oracle("gpsb", *args, np.ones(2))[2] is not None
 
 
 class TestLemmaOracles:
@@ -1004,8 +1263,11 @@ class TestLemmaOracles:
             return max(res, worst)
 
         rng, ref_rng = np.random.default_rng(30), np.random.default_rng(30)
-        for _ in range(200):
-            assert float.hex(float(_least_change(rng, dual))) == float.hex(float(reference(ref_rng)))
+        which = "least-change-dual" if dual else "least-change-direct"
+        for _ in range(2):
+            stacked = lab._LEMMAS[which](rng, 0, 100)
+            assert [float.hex(float(r)) for r, _ in stacked] == [
+                float.hex(float(reference(ref_rng))) for _ in range(100)]
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 
@@ -1082,8 +1344,8 @@ class TestVerifyAll:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         rows = verify_all(seed=0, trials=5, workers=2)
-        assert submitted[:5] == ["_suite_image_gain", "_suite_termination", "_lemma_suite",
-                                 "_lemma_suite", "_suite_projection_gain"]
+        assert submitted[:5] == ["_suite_image_gain", "_suite_termination",
+                                 "_suite_projection_gain", "_lemma_suite", "_lemma_suite"]
         assert len(submitted) == len(lab._LONGEST_FIRST)
         assert rows == verify_all(seed=0, trials=5, workers=1)
 

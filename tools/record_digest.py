@@ -23,10 +23,12 @@ differ.  A change that means to alter the arithmetic rewrites that file.
   ``hunt=True``, the image-gain kernel without the ordering hypothesis)
   under ``image-gain-hunt``, since their results set the
   ``-unconstrained`` rows, and the residual of every lemma trial (None
-  when skipped) under ``lemma/<id>``.  The suites that run their trials
-  as stacks (``lab._process_trials``, ``lab._image_gain_trials``,
-  ``lab._projection_gain_trials``) are hooked per chunk, which returns the
-  results in trial order; the others per trial.  After each suite come
+  when skipped) under ``lemma/<id>``.  Every suite runs its trials in
+  chunks, as stacks, so the hooks sit on the functions that run a chunk
+  and return its results in trial order: ``lab._error_reduction_trials``,
+  ``lab._process_trials``, ``lab._image_gain_trials``,
+  ``lab._projection_gain_trials`` and the ``lab._LEMMAS`` chunks (the
+  image-space suite is seen through its row).  After each suite come
   all the values that ``weighted_frobenius_error`` returned while it ran,
   one float each, sorted by ``float.hex``: that set does not depend on
   how the calls group the trials, as a stream in call order would.  Then
@@ -111,25 +113,16 @@ def lab_digest():
     h = hashlib.sha256()
     # each trial's result is hashed under the name of the public function
     # that runs one (the hunts and the lemmas under names of their own), in
-    # trial order: the error-reduction oracle per call, the lemma
-    # generators per trial, and the stacked process instances and
-    # image-gain and projection-gain trials per chunk
-    per_trial = {"_process_trials": ("run_process", lambda r: r),
+    # trial order, from the function that runs a chunk of them as stacks
+    per_trial = {"_error_reduction_trials": ("oracle_error_reduction", lambda r: r),
+                 "_process_trials": ("run_process", lambda r: r),
                  "_image_gain_trials": ("oracle_image_operator_gain", lambda r: r),
                  "_projection_gain_trials": ("oracle_projection_gain", lambda r: r[0])}
-    names = ("oracle_error_reduction", "weighted_frobenius_error", "_run_suite")
+    names = ("weighted_frobenius_error", "_run_suite")
     originals = {name: getattr(lab, name) for name in names + tuple(per_trial)}
     lemmas = dict(lab._LEMMAS)
     # every value that weighted_frobenius_error returns while a suite runs
     values = []
-
-    def hashed(name, fn):
-        def call(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            h.update(name.encode())
-            _feed(h, result)
-            return result
-        return call
 
     def hashed_trials(name, oracle_result, fn):
         def call(*args, **kwargs):
@@ -155,11 +148,13 @@ def lab_digest():
             h.update(value.encode())
         return rows
 
-    lab.oracle_error_reduction = hashed("oracle_error_reduction", originals["oracle_error_reduction"])
     lab.weighted_frobenius_error, lab._run_suite = weighted_frobenius_error, run_suite
     for name, (oracle, oracle_result) in per_trial.items():
         setattr(lab, name, hashed_trials(oracle, oracle_result, originals[name]))
-    lab._LEMMAS.update((which, hashed(f"lemma/{which}", gen)) for which, gen in lemmas.items())
+    # a lemma chunk returns _tally outcomes: a residual is hashed, None (a
+    # skipped trial) stays None
+    lab._LEMMAS.update((which, hashed_trials(f"lemma/{which}", lambda r: r and r[0], fn))
+                       for which, fn in lemmas.items())
     try:
         rows = lab.verify_all(seed=0, trials=500, workers=1)
     finally:
