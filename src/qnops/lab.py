@@ -611,10 +611,10 @@ class SuiteRow:
 
 #: the most trials ``_tally`` asks a suite for at once, which bounds what a
 #: chunk holds: its draws and its stacks.  The serial total of
-#: ``verify_all(0, 500)`` (``tools/suite_times.py``) falls as the cap grows
-#: to 500, the most that a row of 500 trials asks for: the smaller groups
-#: of 128- or 256-trial chunks run the image-gain and projection-gain
-#: stacks 5-25 % slower
+#: ``verify_all(0, 500)`` falls as the cap grows to 500, the most that a row
+#: of 500 trials asks for: in chunks of 256 or 128, the smaller groups ran
+#: the image-gain stacks 6-16 % and the projection-gain stacks 24-46 %
+#: slower (serial task times, medians of 8 rounds)
 _CHUNK = 500
 
 

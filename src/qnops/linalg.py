@@ -119,24 +119,23 @@ def angle_to_subspace(s, basis):
 def weighted_frobenius_error(X, M=None):
     """Weighted Frobenius norm ||M X M||_F; ``M=None`` gives the plain ||X||_F.
 
-    X is one (n, n) matrix, giving a NumPy float, or a stack of them of
-    shape (..., n, n), giving the norms in the stack's leading shape.  M is
-    one (n, n) matrix for every slice, or a stack of them, one per slice
-    or per sub-stack: its leading shape must open X's, so M of shape
-    (k, n, n) weighs X[i] by M[i] on a (k, n, n) or a (k, p, n, n) stack.
-    Each norm is bit for bit ``np.linalg.norm`` of M X M of its slice alone
-    in C order: the sum of squares of a slice is the (1, n^2) @ (n^2, 1)
-    product, which NumPy computes as the same dot that ``np.linalg.norm``
-    runs on the raveled matrix, and a matrix is measured as a stack of one.
+    X is one (n, n) matrix, giving a NumPy float, or a stack (k, n, n),
+    giving the k norms; M is one (n, n) matrix, or for a stack also a
+    (k, n, n) stack of them, one per slice.  Each norm is bit for bit
+    ``np.linalg.norm`` of M X M of its slice alone in C order: the sum of
+    squares of a slice is the (1, n^2) @ (n^2, 1) product, which NumPy
+    computes as the same dot that ``np.linalg.norm`` runs on the raveled
+    matrix.  A matrix is measured as a stack of one.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim < 2:
-        raise ValueError(f"expected an (n, n) matrix or a stack of them, got shape {X.shape}")
+    if X.ndim not in (2, 3):
+        raise ValueError(f"expected an (n, n) matrix or a (k, n, n) stack, got shape {X.shape}")
     if M is not None:
         M = np.asarray(M, dtype=float)
-        if M.ndim < 2 or M.shape != X.shape[: M.ndim - 2] + X.shape[-2:]:
+        if M.shape not in (X.shape[-2:], X.shape):
             raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
-        M = M.reshape(M.shape[:-2] + (1,) * (X.ndim - M.ndim) + M.shape[-2:])
         X = M @ X @ M
-    f = X.reshape(X.shape[:-2] + (1, -1))
-    return np.sqrt((f @ f.swapaxes(-1, -2))[..., 0, 0])
+    stack = X if X.ndim == 3 else X[None]
+    f = stack.reshape(stack.shape[0], 1, -1)
+    norms = np.sqrt((f @ f.transpose(0, 2, 1)).ravel())
+    return norms if X.ndim == 3 else norms[0]

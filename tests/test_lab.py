@@ -981,9 +981,14 @@ class TestStackedTrials:
         assert same_bits(out[0], oracle_image_operator_gain("gpsb", a[0], b[0], m[0], s[0]))
         assert oracle_image_operator_gain("gpsb", a[1], b[1], m[1], s[1]) == out[1]
 
-    # a chunk that is not a multiple of the chunk cap, numbered from 5 so
-    # that the gpsb and image-space trials read numbers of both parities
-    COUNT = lab._CHUNK + 11
+    # chunks of at most 32 trials, so that a count of 75 ends in a part
+    # chunk; the chunk functions' trials are numbered from 5, so that the
+    # gpsb and image-space trials read numbers of both parities
+    COUNT = 75
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(lab, "_CHUNK", 32)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [0, 3])
@@ -1239,7 +1244,11 @@ class TestLemmaOracles:
             oracle_lemmas("image-ratio", **kw)
 
     @pytest.mark.parametrize("dual", [False, True])
-    def test_stacked_competitors_match_the_one_at_a_time_loop(self, dual):
+    def test_stacked_competitors_match_the_one_at_a_time_loop(self, dual, monkeypatch):
+        # the competitor term is never a trial's residual, so the norms
+        # themselves are compared: each distance, as a sorted set
+        norms, ref_norms = [], []
+
         def reference(rng):
             # the least-change trial drawing and measuring one competitor at a time
             n = int(rng.integers(2, 9))
@@ -1253,21 +1262,30 @@ class TestLemmaOracles:
             bplus = gpsb_update(B, SecantPair(con, target), minv2)
             res = np.linalg.norm(bplus @ con - target) / max(1.0, np.linalg.norm(target))
             res = max(res, np.linalg.norm(bplus - bplus.T, "fro"))
-            dist = weighted_frobenius_error(bplus - B, M)
+            dist = np.linalg.norm(M @ (bplus - B) @ M)
+            ref_norms.append(dist)
             P = np.eye(n) - np.outer(con, con) / (con @ con)
             worst = 0.0
             for _ in range(100):
                 z = rng.standard_normal((n, n))
-                cdist = weighted_frobenius_error(bplus + P @ ((z + z.T) / 2.0) @ P - B, M)
+                cdist = np.linalg.norm(M @ (bplus + P @ ((z + z.T) / 2.0) @ P - B) @ M)
+                ref_norms.append(cdist)
                 worst = max(worst, (dist - cdist) / max(1.0, cdist))
             return max(res, worst)
 
+        def recorded(*args):
+            result = weighted_frobenius_error(*args)
+            norms.extend(np.ravel(result).tolist())
+            return result
+
+        monkeypatch.setattr(lab, "weighted_frobenius_error", recorded)
         rng, ref_rng = np.random.default_rng(30), np.random.default_rng(30)
         which = "least-change-dual" if dual else "least-change-direct"
         for _ in range(2):
             stacked = lab._LEMMAS[which](rng, 0, 100)
             assert [float.hex(float(r)) for r, _ in stacked] == [
                 float.hex(float(reference(ref_rng))) for _ in range(100)]
+        assert sorted(map(float.hex, norms)) == sorted(map(float.hex, map(float, ref_norms)))
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 

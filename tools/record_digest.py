@@ -45,9 +45,9 @@ differ.  A change that means to alter the arithmetic rewrites that file.
 
 One serial pass runs every table2 and table3 cell, about 5.5 s on a 2-vCPU
 Xeon in its fast state and 10-12 s in its slow one (its speed swings about
-2x); the lab pass takes about 1.2 s there (1.45 s with one process per
-trace, back to back), about 0.25 s of it hashing.
-The whole script takes about 7 s in the fast state.
+2x); the lab pass takes 1.2-1.6 s there, about 0.6 s of it hashing (most of
+that the norms, about 100,000 floats, nearly all least-change competitors).
+The whole script takes about 7-8 s in the fast state.
 
 The lab digest cannot see every loss of digits.  Routing
 ``lab._sin_to_complement`` through ``linalg.angle_to_subspace`` leaves it
