@@ -1164,7 +1164,7 @@ def _image_space_stack(n, E, W):
     if not live:
         return out
     # each live slice's kernel basis, one row per vector, and its residuals
-    # in the order of the one-trial loop: column c of X, then kernel vector
+    # in the order a trial alone takes them: column c of X, then kernel vector
     kernels = [vt[j][in_kernel[j]] for j in live]
     res = [[] for _ in live]
     X, W = X[live], W[live]

@@ -862,8 +862,10 @@ def ref_one_sided_ratio(rng):
     return max(0.0, rhs - lhs) / max(1.0, abs(rhs))
 
 
-def ref_least_change(rng, dual):
-    # the least-change trial drawing and measuring one competitor at a time
+def ref_least_change(rng, dual, norms=None):
+    # the least-change trial drawing and measuring one competitor at a time;
+    # each weighted norm it takes goes to ``norms`` when given
+    norms = [] if norms is None else norms
     n = int(rng.integers(2, 9))
     B = lab._rand_sym(rng, n)
     M = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
@@ -874,11 +876,13 @@ def ref_least_change(rng, dual):
     res = np.linalg.norm(bplus @ con - target) / max(1.0, np.linalg.norm(target))
     res = max(res, np.linalg.norm(bplus - bplus.T, "fro"))
     dist = np.linalg.norm(M @ (bplus - B) @ M)
+    norms.append(dist)
     P = np.eye(n) - np.outer(con, con) / (con @ con)
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal((n, n))
         cdist = np.linalg.norm(M @ (bplus + P @ ((z + z.T) / 2.0) @ P - B) @ M)
+        norms.append(cdist)
         worst = max(worst, (dist - cdist) / max(1.0, cdist))
     return max(res, worst)
 
@@ -1249,30 +1253,6 @@ class TestLemmaOracles:
         # themselves are compared: each distance, as a sorted set
         norms, ref_norms = [], []
 
-        def reference(rng):
-            # the least-change trial drawing and measuring one competitor at a time
-            n = int(rng.integers(2, 9))
-            z = rng.standard_normal((n, n))
-            B = (z + z.T) / 2.0
-            M = random_spd_matrix(n, rng, spectrum=(0.5, 2.0))
-            minv2 = np.linalg.inv(M @ M)
-            s = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            con, target = (y, s) if dual else (s, y)
-            bplus = gpsb_update(B, SecantPair(con, target), minv2)
-            res = np.linalg.norm(bplus @ con - target) / max(1.0, np.linalg.norm(target))
-            res = max(res, np.linalg.norm(bplus - bplus.T, "fro"))
-            dist = np.linalg.norm(M @ (bplus - B) @ M)
-            ref_norms.append(dist)
-            P = np.eye(n) - np.outer(con, con) / (con @ con)
-            worst = 0.0
-            for _ in range(100):
-                z = rng.standard_normal((n, n))
-                cdist = np.linalg.norm(M @ (bplus + P @ ((z + z.T) / 2.0) @ P - B) @ M)
-                ref_norms.append(cdist)
-                worst = max(worst, (dist - cdist) / max(1.0, cdist))
-            return max(res, worst)
-
         def recorded(*args):
             result = weighted_frobenius_error(*args)
             norms.extend(np.ravel(result).tolist())
@@ -1284,7 +1264,7 @@ class TestLemmaOracles:
         for _ in range(2):
             stacked = lab._LEMMAS[which](rng, 0, 100)
             assert [float.hex(float(r)) for r, _ in stacked] == [
-                float.hex(float(reference(ref_rng))) for _ in range(100)]
+                float.hex(float(ref_least_change(ref_rng, dual, ref_norms))) for _ in range(100)]
         assert sorted(map(float.hex, norms)) == sorted(map(float.hex, map(float, ref_norms)))
         assert rng.standard_normal() == ref_rng.standard_normal()
 
