@@ -610,11 +610,13 @@ class SuiteRow:
 
 
 #: the most trials ``_tally`` asks a suite for at once, which bounds what a
-#: chunk holds: its draws and its stacks.  The serial total of
-#: ``verify_all(0, 500)`` falls as the cap grows to 500, the most that a row
-#: of 500 trials asks for: in chunks of 256 or 128, the smaller groups ran
-#: the image-gain stacks 6-16 % and the projection-gain stacks 24-46 %
-#: slower (serial task times, medians of 8 rounds)
+#: chunk holds: its draws and its stacks.  No row of the default 500 trials
+#: reaches it; it bounds memory for ``verify --trials`` above 500, where a
+#: serial ``verify_all(0, 2000)`` peaks at 39.3-39.5 MB with it and
+#: 43.2-43.4 MB without, and ``verify_all(0, 8000)`` at 39.7 MB and
+#: 60.1-61.0 MB, in the same time (2-vCPU Xeon, fresh processes).  Smaller
+#: caps cost time: chunks of 256 or 128 ran the image-gain stacks 6-16 %
+#: and the projection-gain stacks 24-46 % slower at 500 trials
 _CHUNK = 500
 
 
@@ -1229,6 +1231,16 @@ def _run_suite(task):
     return runner(*args)
 
 
+def _verify_tasks(seed, trials):
+    """verify_all's tasks, (runner, args) pairs for ``_run_suite``, in row order."""
+    tasks = [(_suite_error_reduction, (seed, trials)), (_suite_image_gain, (seed, trials)),
+             (_suite_projection_gain, (seed, trials))]
+    tasks += [(_lemma_suite, (which, trials, seed + 30)) for which in _LEMMAS]
+    tasks += [(runner, (seed,)) for runner in (_suite_termination, _suite_kernel_growth,
+                                                 _suite_span_inclusion, _suite_image_space)]
+    return tasks
+
+
 # verify_all's tasks by their index in its list, longest first, as
 # ``PYTHONPATH=src python tools/suite_times.py`` prints it: at trials=500 on
 # a 2-vCPU Xeon, image gain (1) takes about 0.17 s, termination (8) 0.14 s,
@@ -1252,10 +1264,5 @@ def verify_all(seed=0, trials=500, workers=None):
     """
     trials, seed = _check_trials(trials, seed)
     workers = default_workers() if workers is None else _count("workers", workers, 1)
-    tasks = [(_suite_error_reduction, (seed, trials)), (_suite_image_gain, (seed, trials)),
-             (_suite_projection_gain, (seed, trials))]
-    tasks += [(_lemma_suite, (which, trials, seed + 30)) for which in _LEMMAS]
-    tasks += [(runner, (seed,)) for runner in (_suite_termination, _suite_kernel_growth,
-                                                 _suite_span_inclusion, _suite_image_space)]
-    done = run_pool(tasks, _run_suite, workers, _LONGEST_FIRST)
+    done = run_pool(_verify_tasks(seed, trials), _run_suite, workers, _LONGEST_FIRST)
     return [row for rows in done for row in rows]

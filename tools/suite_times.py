@@ -1,64 +1,37 @@
 """Print the serial time of each ``verify_all`` task and the longest-first
 order those times imply, the order that ``lab._LONGEST_FIRST`` holds.
 
-    PYTHONPATH=src python tools/suite_times.py [--runs K] [--seed S] [--trials T]
+    PYTHONPATH=src python tools/suite_times.py
 
-The tasks are the ones ``verify_all(seed, trials)`` hands its pool, taken
-from it without running them.  Each then runs K times in this process,
-one task after another and round after round, so a swing in the machine's
-speed falls on every task alike; a task's time is the median of its K runs.
-The script prints one line per task (its index in ``verify_all``'s list,
-its runner and the median in ms), the serial total of the medians and the
-order tuple.
+The tasks are those of ``verify_all(0, 500)``, the run that ``verify`` makes
+by default and that the pool order serves.  Each runs RUNS times in this
+process, one task after another and round after round, so a swing in the
+machine's speed falls on every task alike; a task's time is the median of
+its runs.  The script prints one line per task (its index in
+``verify_all``'s list, its runner and arguments, and the median in ms), the
+serial total of the medians and the order tuple.
 """
 
-import argparse
 import statistics
 import time
 
 from qnops import lab
 
-
-def verify_tasks(seed, trials):
-    """The (runner, args) tasks of ``verify_all(seed, trials)``, in its order."""
-    tasks = []
-
-    def capture(items, fn, workers, order):
-        tasks.extend(items)
-        return []
-
-    run_pool = lab.run_pool
-    lab.run_pool = capture
-    try:
-        lab.verify_all(seed=seed, trials=trials, workers=1)
-    finally:
-        lab.run_pool = run_pool
-    return tasks
-
-
-def label(task):
-    runner, args = task
-    # a lemma task names its lemma; the other runners name their suite
-    return f"{runner.__name__}({args[0]})" if runner is lab._lemma_suite else runner.__name__
+SEED, TRIALS, RUNS = 0, 500, 21
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=21)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=500)
-    args = parser.parse_args()
-    tasks = verify_tasks(args.seed, args.trials)
+    tasks = lab._verify_tasks(SEED, TRIALS)
     times = [[] for _ in tasks]
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for i, task in enumerate(tasks):
             start = time.perf_counter()
             lab._run_suite(task)
             times[i].append(time.perf_counter() - start)
     medians = [statistics.median(t) for t in times]
-    for i, (task, median) in enumerate(zip(tasks, medians)):
-        print(f"{i:3d}  {label(task):45s} {1e3 * median:8.1f} ms")
-    print(f"serial total {1e3 * sum(medians):.1f} ms (medians of {args.runs} runs)")
+    for i, ((runner, args), median) in enumerate(zip(tasks, medians)):
+        print(f"{i:3d}  {runner.__name__ + repr(args):50s} {1e3 * median:8.1f} ms")
+    print(f"serial total {1e3 * sum(medians):.1f} ms (medians of {RUNS} runs)")
     order = sorted(range(len(tasks)), key=lambda i: -medians[i])
     print(f"longest first: ({', '.join(map(str, order))})")
 
