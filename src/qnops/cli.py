@@ -99,14 +99,13 @@ def config_for_label(label, lam):
         raise ValueError(f"method label {label!r} breaks the label grammar")
     transform = (NormalEqWindow(d) if mode == "ip"
                  else ImageTransform() if mode == "im" else NoTransform())
-    kwargs = dict(b0=lam, mode=transform, max_iters=200000)
+    kwargs = dict(b0=lam, mode=transform)
     if base in ("Newton", "BGM"):
         rule = None if base == "Newton" else BGM()
         return "system", SolverConfig(rule=rule, stop=ResidualNorm(1e-7), **kwargs)
     kwargs["stop"] = IterateError(1e-7)
     if base == "LBFGS":
-        kwargs["max_iters"] = 60000
-        return "lbfgs", SolverConfig(rule=None, memory=n, **kwargs)
+        return "lbfgs", SolverConfig(rule=None, memory=n, max_iters=60000, **kwargs)
     rule = {"DFP": Broyden(1.0), "BFGS": Broyden(0.0), "PSB": GeneralizedPSB()}[base]
     return "dense", SolverConfig(rule=rule, **kwargs)
 
@@ -121,7 +120,10 @@ def run_label(label, lam, problem, record="full"):
     return driver(problem, replace(config, record=record))
 
 
-def table2_labels(n_list=(3, 10), d_list=(1, 2)):
+def table2_labels(n_list=None, d_list=None):
+    # None: the paper's grid, memories (3, 10) and windows (1, 2)
+    n_list = (3, 10) if n_list is None else n_list
+    d_list = (1, 2) if d_list is None else d_list
     labels = []
     for base in ("DFP", "BFGS", "PSB"):
         labels.append(method_label(base))
@@ -134,9 +136,10 @@ def table2_labels(n_list=(3, 10), d_list=(1, 2)):
     return labels
 
 
-def table3_labels(n_list=(3, 4, 5), d_list=None):
+def table3_labels(n_list=None, d_list=None):
+    # None: the paper's memories (3, 4, 5), each with every window d = 1, ..., N - 1
     labels = []
-    for n in n_list:
+    for n in (3, 4, 5) if n_list is None else n_list:
         labels.append(method_label("LBFGS", n=n))
         for d in range(1, n):
             if d_list is None or d in d_list:
@@ -364,11 +367,8 @@ def run(experiment, methods, lambdas, d, n, fmt, out, workers):
             columns, key, show, worker = list(SYSTEM_PROBLEMS), "problem", str, _system_cell
             cells = [(label, name) for name in columns for label in labels]
         else:
-            if experiment == "table2":
-                labels = table2_labels(n_list=n_list or (3, 10), d_list=d_list or (1, 2))
-            else:
-                labels = table3_labels(n_list=n_list or (3, 4, 5), d_list=d_list)
-            labels = _filter_methods(labels, methods)
+            grid = table2_labels if experiment == "table2" else table3_labels
+            labels = _filter_methods(grid(n_list, d_list), methods)
             columns, key, show, worker = lam_list, "lambda", _fmt_lambda, _bench_cell
             cells = [(label, lam) for label in labels for lam in columns]
         rows = _run_pool(cells, worker, workers)

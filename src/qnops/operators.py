@@ -63,14 +63,10 @@ def image_direction_broyden(h_apply, s, y):
     return s - h_apply(y)
 
 
-def secondary_secant(grad, x_next, u, t):
-    """Difference quotient v = [g(x_next + t u) - g(x_next)] / t.
-
-    Exact (v = A u) for any t > 0 when the gradient is linear.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return (grad(x_next + t * u) - grad(x_next)) / t
+def secondary_secant(grad, x_next, u):
+    """Secondary difference v = g(x_next + u) - g(x_next), exact (v = A u)
+    when the gradient is linear."""
+    return grad(x_next + u) - grad(x_next)
 
 
 def _beta_solve(G, rhs):
@@ -137,12 +133,12 @@ def normal_eq_projection(pair, raw, family, minv2=None):
     non-None reason the returned pair is the raw one.  The window itself
     is left untouched; drivers append the raw pair after transforming.
     """
+    if family not in ("broyden", "gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
+        raise ValueError(f"unknown family {family!r}")
     s, y = pair.s, pair.y
     m = len(raw)
     if m == 0:
         return SecantPair(s, y, pair.transformed), np.empty(0), None
-    if family not in ("broyden", "gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
-        raise ValueError(f"unknown family {family!r}")
     if m == 1:
         s0, y0 = raw.s_list[0], raw.y_list[0]
         b = _scalar_beta(s, y, s0, y0, family, minv2)

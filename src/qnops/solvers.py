@@ -181,27 +181,15 @@ class Unit:
 
 @dataclass(frozen=True)
 class Backtracking:
-    c1: float = 1e-4
-    shrink: float = 0.5
-
-    def __post_init__(self):
-        for name in ("c1", "shrink"):
-            value = getattr(self, name)
-            # the Armijo search needs both in (0, 1); a NaN fails the test too
-            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie in the open interval (0, 1), got {value!r}")
+    pass  # the Armijo search of ``line_search``, c1 = 1e-4 with halving
 
 
 @dataclass(frozen=True)
 class GradNorm:
-    eps: float
-    relative: bool = True
+    eps: float  # relative: converged once ||g|| <= eps * ||g_0||
 
     def __post_init__(self):
         _check_tolerance("eps", self.eps)
-        # any truthy value would read as relative
-        if not isinstance(self.relative, bool):
-            raise ValueError(f"relative must be True or False, got {self.relative!r}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +299,7 @@ def _stop_threshold(stop, problem, x0, g0):
     if isinstance(stop, IterateError):
         return stop.eps_rel * euclidean_norm(x0 - problem.x_star)
     if isinstance(stop, GradNorm):
-        return stop.eps * euclidean_norm(g0) if stop.relative else stop.eps
+        return stop.eps * euclidean_norm(g0)
     return stop.eps
 
 
@@ -336,9 +324,10 @@ def line_search(problem, x, g, direction, rule):
     """Step length for the given direction: 1 for Unit, Armijo backtracking else.
 
     ``g`` is the gradient at x, which the caller already holds.
-    Backtracking returns the largest alpha in {1, shrink, shrink^2, ...}
-    with f(x + alpha p) <= f(x) + c1 * alpha * g'p; after 60 shrinks the
-    smallest trial is returned with a warning.
+    Backtracking is the Armijo test at the fixed c1 = 1e-4, with halving: it
+    returns the largest alpha in {1, 1/2, 1/4, ...} with
+    f(x + alpha p) <= f(x) + 1e-4 * alpha * g'p; after 60 halvings the
+    smallest trial, 2^-60, is returned with a warning.
     """
     if isinstance(rule, Unit):
         return 1.0
@@ -346,11 +335,11 @@ def line_search(problem, x, g, direction, rule):
     slope = g @ direction
     alpha = 1.0
     for _ in range(61):
-        if problem.objective(x + alpha * direction) <= f0 + rule.c1 * alpha * slope:
+        if problem.objective(x + alpha * direction) <= f0 + 1e-4 * alpha * slope:
             return alpha
-        alpha *= rule.shrink
+        alpha *= 0.5
     warnings.warn("backtracking exhausted 60 step halvings", RuntimeWarning)
-    return alpha / rule.shrink
+    return alpha * 2.0
 
 
 def _image_pair(u, s, y, problem, xn):
@@ -360,7 +349,7 @@ def _image_pair(u, s, y, problem, xn):
     if problem.hessian is not None:
         v = problem.hessian @ u  # exact directional difference for a quadratic
     else:
-        v = secondary_secant(problem.gradient, xn, u, 1.0)
+        v = secondary_secant(problem.gradient, xn, u)
     if u @ v > 0:
         return SecantPair(u, v, "image"), None
     return SecantPair(s, y, "raw"), "curvature"

@@ -4,6 +4,7 @@ resolves, the package's list is the join of its modules' lists, and
 function the benchmark in ``perfbench/`` patches resolves and is called."""
 
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -50,14 +51,18 @@ class _NoClock:
         pass
 
 
-@pytest.fixture(scope="module")
-def perfbench():
+def _perfbench_modules(*names):
     path = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, path)
     try:
-        return importlib.import_module("spans"), importlib.import_module("worker")
+        return [importlib.import_module(name) for name in names]
     finally:
         sys.path.remove(path)
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    return _perfbench_modules("spans", "worker")
 
 
 def test_benchmark_hooks_resolve(perfbench):
@@ -65,6 +70,23 @@ def test_benchmark_hooks_resolve(perfbench):
     points = [(module, attr) for module, attr, _ in spans.SPANS + spans.CELLS]
     points += [point for tick in worker.TICK_POINTS.values() for point in tick]
     assert [(m.__name__, a) for m, a in points if not callable(getattr(m, a, None))] == []
+
+
+def test_kernel_microbenchmarks_and_cli_probe_bind():
+    # the --trace 1 pass runs each kernel case and cli_probe's patched
+    # command; a changed name or signature they call would fail only there
+    kernels, cli_probe = _perfbench_modules("kernels", "cli_probe")
+    for _, call, _, _ in kernels._cases():
+        call()
+    # cli_probe replaces cli._run_pool(cells, worker, workers), reads each
+    # row's wall_time, and replaces lab.verify_all; the commands must look
+    # both up as the names it replaces
+    assert cli_probe.cli is cli and cli_probe.lab is lab
+    inspect.signature(cli._run_pool).bind([], cli._bench_cell, 1)
+    assert "wall_time" in cli.ResultRow.__dataclass_fields__
+    assert "_run_pool" in cli.run.callback.__code__.co_names
+    inspect.signature(lab.verify_all).bind(seed=0, trials=1, workers=1)
+    assert "verify_all" in cli.verify.callback.__code__.co_names
 
 
 def test_grid_cell_ticks_the_probe_clock_once_per_iteration(perfbench):

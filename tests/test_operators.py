@@ -71,19 +71,19 @@ class TestSecondarySecant:
         A = random_spd_matrix(5, rng)
         grad = lambda x: A @ x
         u = rng.standard_normal(5)
-        for t in (1e-3, 0.5, 1.0):
-            v = secondary_secant(grad, rng.standard_normal(5), u, t)
-            assert np.linalg.norm(v - A @ u) <= 1e-8 * np.linalg.norm(A @ u)
+        v = secondary_secant(grad, rng.standard_normal(5), u)
+        assert np.linalg.norm(v - A @ u) <= 1e-8 * np.linalg.norm(A @ u)
 
     def test_diagonal_quadratic_axis(self):
         problem = quadratic_weighted_50()
         u = np.zeros(50)
         u[2] = 1.0
-        v = secondary_secant(problem.gradient, problem.x0, u, 1.0)
+        v = secondary_secant(problem.gradient, problem.x0, u)
         np.testing.assert_allclose(v, 3.0 * u, atol=1e-10)
 
     def test_nonpositive_t_rejected(self):
-        with pytest.raises(ValueError):
+        # the step is fixed at t = 1: a step argument of any value is refused
+        with pytest.raises(TypeError, match="positional"):
             secondary_secant(lambda x: x, np.zeros(2), np.ones(2), 0.0)
 
 
@@ -223,10 +223,13 @@ class TestNormalEqProjection:
         assert reason_g is None
         assert out_g.transformed == "projected"
 
-    @pytest.mark.parametrize("family", ["psb", "Broyden", ""])
-    def test_unknown_family_refused(self, family):
+    # an empty window returned the raw pair for any family
+    @pytest.mark.parametrize("family, stored", [("psb", 1), ("Broyden", 1), ("", 1), ("psb", 0)],
+                             ids=["psb", "Broyden", "", "psb-empty-window"])
+    def test_unknown_family_refused(self, family, stored):
         raw = RawHistory(d=2)
-        raw.append(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        for _ in range(stored):
+            raw.append(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="unknown family"):
             normal_eq_projection(SecantPair(np.ones(2), np.ones(2)), raw, family)
 

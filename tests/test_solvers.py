@@ -104,7 +104,19 @@ class TestLineSearch:
         p = SmoothProblem(n=1, objective=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         with pytest.warns(RuntimeWarning):
             alpha = line_search(p, np.zeros(1), np.ones(1), np.ones(1), Backtracking())
-        assert 0.0 < alpha < 1e-15
+        assert alpha == 2.0 ** -60
+
+    @pytest.mark.parametrize("margin, expected", [(1e-8, 1.0), (-1e-8, 0.5)],
+                             ids=["above-c1", "below-c1"])
+    def test_c1_decides_the_unit_step(self, margin, expected):
+        # f(z) = -z + a z^2 from 0 along p = 1: slope -1, and the unit step
+        # decreases f by 1 - a, set just above or just below c1 = 1e-4; the
+        # half step decreases it by about 1/4
+        a = 1.0 - 1e-4 - margin
+        p = SmoothProblem(n=1, objective=lambda x: float(-x[0] + a * x[0] ** 2),
+                          gradient=lambda x: -1.0 + 2.0 * a * x)
+        x = np.zeros(1)
+        assert line_search(p, x, p.gradient(x), np.ones(1), Backtracking()) == expected
 
 
 class TestMinimizeBasics:
@@ -158,14 +170,20 @@ class TestMinimizeBasics:
         assert trace.status == "converged"
         assert calls[0] == trace.iterations + 1
 
-    def test_gradnorm_stop_absolute_and_relative(self):
-        p = one_d_quadratic(a=2.0, x0=4.0)
-        rel = minimize(p, SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-6), b0=2.0))
-        absolute = minimize(
-            p, SolverConfig(rule=Broyden(0.0), stop=GradNorm(1e-6, relative=False), b0=2.0)
-        )
-        assert rel.status == absolute.status == "converged"
-        assert np.linalg.norm(p.gradient(absolute.x)) <= 1e-6
+    def test_gradnorm_stop_is_relative(self):
+        # the threshold is eps * ||g_0||: a start 2^20 times farther out runs
+        # the same iterations, each gradient norm 2^20 times larger
+        p = random_spd_quadratic(6, spectrum=(0.5, 30.0), seed=5)
+        eps = 1e-12
+        small, large = (minimize(replace(p, x0=scale * np.ones(6)),
+                                 SolverConfig(rule=Broyden(0.0), stop=GradNorm(eps), b0=7.0))
+                        for scale in (1.0, 2.0 ** 20))
+        g0 = small.records[0].grad_norm
+        assert eps * g0 <= 1e-10
+        assert small.status == large.status == "converged"
+        assert small.records[-1].grad_norm <= eps * g0 < small.records[-2].grad_norm
+        assert [r.grad_norm * 2.0 ** 20 for r in small.records] == [
+            r.grad_norm for r in large.records]
 
 
 class TestDenseInverse:
@@ -513,10 +531,11 @@ class TestImageModeMechanics:
         # n+1 updates suffice once every image direction has been absorbed
         p = replace(random_spd_quadratic(6, spectrum=(0.5, 30.0), seed=5), x0=np.ones(6))
         cfg = SolverConfig(
-            rule=Broyden(0.0), stop=GradNorm(1e-10, relative=False), b0=7.0,
+            rule=Broyden(0.0), stop=GradNorm(1e-12), b0=7.0,
             mode=ImageTransform(), record="matrix",
         )
         trace = minimize(p, cfg)
+        assert cfg.stop.eps * trace.records[0].grad_norm <= 1e-10
         assert trace.status == "converged"
         final_err = trace.records[-1].matrix_error
         assert final_err <= 1e-7 * np.linalg.norm(p.hessian, "fro")
@@ -798,7 +817,6 @@ class TestSolverConfigValidation:
         # was ignored; NormalEqWindow(1.5) ran as d = 1; memory=2.5 raised a
         # TypeError from a deque
         (lambda: dict(stop=GradNorm(np.inf)), "eps"),
-        (lambda: dict(stop=GradNorm(np.inf, relative=False)), "eps"),
         (lambda: dict(stop=GradNorm(np.nan)), "eps"),
         (lambda: dict(stop=GradNorm(-1e-7)), "eps"),
         (lambda: dict(stop=IterateError(np.nan)), "eps_rel"),
@@ -818,9 +836,9 @@ class TestSolverConfigValidation:
         (lambda: dict(mode=NormalEqWindow), "mode"),
         (lambda: dict(step=None), "step"),
         (lambda: dict(step="unit"), "step"),
-        # on random_spd_quadratic(6) with BFGS, shrink=0 ended in breakdown,
-        # shrink=-0.5 took negative steps to converged, c1=-1 accepted every
-        # step and shrink=nan ended nonfinite
+        # c1, shrink and relative are no longer settings (the Armijo search
+        # is fixed at c1 = 1e-4 with halving, GradNorm is always relative):
+        # passing one raises TypeError, before any evaluation
         (lambda: dict(step=Backtracking(shrink=0.0)), "shrink"),
         (lambda: dict(step=Backtracking(shrink=-0.5)), "shrink"),
         (lambda: dict(step=Backtracking(shrink=1.0)), "shrink"),
@@ -829,25 +847,27 @@ class TestSolverConfigValidation:
         (lambda: dict(step=Backtracking(c1=0.0)), "c1"),
         (lambda: dict(step=Backtracking(c1=1.0)), "c1"),
         (lambda: dict(step=Backtracking(c1=np.nan)), "c1"),
-        # each raised TypeError, and relative="no" was read as relative
+        (lambda: dict(stop=GradNorm(np.inf, relative=False)), "relative"),
+        # each raised TypeError
         (lambda: dict(stop=GradNorm("x")), "eps"),
         (lambda: dict(stop=GradNorm(1e-6, relative="no")), "relative"),
         (lambda: dict(stop=IterateError(None)), "eps_rel"),
         (lambda: dict(stop=ResidualNorm("1e-7")), "eps"),
         (lambda: dict(step=Backtracking(c1="x")), "c1"),
         (lambda: dict(b0="x"), "b0"),
-    ], ids=["GradNorm-inf", "GradNorm-inf-absolute", "GradNorm-nan", "GradNorm-negative",
+    ], ids=["GradNorm-inf", "GradNorm-nan", "GradNorm-negative",
             "IterateError-nan", "IterateError-negative", "IterateError-inf",
             "ResidualNorm-nan", "ResidualNorm-negative", "max_iters-nan", "max_iters-float",
             "memory-fraction", "NormalEqWindow-fraction", "mode-None", "mode-str",
             "mode-class", "step-None", "step-str", "shrink-zero", "shrink-negative",
             "shrink-one", "shrink-nan", "c1-negative", "c1-zero", "c1-one", "c1-nan",
-            "GradNorm-str", "GradNorm-relative-str", "IterateError-None", "ResidualNorm-str",
-            "c1-str", "b0-str"])
+            "GradNorm-inf-absolute", "GradNorm-str", "GradNorm-relative-str",
+            "IterateError-None", "ResidualNorm-str", "c1-str", "b0-str"])
     def test_bad_parameter_refused_where_built(self, build, match):
         calls = []
         problem = counted(quadratic_weighted_50(), calls)
-        with pytest.raises(ValueError, match=match):
+        error = TypeError if match in ("c1", "shrink", "relative") else ValueError
+        with pytest.raises(error, match=match):
             kw = dict(rule=Broyden(0.0), stop=IterateError(1e-7), b0=50.0)
             kw.update(build())
             minimize(problem, SolverConfig(**kw))
@@ -874,8 +894,7 @@ class TestSolverConfigValidation:
         assert minimize_lbfgs(quadratic_weighted_50(), cfg).iterations == 5
 
     def test_boundary_values_accepted(self):
-        cfg = self.base(b0=1e-300, memory=1, max_iters=0,
-                        step=Backtracking(c1=0.999, shrink=1e-300))
+        cfg = self.base(b0=1e-300, memory=1, max_iters=0, step=Backtracking())
         trace = minimize_lbfgs(quadratic_weighted_50(), cfg)
         assert trace.status == "max-iters"
         assert trace.iterations == 0
