@@ -45,6 +45,7 @@ from .linalg import (
     KERNEL_TOL,
     ORTHO_TOL,
     _check_kernel_tol,
+    _count,
     _dots,
     _kernel_rows,
     _mv,
@@ -56,7 +57,7 @@ from .linalg import (
 )
 from .pool import default_workers, run_pool
 from .problems import _spd_build, _spd_draws
-from .solvers import BGM, Broyden, GeneralizedPSB, _check_square, _count
+from .solvers import BGM, Broyden, GeneralizedPSB, _check_square
 from .updates import DegenerateUpdateError, bgm_update_stack, gpsb_update_stack
 
 # the lab no longer calls these; they stay importable here because the

@@ -8,6 +8,7 @@ on (k, ...) stacks, and ``weighted_frobenius_error``, which takes either.
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -68,6 +69,17 @@ def _norms(x):
     # euclidean_norm of each slice, as Python floats
     f = x.reshape(len(x), -1)
     return [math.sqrt(q) for q in _dots(f, f).tolist()]
+
+
+def _count(name, value, low):
+    """``value`` as an int, refused unless it is an integer of at least ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return count
 
 
 def _check_kernel_tol(tol):

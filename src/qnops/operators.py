@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import euclidean_norm
+from .linalg import _count, euclidean_norm
 from .updates import SecantPair
 
 __all__ = [
@@ -36,11 +36,17 @@ DISCARD_TOL = 1e-8
 
 @dataclass
 class RawHistory:
-    """Window of the most recent raw (s, y) pairs, oldest first (capacity d)."""
+    """Window of the most recent raw (s, y) pairs, oldest first (capacity d).
+
+    ``ValueError`` refuses a capacity that is not an integer of at least 1.
+    """
 
     d: int
     s_list: list = field(default_factory=list)
     y_list: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.d = _count("window size d", self.d, 1)
 
     def __len__(self):
         return len(self.s_list)
@@ -88,10 +94,14 @@ def _beta_solve(G, rhs):
         # Cramer's rule: det(G) and the three with rhs in column j, in one
         # call, on the system halved.  np.linalg.det goes through log|det|
         # and exp, so unlike in the other routes the halving moves this
-        # path's bits, and the pinned counts are measured with it.
+        # path's bits, and the pinned counts are measured with it.  The
+        # stack is filled in place: G / 2 into slice 0, copied to the other
+        # three, each of which then takes rhs / 2 as its column j.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            half_g, half_rhs = G / 2.0, rhs / 2.0
-            stack = np.stack([half_g] * 4)
+            stack = np.empty((4, 3, 3))
+            np.divide(G, 2.0, out=stack[0])
+            stack[1:] = stack[0]
+            half_rhs = rhs / 2.0
             for j in range(3):
                 stack[j + 1, :, j] = half_rhs
             dets = np.linalg.det(stack)
@@ -126,15 +136,20 @@ def normal_eq_projection(pair, raw, family, minv2=None):
         gpsb:    (S'M^-2 S) beta = S'M^-2 s
         bgm:     (S'S) beta = S's          (gpsb with M = I)
 
-    and returns ``(SecantPair(s - S beta, y - Y beta), beta, reason)``
+    where M^-2 is ``minv2``, read by gpsb alone (None means M = I), and
+    returns ``(SecantPair(s - S beta, y - Y beta), beta, reason)``
     where ``reason`` is None on success, ``"discard"`` when the projected
     step is near-dependent (||s~|| < DISCARD_TOL * ||s||), or
     ``"curvature"`` when s~'y~ <= 0 for the broyden family.  On a
     non-None reason the returned pair is the raw one.  The window itself
     is left untouched; drivers append the raw pair after transforming.
+    ``ValueError`` refuses an unknown family, and a ``minv2`` given to
+    broyden or bgm, whose systems have no weight.
     """
     if family not in ("broyden", "gpsb", "bgm"):  # bgm: the Euclidean gpsb (minv2=None)
         raise ValueError(f"unknown family {family!r}")
+    if minv2 is not None and family != "gpsb":
+        raise ValueError(f"the {family} family takes no minv2; only gpsb is weighted")
     s, y = pair.s, pair.y
     m = len(raw)
     if m == 0:
@@ -152,10 +167,15 @@ def normal_eq_projection(pair, raw, family, minv2=None):
         s_cols, y_cols = raw.s_list, raw.y_list
         if m == 3:
             s_cols, y_cols = s_cols[::-1], y_cols[::-1]
-        S = np.column_stack(s_cols)
-        Y = np.column_stack(y_cols)
+        # One build of each (n, m) window.  It must be C-ordered, as
+        # np.column_stack made it: the layout selects the BLAS kernel of the
+        # products below, and another layout changes their bits.
+        S = np.array(s_cols).T.copy()
+        Y = np.array(y_cols).T.copy()
         if family == "broyden":
-            G = S.T @ Y + Y.T @ S
+            # Y'S is (S'Y)', the same dot products, so one product forms G
+            P = S.T @ Y
+            G = P + P.T
             rhs = S.T @ y + Y.T @ s
         else:
             MS = S if minv2 is None else minv2 @ S

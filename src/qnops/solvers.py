@@ -44,7 +44,6 @@ never counts as converged).
 
 import math
 import numbers
-import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,7 +51,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .linalg import angle_to_subspace, euclidean_norm
+from .linalg import _count, angle_to_subspace, euclidean_norm
 from .operators import RawHistory, image_direction_broyden, normal_eq_projection, secondary_secant
 from .problems import NonlinearSystem
 from .updates import (
@@ -88,17 +87,6 @@ __all__ = [
     "minimize_lbfgs",
     "solve_system",
 ]
-
-
-def _count(name, value, low):
-    """``value`` as an int, refused unless it is an integer of at least ``low``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    return count
 
 
 def _check_tolerance(name, value):

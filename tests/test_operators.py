@@ -233,6 +233,18 @@ class TestNormalEqProjection:
         with pytest.raises(ValueError, match="unknown family"):
             normal_eq_projection(SecantPair(np.ones(2), np.ones(2)), raw, family)
 
+    # broyden ignored a given minv2 and bgm, the Euclidean gpsb, applied it
+    @pytest.mark.parametrize("stored", [0, 1, 2])
+    @pytest.mark.parametrize("family", ["broyden", "bgm"])
+    def test_minv2_refused_for_unweighted_families(self, family, stored):
+        raw = RawHistory(d=2)
+        for i in range(stored):
+            raw.append(np.eye(2)[i], np.eye(2)[i])
+        pair = SecantPair(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="takes no minv2"):
+            normal_eq_projection(pair, raw, family, np.diag([0.5, 2.0]))
+        normal_eq_projection(pair, raw, "gpsb", np.diag([0.5, 2.0]))
+
     def test_singular_system_falls_back(self):
         raw = RawHistory(d=2)
         s = np.array([1.0, 0.0])
@@ -304,6 +316,16 @@ class TestHistories:
             raw.append(np.full(2, float(i)), np.full(2, float(i)))
         assert len(raw) == 2
         np.testing.assert_array_equal(raw.s_list[0], [2.0, 2.0])
+
+    # 0 held nothing, 2.5 kept two pairs and "2" failed at the first append
+    @pytest.mark.parametrize("d", [0, -1, 2.5, "2", None])
+    def test_raw_history_refuses_a_bad_capacity(self, d):
+        with pytest.raises(ValueError, match="window size d must be"):
+            RawHistory(d)
+
+    def test_raw_history_takes_an_integer_capacity_as_int(self):
+        raw = RawHistory(np.int64(2))
+        assert raw.d == 2 and type(raw.d) is int
 
     def test_default_discard_tolerance_value(self):
         assert DISCARD_TOL == 1e-8
@@ -484,6 +506,29 @@ class TestProjectionBitwiseEquivalence:
             (wp, wbeta, wreason) = ref_normal_eq_projection(pair, raw, family)
             assert greason == wreason
             assert greason is None
+            assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
+            assert _same_bytes(gbeta, wbeta)
+
+    @pytest.mark.parametrize("family, weighted", [("broyden", False), ("bgm", False),
+                                                  ("gpsb", False), ("gpsb", True)],
+                             ids=["broyden", "bgm", "gpsb", "weighted-gpsb"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_reference_at_the_benchmark_dimension(self, m, family, weighted):
+        # n = 50, where the BLAS kernels differ from those of the n <= 8
+        # windows above and depend on the window's memory layout; each step
+        # is scaled by 10^k, k uniform in [-5, 5]
+        rng = np.random.default_rng(1000 * m + len(family) + weighted)
+        A = random_spd_matrix(50, rng, spectrum=(0.1, 10.0))
+        minv2 = random_spd_matrix(50, rng, spectrum=(0.5, 2.0)) if weighted else None
+        for _ in range(20):
+            steps = rng.standard_normal((m + 1, 50)) * 10.0 ** rng.uniform(-5, 5, (m + 1, 1))
+            raw = RawHistory(d=m)
+            for s in steps[:m]:
+                raw.append(s, A @ s)
+            pair = SecantPair(steps[m], A @ steps[m])
+            gp, gbeta, greason = normal_eq_projection(pair, raw, family, minv2)
+            wp, wbeta, wreason = ref_normal_eq_projection(pair, raw, family, minv2)
+            assert greason == wreason
             assert _same_bytes(gp.s, wp.s) and _same_bytes(gp.y, wp.y)
             assert _same_bytes(gbeta, wbeta)
 
