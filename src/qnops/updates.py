@@ -54,14 +54,20 @@ def _check_curvature(s, y, sy):
         raise CurvatureError(f"s'y = {sy:.3e} fails the curvature condition")
 
 
-# The rank-one terms below are written into scratch buffers with a broadcast
-# multiply (the elementwise products np.outer computes) and scaled in place;
-# every sum keeps the association and operand order of the formula in the
-# docstring, so the result is bit for bit the one np.outer temporaries give.
+# The rank-one terms below are written into scratch buffers as the BLAS
+# product of a column and a row, and scaled in place; every sum keeps the
+# association and operand order of the formula in the docstring.  Each entry
+# of a b' is the one rounding of a_i * b_j, so every nonzero entry is bit for
+# bit the np.outer one.  An entry that rounds to zero takes the sign the BLAS
+# gives it: gemm (and syrk, NumPy's route for a vector times itself) gives +0
+# for an exact zero product, where np.outer may give -0, while an underflowing
+# product can keep its sign.  The values, and so every comparison, are
+# np.outer's; at n = 50 the product costs under half the broadcast multiply,
+# which runs its inner loop once per row.  The stacks keep that multiply.
 
 
 def _outer(a, b, out=None):
-    return np.multiply(a[:, None], b, out=out)
+    return np.dot(a[:, None], b[None, :], out=out)
 
 
 def _sym_rank2(B, a, b, c, den):

@@ -510,6 +510,72 @@ class TestSolveSystem:
         np.testing.assert_allclose(trace.x, np.ones(10), atol=1e-6)
 
 
+def linear_system(n, seed):
+    """F(x) = A x - b with A = I + 0.5 G / sqrt(n), G standard normal, and a
+    standard normal root x*, both drawn from default_rng(seed); x0 = 0."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    x_star = rng.standard_normal(n)
+    b = A @ x_star
+    return NonlinearSystem(n=n, residual=lambda x: A @ x - b, jacobian=lambda x: A,
+                           x_star=x_star, x0=np.zeros(n))
+
+
+def gay_schnabel_iterates(system, steps):
+    """x_0, ..., x_steps of Broyden's method with projected updates (Gay &
+    Schnabel 1978) from B_0 = I and unit steps: the step s = -B^-1 F(x) is
+    orthogonalized against every earlier step (modified Gram-Schmidt) into
+    ŝ, and B+ = B + (y - B s) ŝ' / ŝ's."""
+    x = system.x0
+    F = system.residual(x)
+    B = np.eye(system.n)
+    xs, basis = [x], []
+    for k in range(steps):
+        s = np.linalg.solve(B, -F)
+        x = x + s
+        Fn = system.residual(x)
+        xs.append(x)
+        if k + 1 < steps:  # the update after the last step is not needed
+            proj = s.copy()
+            for q in basis:
+                proj -= (q @ proj) * q
+            B = B + np.outer(Fn - F - B @ s, proj) / (proj @ s)
+            basis.append(proj / np.linalg.norm(proj))
+        F = Fn
+    return xs
+
+
+class TestLinearSystemTermination:
+    """On a linear system, IP-BGM(d = n - 1) is the projected Broyden method
+    of Gay and Schnabel, which terminates in n + 1 steps; plain BGM
+    terminates within 2n (Gay 1979).  Both stop at ||F|| <= 1e-12 ||F_0||."""
+
+    CASES = [(n, seed) for n in (4, 8, 12) for seed in (0, 1, 2)]
+
+    @staticmethod
+    def run(system, max_iters, **kw):
+        stop = ResidualNorm(1e-12 * np.linalg.norm(system.residual(system.x0)))
+        return solve_system(system, SolverConfig(rule=BGM(), stop=stop, max_iters=max_iters, **kw))
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_ip_bgm_is_the_projected_broyden_method(self, n, seed):
+        system = linear_system(n, seed)
+        trace = self.run(system, n + 1, mode=NormalEqWindow(n - 1))
+        assert trace.status == "converged" and trace.fallbacks == 0
+        # the two are the same update in exact arithmetic; each of the n + 1
+        # steps adds roundoff of about cond(A) eps, and 100 covers the
+        # constants of the solves and the projections
+        A = system.jacobian(system.x0)
+        tol = 100 * (n + 1) * np.linalg.cond(A) * np.finfo(float).eps
+        reference = gay_schnabel_iterates(system, trace.iterations)
+        for k, (record, x) in enumerate(zip(trace.records, reference, strict=True)):
+            assert np.linalg.norm(record.x - x) <= tol * np.linalg.norm(system.x_star), k
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_bgm_terminates_within_2n_steps(self, n, seed):
+        assert self.run(linear_system(n, seed), 2 * n).status == "converged"
+
+
 class TestImageModeMechanics:
     def test_quadratic_pairs_are_tagged(self):
         p = replace(random_spd_quadratic(5, spectrum=(0.5, 10.0), seed=4), x0=np.ones(5))

@@ -14,6 +14,7 @@ from qnops.updates import (
     CurvatureError,
     DegenerateUpdateError,
     SecantPair,
+    _outer,
     bgm_update,
     bgm_update_stack,
     broyden_update,
@@ -344,7 +345,9 @@ class TestSecantPair:
 #
 # The reference functions below are the update formulas as first written, with
 # np.outer temporaries and np.linalg.norm.  The fast forms must return the same
-# bytes (or raise the same exception) on every input.
+# bytes (or raise the same exception) on every input, except that a zero entry
+# of a 1-D update may carry another sign: its rank-one terms are BLAS products
+# (see TestRankOneTerm).  The norms and the two-loop recursion stay byte-exact.
 
 
 def _ref_check_curvature(s, y, sy):
@@ -443,20 +446,32 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_outcome(fn, ref, *args):
-    """Both return the same bytes, or both raise the same update exception."""
-    def outcome(f):
-        try:
-            with np.errstate(all="ignore"):  # degenerate draws overflow in both
-                return f(*args)
-        except (CurvatureError, DegenerateUpdateError) as exc:
-            return type(exc)
+def assert_bitwise_but_zero_signs(got, want):
+    """The same bytes once -0 is read as +0: ``x + 0.0`` maps -0 to +0 and
+    keeps every other bit, NaN payloads included.  The 1-D updates build
+    their rank-one terms as BLAS products, whose entries that round to zero
+    may carry another sign than the broadcast multiply's (``updates._outer``)."""
+    assert_bitwise(np.asarray(got) + 0.0, np.asarray(want) + 0.0)
 
-    got, want = outcome(fn), outcome(ref)
+
+def update_outcome(f, *args):
+    """What ``f(*args)`` gives: its result, or the type of the update
+    exception it raises."""
+    try:
+        with np.errstate(all="ignore"):  # degenerate draws overflow in both
+            return f(*args)
+    except (CurvatureError, DegenerateUpdateError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(fn, ref, *args):
+    """Both return the same bytes up to the sign of a zero, or both raise the
+    same update exception."""
+    got, want = update_outcome(fn, *args), update_outcome(ref, *args)
     if isinstance(want, type):
         assert got is want
     else:
-        assert_bitwise(got, want)
+        assert_bitwise_but_zero_signs(got, want)
 
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -592,6 +607,150 @@ class TestBitwiseEquivalence:
         assert_bitwise(g, g0)
 
 
+# Entries that make a product's zero sign or its rounding hard: signed zeros,
+# subnormals and factors whose products underflow (1e-170 squared); _HARD adds
+# the infinities, and inf * 0 is NaN.
+_TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-170, -1e-170, 3e-200])
+_HARD = np.concatenate([_TINY, [np.inf, -np.inf]])
+
+
+def _sprinkled(rng, v, pool, p):
+    """v with each entry replaced by one from ``pool`` with probability p."""
+    mask = rng.random(v.shape) < p
+    v[mask] = rng.choice(pool, int(mask.sum()))
+    return v
+
+
+class TestRankOneTerm:
+    """``_outer``, the rank-one term of every 1-D update, against the
+    broadcast multiply ``np.multiply(a[:, None], b)`` that np.outer computes:
+    equal values and the same bytes in every nonzero entry, NaN included,
+    which is what the bytes after ``+ 0.0`` compare."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 64])
+    @pytest.mark.parametrize("form", ["a b'", "b b'", "out="])
+    def test_matches_the_broadcast_multiply(self, n, form):
+        # "b b'" is one vector times itself, which NumPy sends to syrk
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            a, b = (_sprinkled(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+                               _HARD, 0.4) for _ in range(2))
+            if form == "b b'":
+                a = b
+            with np.errstate(invalid="ignore", under="ignore"):
+                want = np.multiply(a[:, None], b)
+                if form == "out=":
+                    out = np.full((n, n), np.nan)
+                    got = _outer(a, b, out=out)
+                    assert got is out
+                else:
+                    got = _outer(a, b)
+            assert got.flags.c_contiguous
+            assert_bitwise_but_zero_signs(got, want)
+
+    def test_fuzz_of_one_dimensional_updates(self):
+        # 20,000 seeded 1-D updates with signed zeros and subnormals in B, s
+        # and y (and rows and columns of B that are all +0 or all -0, where
+        # an update's zero entries survive to its result), against the
+        # np.outer formulas: the same exception, or the same values with
+        # the same bytes in every nonzero entry
+        updates = [(partial(broyden_update, theta=t), partial(ref_broyden_update, theta=t))
+                   for t in (0.0, 0.5, 1.0)]
+        updates += [(gpsb_update, ref_gpsb_update), (bgm_update, ref_bgm_update)]
+        rng = np.random.default_rng(36)
+        results = negative_zeros = 0
+        for trial in range(4000):
+            n = int(rng.integers(1, 9))
+            A = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+            if rng.random() < 0.5:
+                B = random_spd_matrix(n, rng, spectrum=(0.1, 10.0))
+            else:
+                B = rng.standard_normal((n, n))
+            B = _sprinkled(rng, B, _TINY, 0.3)
+            zero = rng.random(n) < 0.3
+            B[zero] = B[:, zero] = rng.choice([0.0, -0.0])
+            s = _sprinkled(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4), _TINY, 0.3)
+            y = _sprinkled(rng, A @ s if rng.random() < 0.5 else rng.standard_normal(n), _TINY, 0.3)
+            pair = SecantPair(s, y)
+            for k, (fn, ref) in enumerate(updates):
+                args = (B, pair, A if trial % 2 else None) if fn is gpsb_update else (B, pair)
+                got, want = update_outcome(fn, *args), update_outcome(ref, *args)
+                if isinstance(want, type):
+                    assert got is want, (trial, k)
+                    continue
+                assert_bitwise_but_zero_signs(got, want)
+                results += 1
+                negative_zeros += bool(np.signbit(want[want == 0]).any())
+        # most draws update, and many results hold a -0 whose sign may move
+        assert results >= 10_000 and negative_zeros >= 500
+
+
+class TestNumberTypes:
+    """The 1-D updates run unchanged on np.longdouble and on Fraction and
+    mpmath object arrays, where np.dot runs no BLAS, and give the np.outer
+    formulas' values."""
+
+    @staticmethod
+    def _cases(rng, n, convert):
+        A = random_spd_matrix(n, rng, spectrum=(0.5, 5.0))
+        B = random_spd_matrix(n, rng, spectrum=(0.5, 5.0))
+        s = rng.standard_normal(n)
+        return convert(B), SecantPair(convert(s), convert(A @ s)), convert(A)
+
+    @staticmethod
+    def _runs(B, pair, A, thetas):
+        for theta in thetas:
+            yield partial(broyden_update, theta=theta), partial(ref_broyden_update, theta=theta), \
+                (B, pair)
+        yield gpsb_update, ref_gpsb_update, (B, pair)
+        yield gpsb_update, ref_gpsb_update, (B, pair, A)
+        yield bgm_update, ref_bgm_update, (B, pair)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_longdouble(self, n):
+        B, pair, A = self._cases(np.random.default_rng(n), n, lambda x: x.astype(np.longdouble))
+        for fn, ref, args in self._runs(B, pair, A, (0.0, 0.5, 1.0)):
+            got, want = fn(*args), ref(*args)
+            assert got.dtype == np.longdouble
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fraction(self, n):
+        # theta = 0 only, since np.sqrt(s'Bs) has no Fraction method; nor has
+        # np.linalg.norm, so the BFGS reference is written out without its
+        # checks (exact arithmetic: any association gives the same matrix)
+        from fractions import Fraction
+
+        def convert(x):
+            return np.array([Fraction(v) for v in x.ravel()], dtype=object).reshape(x.shape)
+
+        B, pair, A = self._cases(np.random.default_rng(n), n, convert)
+        s, y = pair.s, pair.y
+        Bs = B @ s
+        runs = [(broyden_update(B, pair, 0.0),
+                 B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (s @ y)),
+                (gpsb_update(B, pair), ref_gpsb_update(B, pair)),
+                (gpsb_update(B, pair, A), ref_gpsb_update(B, pair, A)),
+                (bgm_update(B, pair), ref_bgm_update(B, pair))]
+        for got, want in runs:
+            assert got.dtype == object and all(type(v) is Fraction for v in got.ravel())
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+
+        def convert(x):
+            return np.array([mpmath.mpf(v) for v in x.ravel()], dtype=object).reshape(x.shape)
+
+        with mpmath.workdps(40):
+            B, pair, A = self._cases(np.random.default_rng(n), n, convert)
+            for fn, ref, args in self._runs(B, pair, A, (0.0, 0.5, 1.0)):
+                got, want = fn(*args), ref(*args)
+                assert got.dtype == object and all(type(v) is mpmath.mpf for v in got.ravel())
+                assert (got == want).all()
+
+
 @st.composite
 def stack_case(draw, max_n=8, max_k=5):
     """(B, s, y, A) stacks of k slices of one n, C-ordered as a stacked
@@ -618,8 +777,10 @@ def stack_case(draw, max_n=8, max_k=5):
 
 
 def assert_stack_matches_each_slice(stacked, one, B, s, y, *weights):
-    """``stacked`` returns each slice bit for bit as ``one`` does alone, and
-    a slice that ``one`` refuses keeps its B and carries the refusal's text."""
+    """``stacked`` returns each slice bit for bit as ``one`` does alone (up to
+    the sign of a zero, which the stacks' broadcast multiply and the 1-D
+    BLAS products may give differently), and a slice that ``one`` refuses
+    keeps its B, byte for byte, and carries the refusal's text."""
     with np.errstate(all="ignore"):  # degenerate draws overflow in both
         got, messages = stacked(B, s, y, *weights)
     assert got.shape == B.shape and len(messages) == len(B)
@@ -633,7 +794,7 @@ def assert_stack_matches_each_slice(stacked, one, B, s, y, *weights):
             assert_bitwise(got[i], B[i])
         else:
             assert messages[i] is None
-            assert_bitwise(got[i], want)
+            assert_bitwise_but_zero_signs(got[i], want)
 
 
 class TestStackedUpdates:
